@@ -83,7 +83,9 @@ class _LevelGraph:
         total = 2.0 * float(sym.weights.sum())
         return _LevelGraph(adj, total)
 
-    def q(self, comm: np.ndarray) -> float:
+    def q(self, comm: np.ndarray, resolution: float) -> float:
+        """Generalized modularity of ``comm``, as ``modularity`` computes
+        it on the graph this level aggregates."""
         if self.two_m == 0:
             return 0.0
         n_comm = comm.max() + 1
@@ -95,7 +97,7 @@ class _LevelGraph:
                     internal[cv] += w
         d_c = np.bincount(comm, weights=self.deg, minlength=n_comm)
         return float(np.sum(internal / self.two_m
-                            - (d_c / self.two_m) ** 2))
+                            - resolution * (d_c / self.two_m) ** 2))
 
     def aggregate(self, comm: np.ndarray) -> "_LevelGraph":
         n_comm = comm.max() + 1
@@ -177,11 +179,11 @@ def louvain(
     rng = generator(seed, "louvain")
     level = 0
     while True:
-        q_before = graph.q(np.arange(graph.n))
+        q_before = graph.q(np.arange(graph.n), resolution)
         comm, moved = _one_level(graph, rng, resolution, min_gain)
         # dense relabel ordered by first appearance over node ids
         uniq, dense = np.unique(comm, return_inverse=True)
-        q_after = graph.q(dense)
+        q_after = graph.q(dense, resolution)
         if phase_hook is not None:
             phase_hook(level, q_before, q_after)
         if moved:

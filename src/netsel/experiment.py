@@ -16,7 +16,7 @@ import os
 import platform
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +41,20 @@ from .tasks import (ClassifierPool, LeakageAudit, ModelConfig,
                     config_key_fields, run_cc, run_lp)
 
 LP_SPLIT = (0.5, 0.25, 0.25)
+CONFIG_KEYS = ("dataset", "grid", "seed", "workers", "out", "svm", "rf")
+GRID_KEYS = ("models", "measures", "densities", "explicit", "localities",
+             "tasks", "classifiers")
 
 
 class ExperimentError(ValueError):
     pass
+
+
+def _reject_unknown(block: dict, known, path: str) -> None:
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ExperimentError("unknown config key: "
+                              + ", ".join(path + k for k in unknown))
 
 
 @dataclass
@@ -68,7 +78,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        """Parse a config; an unknown key, say a misspelled grid axis,
+        raises ExperimentError naming its path instead of leaving the
+        default in place."""
+        _reject_unknown(raw, CONFIG_KEYS, "")
         grid = raw.get("grid", {})
+        _reject_unknown(grid, GRID_KEYS, "grid.")
+        for name, hyper in (("svm", SVMHyper), ("rf", RFHyper)):
+            _reject_unknown(raw.get(name) or {},
+                            [f.name for f in fields(hyper)], f"{name}.")
         return ExperimentConfig(
             dataset=raw.get("dataset", {}),
             models=list(grid.get("models", ["KNN", "TH"])),

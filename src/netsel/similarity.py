@@ -59,6 +59,48 @@ def sim(a, b, measure: str = "INT") -> float:
     return inter / union
 
 
+class RowBlock:
+    """Selected matrix rows, dense over the union of their columns.
+
+    ``similarities`` scores one sparse vector against every row in a
+    single min-sum pass, with the arithmetic of ``sim``: summation order
+    aside, row k's score is ``sim(vector, matrix.row(ids[k]), measure)``.
+    Integer-valued rows therefore score bit for bit alike.
+    """
+
+    def __init__(self, ids, matrix: AttributeMatrix) -> None:
+        self.ids = np.asarray(ids, dtype=np.int64)
+        rows = [_as_vector(matrix.row(int(i))) for i in self.ids]
+        self.cols = (np.unique(np.concatenate([c for c, _ in rows]))
+                     if rows else np.empty(0, dtype=np.int64))
+        self.block = np.zeros((len(rows), len(self.cols)))
+        for k, (c, v) in enumerate(rows):
+            self.block[k, np.searchsorted(self.cols, c)] = v
+        self.row_sums = np.array([v.sum() for _, v in rows])
+
+    def similarities(self, cols, vals, measure: str) -> np.ndarray:
+        if measure not in MEASURES:
+            raise SimilarityError(f"unknown measure: {measure}")
+        cols, vals = _as_vector((cols, vals))
+        pos = np.searchsorted(self.cols, cols)
+        hit = pos < len(self.cols)
+        hit[hit] = self.cols[pos[hit]] == cols[hit]
+        inter = np.minimum(self.block[:, pos[hit]], vals[hit]).sum(axis=1)
+        if measure == "INT":
+            return inter
+        union = (vals.sum() + self.row_sums) - inter
+        out = np.zeros_like(inter)
+        nz = union != 0.0
+        out[nz] = inter[nz] / union[nz]
+        return out
+
+    def nearest(self, cols, vals, measure: str, k: int) -> np.ndarray:
+        """Positions of the k rows most similar to the vector, most
+        similar first; equal similarities go to the lower id."""
+        s = self.similarities(cols, vals, measure)
+        return np.lexsort((self.ids, -s))[:k]
+
+
 class _PairAccumulator:
     """Accumulates (pair key, value) contributions with periodic reduction
     to bound memory."""

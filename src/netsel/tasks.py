@@ -27,9 +27,9 @@ from .community import CommunityAssignment, louvain
 from .data import AttributeMatrix, PartitionedDataset
 from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, bfs_neighborhood,
                     egonet, incident_nonedges, induced_pairs, sample_nonedges)
-from .learn import RFHyper, SVMHyper, TrainingSet, edge_features, \
-    train_classifier
-from .similarity import NetworkModelSpec, sim
+from .learn import (CoinClassifier, RFHyper, SVMHyper, TrainingSet,
+                    edge_features, train_classifier)
+from .similarity import NetworkModelSpec, RowBlock
 
 TASKS = ("CC", "LP")
 CLASSIFIER_KINDS = ("linear-svm", "random-forest", "coin")
@@ -267,24 +267,27 @@ def ensemble_members(config: ModelConfig, g: EdgeSet,
 
 
 def ensemble_vote(members, cols, vals, measure: str,
-                  knn: int, matrix: AttributeMatrix) -> int:
+                  knn: int, matrix: AttributeMatrix,
+                  top: np.ndarray | None = None) -> int:
     """Majority vote of the knn members most similar to the test vector.
 
     ``members`` is a list of (node, classifier). Similarity is between the
     test vector and each member's training-partition attribute row; equal
     similarities resolve to the lower member node id. A tied vote goes to
-    the positive class.
+    the positive class. ``top`` is the members' nearest-first positions
+    for this vector when the caller already ranked them against a
+    prebuilt ``RowBlock``; otherwise they are ranked here.
     """
-    ids = np.array([m for m, _ in members], dtype=np.int64)
-    sims = np.array([sim((cols, vals), matrix.row(int(m)), measure)
-                     for m in ids])
-    top = np.lexsort((ids, -sims))[:knn]
+    if top is None:
+        top = RowBlock([m for m, _ in members], matrix).nearest(
+            cols, vals, measure, knn)
     votes = sum(members[j][1].predict(cols, vals) for j in top)
     return 1 if 2 * votes >= knn else 0
 
 
 class _EnsembleVoter:
-    """Classifier-shaped wrapper around a trained member population."""
+    """Classifier-shaped wrapper around a trained member population; the
+    members' rows are gathered into one block when it is built."""
 
     def __init__(self, members, measure: str, knn: int,
                  matrix: AttributeMatrix) -> None:
@@ -292,10 +295,12 @@ class _EnsembleVoter:
         self.measure = measure
         self.knn = knn
         self.matrix = matrix
+        self.block = RowBlock([m for m, _ in members], matrix)
 
     def predict(self, cols, vals) -> int:
+        top = self.block.nearest(cols, vals, self.measure, self.knn)
         return ensemble_vote(self.members, cols, vals, self.measure,
-                             self.knn, self.matrix)
+                             self.knn, self.matrix, top)
 
 
 # --- collective classification ----------------------------------------------
@@ -353,19 +358,24 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
     ensemble_fallback = False
     members_by_label: dict[str, list] = {}
     if kind == "ensemble":
-        member_ids = ensemble_members(config, g, train_m)
+        # a member is trainable iff it has neighbors, whatever the
+        # labelset, so every labelset votes over the same member rows
+        member_ids = [int(m) for m in ensemble_members(config, g, train_m)
+                      if len(g.neighbors(int(m)))]
         for name in sorted(eval_l.names):
             y_tr = train_l.array(name)
-            trained = []
-            for m in member_ids:
-                clf = _cc_classifier(config, pool, audit, train_m, name,
-                                     y_tr, g.neighbors(int(m)))
-                if clf is not None:
-                    trained.append((int(m), clf))
-            members_by_label[name] = trained
-        if any(len(v) < spec.ensemble_knn for v in members_by_label.values()):
+            members_by_label[name] = [
+                (m, _cc_classifier(config, pool, audit, train_m, name, y_tr,
+                                   g.neighbors(m)))
+                for m in member_ids]
+        if members_by_label and len(member_ids) < spec.ensemble_knn:
             ensemble_fallback = True
             global_nodes = global_training_nodes(config, g.n_nodes)
+        else:
+            block = RowBlock(member_ids, train_m)
+    # a test node's vector, hence its member ranking, is the same for
+    # every labelset
+    tops: dict[int, np.ndarray] = {}
 
     nodes_out: list[int] = []
     targets: list[str] = []
@@ -375,11 +385,15 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
         y_tr = train_l.array(name)
         for i in eval_l.positives(name):
             i = int(i)
+            cols, vals = eval_m.row(i)
             if kind == "ensemble" and not ensemble_fallback:
-                voter = _EnsembleVoter(members_by_label[name],
-                                       config.vote_measure,
-                                       spec.ensemble_knn, train_m)
-                clf, fb = voter, False
+                if i not in tops:
+                    tops[i] = block.nearest(cols, vals, config.vote_measure,
+                                            spec.ensemble_knn)
+                pred = ensemble_vote(members_by_label[name], cols, vals,
+                                     config.vote_measure, spec.ensemble_knn,
+                                     train_m, tops[i])
+                fb = False
             else:
                 if kind == "ensemble":
                     tn = global_nodes
@@ -388,11 +402,7 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
                 clf = _cc_classifier(config, pool, audit, train_m, name,
                                      y_tr, tn)
                 fb = clf is None
-            if fb:
-                pred = 0
-            else:
-                cols, vals = eval_m.row(i)
-                pred = int(clf.predict(cols, vals))
+                pred = 0 if fb else int(clf.predict(cols, vals))
             nodes_out.append(i)
             targets.append(name)
             preds.append(pred)
@@ -548,6 +558,8 @@ def _lp_classifier_for_pairs(config: ModelConfig, pool: ClassifierPool,
         audit.disjoint(_pair_keys(nonedges[:, 0], nonedges[:, 1], n),
                        excl_keys,
                        "LP training non-edges overlap evaluation pairs")
+        if config.classifier == "coin":  # coin never reads its features
+            return CoinClassifier(seed)
         rows = []
         labels = []
         ids = []

@@ -140,3 +140,17 @@ def test_resolution_shifts_partition_size():
     coarse = louvain(g, seed=0, resolution=0.1)
     fine = louvain(g, seed=0, resolution=8.0)
     assert coarse.n_communities <= fine.n_communities
+
+
+@pytest.mark.parametrize("resolution", [0.5, 2.0])
+def test_phase_hook_reports_generalized_modularity(resolution):
+    rng = np.random.default_rng(3)
+    pairs = {(int(a), int(b)) for a, b in rng.integers(0, 40, (150, 2))
+             if a < b}
+    for g in (two_cliques_bridge(), mk(40, sorted(pairs))):
+        seen = []
+        res = louvain(g, seed=1, resolution=resolution,
+                      phase_hook=lambda lvl, before, after:
+                      seen.append(after))
+        assert seen
+        assert seen[-1] == pytest.approx(res.modularity, abs=1e-12)

@@ -155,6 +155,17 @@ def test_no_event_lands_in_two_partitions():
     np.testing.assert_array_equal(pooled, np.sort(ts))
 
 
+def test_roles_follow_time_validation_training_testing():
+    # each event touches the item named after its timestamp, so a role's
+    # matrix shows which time window it was built from
+    log = EventLog.from_records([(0, t, 1.0, t) for t in range(1, 10)])
+    ds = build_dataset(log, [])
+    windows = {role: sorted(ds.item_ids[ds.matrix(role).data.indices])
+               for role in ("validation", "training", "testing")}
+    assert windows == {"validation": [1, 2, 3], "training": [4, 5, 6],
+                       "testing": [7, 8, 9]}
+
+
 # ------------------------------------------------------------- attributes
 
 

@@ -93,6 +93,20 @@ class TestGrid:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("block, key, path", [
+        ("grid", "localites", "grid.localites"),
+        (None, "seeed", "seeed"),
+        ("svm", "regularization", "svm.regularization"),
+        ("rf", "tree", "rf.tree"),
+    ])
+    def test_unknown_config_keys_are_fatal(self, block, key, path):
+        raw = make_config("unused")
+        raw.setdefault("svm", {})
+        raw.setdefault("rf", {})
+        (raw[block] if block else raw)[key] = ["community"]
+        with pytest.raises(ExperimentError, match=path):
+            ExperimentConfig.from_dict(raw)
+
 
 # --- the end-to-end run ---------------------------------------------------------
 

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from netsel import tasks
 from netsel._rng import derive_seed
 from netsel.community import CommunityAssignment, louvain
-from netsel.data import EventLog, LabelRule, build_dataset, build_matrix
+from netsel.data import (AttributeMatrix, EventLog, LabelRule,
+                         build_dataset, build_matrix)
+from netsel.experiment import prepare_family
 from netsel.graph import EdgeSet, NeighborhoodSpec, union_pair_keys
 from netsel.learn import ConstantClassifier, edge_features
-from netsel.similarity import NetworkModelSpec, sim
+from netsel.similarity import (NetworkModelSpec, RowBlock, SimilarityError,
+                               sim)
 from netsel.synth import PlantSpec, synth_bundle
 from netsel.tasks import (
     ClassifierPool,
@@ -263,6 +268,111 @@ def test_ensemble_vote_knn_one_takes_nearest():
                (2, ConstantClassifier(0))]
     test_vec = (np.array([0]), np.array([5.0]))
     assert ensemble_vote(members, *test_vec, "INT", 1, m) == 0
+
+
+def _reference_vote(members, cols, vals, measure, knn, matrix, top=None):
+    """The vote with one scalar sim() per member, ignoring any ranking
+    passed in."""
+    ids = np.array([m for m, _ in members], dtype=np.int64)
+    sims = np.array([sim((cols, vals), matrix.row(int(m)), measure)
+                     for m in ids])
+    top = np.lexsort((ids, -sims))[:knn]
+    votes = sum(members[j][1].predict(cols, vals) for j in top)
+    return 1 if 2 * votes >= knn else 0
+
+
+def _kernel_cases(aggregation):
+    """A random matrix over even items with empty and duplicated rows, and
+    test vectors that are empty, fall between or past the rows' columns,
+    or repeat a row."""
+    rng = np.random.default_rng(4)
+    n, n_items = 40, 110
+    recs = []
+    for i in range(n):
+        if i % 9 == 0:
+            continue  # empty rows: zero unions against an empty vector
+        for item in 2 * rng.choice(50, size=rng.integers(1, 25),
+                                   replace=False):
+            for _ in range(rng.integers(1, 3)):
+                value = (float(rng.integers(1, 6)) if aggregation == "sum"
+                         else float(rng.random() * 5))
+                recs.append((i, int(item), value, 1))
+    for j, src in ((37, 5), (38, 5)):  # exact ties: copies of row 5
+        recs = [r for r in recs if r[0] != j]
+        recs += [(j, r[1], r[2], r[3]) for r in recs if r[0] == src]
+    log = EventLog.from_records(recs, n_nodes=n)
+    m = build_matrix(log, np.arange(n_items), "training", aggregation)
+    vecs = [m.row(5), m.row(12), (np.empty(0, np.int64), np.empty(0)),
+            (np.array([1, 51, 99]), np.array([2.0, 1.0, 3.0])),
+            (np.array([2, 99, 105]), np.array([1.0, 4.0, 2.0]))]
+    for _ in range(20):
+        cols = np.sort(rng.choice(n_items, size=rng.integers(1, 30),
+                                  replace=False))
+        vals = (rng.integers(1, 6, size=len(cols)).astype(float)
+                if aggregation == "sum" else rng.random(len(cols)) * 5)
+        vecs.append((cols, vals))
+    return m, vecs
+
+
+@pytest.mark.parametrize("measure", ["INT", "INT-N"])
+@pytest.mark.parametrize("aggregation", ["sum", "mean"])
+def test_row_block_kernel_matches_sim(measure, aggregation):
+    m, vecs = _kernel_cases(aggregation)
+    ids = np.array([37, 3, 5, 9, 0, 38] + list(range(10, 36)))
+    block = RowBlock(ids, m)
+    knn = 7
+    for cols, vals in vecs:
+        got = block.similarities(cols, vals, measure)
+        want = np.array([sim((cols, vals), m.row(int(j)), measure)
+                         for j in ids])
+        if aggregation == "sum":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(block.nearest(cols, vals, measure, knn),
+                                      np.lexsort((ids, -want))[:knn])
+    # the copies of row 5 tie with it exactly; the lowest id ranks first
+    top = block.nearest(*m.row(5), measure, 3)
+    assert ids[top].tolist() == [5, 37, 38]
+
+
+def test_ensemble_vote_rejects_negative_values():
+    m = _attr_matrix([{0: 1.0}, {1: 2.0}], 2)
+    members = [(0, ConstantClassifier(1)), (1, ConstantClassifier(0))]
+    with pytest.raises(SimilarityError):
+        ensemble_vote(members, np.array([0]), np.array([-1.0]), "INT", 1, m)
+    bad = AttributeMatrix(data=sparse.csr_matrix(np.array([[1.0, -2.0]])),
+                          item_ids=np.arange(2), role="training")
+    with pytest.raises(SimilarityError):
+        ensemble_vote([(0, ConstantClassifier(1))], np.array([0]),
+                      np.array([1.0]), "INT", 1, bad)
+
+
+@pytest.mark.parametrize("measure", ["INT", "INT-N"])
+def test_ensemble_runs_match_per_member_sim_reference(homophily, measure,
+                                                      monkeypatch):
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure=measure, density=0.03)
+    g = spec.build(ds.matrix("training"))
+    fam = prepare_family(spec, g, 5, False, True, False)
+    locality = NeighborhoodSpec("ensemble", ensemble_order="attr-sum",
+                                ensemble_knn=5)
+
+    def run_both():
+        cc = run_cc(cfg(locality, network=spec), g, ds, "testing")
+        lp = run_lp(cfg(locality, task="LP", network=spec), fam.lp_train,
+                    fam.lp_plans["testing"], ds.matrix("training"),
+                    excl_keys=fam.excl_keys)
+        return cc, lp
+
+    got = run_both()
+    monkeypatch.setattr(tasks, "ensemble_vote", _reference_vote)
+    want = run_both()
+    for a, b in zip(got, want):
+        assert not a.ensemble_fallback and a.n_records > 0
+        assert a.targets == b.targets
+        np.testing.assert_array_equal(a.nodes, b.nodes)
+        np.testing.assert_array_equal(a.predicted, b.predicted)
 
 
 # ------------------------------------------------- collective classification
