@@ -420,6 +420,12 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
         "audit_violations": audit_violations,
         "wall_ms": {p["config_key"]: round(p["wall_ms"], 3)
                     for p in payloads},
+        # a config's pool spans both partitions; each batch notes its
+        # running total
+        "classifiers_trained": {
+            p["config_key"]: max(b.notes["classifiers_trained"]
+                                 for b in p["batches"])
+            for p in payloads},
     }
     _atomic_write(out_dir / "manifest.json",
                   json.dumps(manifest, indent=1, sort_keys=True) + "\n")

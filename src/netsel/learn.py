@@ -62,36 +62,56 @@ class TrainingSet:
 
     ``dictionary`` maps local columns back to global item columns. ``ids``
     are the canonical instance keys (node ids or pairs); instances are
-    sorted by id at construction.
+    sorted by id at construction, and each row's columns are sorted, with
+    duplicate columns summed.
+
+    ``rows`` is a list of (cols, vals) instances aligned with ``labels``
+    and ``ids``, or an AttributeMatrix: then ``ids`` are node ids and the
+    instances are those nodes' rows, selected without a per-row copy.
     """
 
     def __init__(self, rows, labels, ids) -> None:
-        if len(rows) != len(labels) or len(rows) != len(ids):
+        if len(labels) != len(ids) or (
+                not isinstance(rows, AttributeMatrix)
+                and len(rows) != len(ids)):
             raise LearnError("rows, labels and ids must align")
-        if len(rows) == 0:
+        if len(ids) == 0:
             raise LearnError("empty training set")
-        order = sorted(range(len(ids)), key=lambda t: ids[t])
-        rows = [rows[t] for t in order]
-        self.ids = tuple(ids[t] for t in order)
-        self.y = np.array([int(labels[t]) for t in order], dtype=np.int8)
-        if set(np.unique(self.y)) - {0, 1}:
+        if isinstance(rows, AttributeMatrix):
+            nodes = np.asarray(ids, dtype=np.int64)
+            order = np.argsort(nodes, kind="stable")
+            nodes = nodes[order]
+            self.ids = tuple(nodes.tolist())
+            ptr = rows.data.indptr
+            counts = ptr[nodes + 1] - ptr[nodes]
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            at = np.arange(indptr[-1]) + np.repeat(ptr[nodes] - indptr[:-1],
+                                                   counts)
+            cols = rows.data.indices[at].astype(np.int64)
+            data = rows.data.data[at].astype(np.float64, copy=False)
+        else:
+            order = sorted(range(len(ids)), key=lambda t: ids[t])
+            rows = [rows[t] for t in order]
+            self.ids = tuple(ids[t] for t in order)
+            cols = [np.asarray(c, dtype=np.int64) for c, _ in rows]
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            indptr[1:] = np.cumsum([len(c) for c in cols])
+            cols = np.concatenate(cols)
+            data = np.concatenate(
+                [np.asarray(v, dtype=np.float64) for _, v in rows])
+        y = np.asarray(labels)[order].astype(np.int64)
+        if ((y != 0) & (y != 1)).any():
             raise LearnError("labels must be 0/1")
-        cols = [np.asarray(c, dtype=np.int64) for c, _ in rows]
-        vals = [np.asarray(v, dtype=np.float64) for _, v in rows]
-        self.dictionary = (np.unique(np.concatenate(cols))
-                           if any(len(c) for c in cols)
-                           else np.empty(0, dtype=np.int64))
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(c) for c in cols])
-        indices = (np.searchsorted(self.dictionary, np.concatenate(cols))
-                   if len(self.dictionary) else np.empty(0, dtype=np.int64))
-        data = np.concatenate(vals) if len(vals) else np.empty(0)
+        self.y = y.astype(np.int8)
         if len(data) and data.min() < 0:
             raise LearnError("negative feature value")
+        self.dictionary, local = np.unique(cols, return_inverse=True)
+        # int32 indices are scipy's own choice at this size; handing them
+        # over skips its scan for the smallest index type that fits
         self.X = sparse.csr_matrix(
-            (data, indices, indptr),
-            shape=(len(rows), len(self.dictionary)),
-        )
+            (data, local.astype(np.int32), indptr.astype(np.int32)),
+            shape=(len(ids), len(self.dictionary)))
+        self.X.sum_duplicates()
 
     @property
     def n(self) -> int:
@@ -189,52 +209,105 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
     wrong norm. The returned model is the final iterate at the objective-
     minimizing scale; scale 0 is the zero solution, so the objective never
     exceeds its value at the zero vector.
+
+    Summation order is part of the contract. The trained (w, b) are
+    bit-identical to the plain scipy formulation (normalize with
+    ``(sparse.diags(1 / norms) @ X).tocsr()``, take means with
+    ``ndarray.mean``; tests/test_learn.py keeps it as the reference), so
+    pinned outputs never move. That product stores each row's entries in
+    reverse column order, so ``_unit_rows`` does too and every per-row dot
+    product (the SGD margins and the final ``X @ w``) sums in that order;
+    each hinge mean in ``_best_scale`` is ``np.add.reduce`` over one
+    contiguous row, divided by n, which is how ``ndarray.mean`` computes
+    it. Floating-point addition is not associative: another order moves
+    the last bits of (w, b) and, on degenerate sets, a few predictions.
     """
     classes = ts.classes()
     if len(classes) == 1:
         return ConstantClassifier(int(classes[0]), "single-class")
-    X = ts.X.copy().astype(np.float64)
-    norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
-    scale = np.ones_like(norms)
-    nz = norms > 0
-    scale[nz] = 1.0 / norms[nz]
-    X = sparse.diags(scale) @ X
-    X = X.tocsr()
+    row, cols, vals, rows = _unit_rows(ts.X)
     y = ts.y.astype(np.float64) * 2.0 - 1.0
-    d = ts.n_features
-    w = np.zeros(d)
+    y_list = y.tolist()
+    reg = hyper.reg
+    w = np.zeros(ts.n_features)
+    take, put = w.take, w.put  # w[c] and w[c] = ..., with less overhead
     b = 0.0
     rng = generator(seed, "svm")
     t = 0
     for _ in range(hyper.epochs):
-        for i in rng.permutation(ts.n):
+        for i in rng.permutation(ts.n).tolist():
             t += 1
-            eta = 1.0 / (hyper.reg * t)
-            lo, hi = X.indptr[i], X.indptr[i + 1]
-            cols = X.indices[lo:hi]
-            vals = X.data[lo:hi]
-            margin = y[i] * (w[cols] @ vals + b)
-            decay = 1.0 - eta * hyper.reg
+            eta = 1.0 / (reg * t)
+            c, v = rows[i]
+            yi = y_list[i]
+            margin = yi * (take(c).dot(v) + b)
+            decay = 1.0 - eta * reg
             w *= decay
             b *= decay
             if margin < 1.0:
-                w[cols] += eta * y[i] * vals
-                b += eta * y[i]
-    c = _best_scale(w, b, X, y, hyper.reg)
+                put(c, take(c) + eta * yi * v)
+                b += eta * yi
+    margins = y * (np.bincount(row, weights=vals * w[cols], minlength=ts.n)
+                   + b)
+    c = _best_scale(w, margins, reg)
     return LinearSVM(c * w, c * b, ts.dictionary)
 
 
-def _best_scale(w: np.ndarray, b: float, X: sparse.csr_matrix,
-                y: np.ndarray, reg: float) -> float:
-    """Objective-minimizing scale of (w, b); 0 when nothing beats the zero
-    solution. The objective is convex in the scale (quadratic plus hinge
-    terms), so a ternary search finds the optimum."""
-    margins = y * (X @ w + b)
-    quad = 0.5 * reg * float(w @ w)
+def _unit_rows(X: sparse.csr_matrix):
+    """Rows of a canonical CSR matrix scaled to unit L2 norm, flattened.
 
-    def obj(c: float) -> float:
-        return quad * c * c + float(np.maximum(0.0, 1.0 - c * margins)
-                                    .mean())
+    Returns (row, cols, vals, rows): every entry's row, column and value,
+    with each row's entries in reverse column order, and each row's
+    (cols, vals) slices of the flat arrays. Norms are scipy's row sums of the
+    nonzero squares (``np.add.reduceat``, not a sequential sum), empty rows
+    keep scale 1, and entries that scale to 0 are dropped, exactly as
+    ``sparse.diags(scale) @ X`` emits them.
+    """
+    n = X.shape[0]
+    data = X.data
+    row = np.repeat(np.arange(n), np.diff(X.indptr))
+    sq = data * data
+    keep = sq != 0
+    sq_row = row[keep]
+    norms = np.zeros(n)
+    if len(sq_row):
+        starts = np.flatnonzero(np.diff(sq_row, prepend=-1))
+        norms[sq_row[starts]] = np.add.reduceat(sq[keep], starts)
+    norms = np.sqrt(norms)
+    scale = np.ones(n)
+    nz = norms > 0
+    scale[nz] = 1.0 / norms[nz]
+    vals = data * scale[row]
+    keep = vals != 0
+    row = row[keep][::-1]
+    cols = X.indices[keep][::-1].astype(np.intp)  # intp: cheapest to take
+    vals = np.ascontiguousarray(vals[keep][::-1])
+    counts = np.bincount(row, minlength=n)
+    lo = len(vals) - np.cumsum(counts)
+    rows = [(cols[a:b], vals[a:b])
+            for a, b in zip(lo.tolist(), (lo + counts).tolist())]
+    return row, cols, vals, rows
+
+
+def _best_scale(w: np.ndarray, margins: np.ndarray, reg: float) -> float:
+    """Objective-minimizing scale of (w, b) given the signed margins
+    y * (X @ w + b); 0 when nothing beats the zero solution. The objective
+    is convex in the scale (quadratic plus hinge terms), so a ternary
+    search finds the optimum. Both probes of a step share one pass over a
+    (2, n) buffer."""
+    n = len(margins)
+    quad = 0.5 * reg * float(w @ w)
+    probe = np.empty((2, 1))
+    buf = np.empty((2, n))
+
+    def obj(c1: float, c2: float) -> tuple[float, float]:
+        probe[0, 0] = c1
+        probe[1, 0] = c2
+        np.multiply(probe, margins, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        np.maximum(0.0, buf, out=buf)
+        s1, s2 = np.add.reduce(buf, axis=1).tolist()
+        return quad * c1 * c1 + s1 / n, quad * c2 * c2 + s2 / n
 
     pos = margins[margins > 0]
     hi = float(max(1.0, (1.0 / pos).max())) if len(pos) else 1.0
@@ -242,12 +315,14 @@ def _best_scale(w: np.ndarray, b: float, X: sparse.csr_matrix,
     for _ in range(100):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if obj(m1) <= obj(m2):
+        o1, o2 = obj(m1, m2)
+        if o1 <= o2:
             hi = m2
         else:
             lo = m1
     best = (lo + hi) / 2.0
-    return best if obj(best) < obj(0.0) else 0.0
+    o_best, o_zero = obj(best, 0.0)
+    return best if o_best < o_zero else 0.0
 
 
 class _Tree:

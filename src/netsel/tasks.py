@@ -197,6 +197,16 @@ class ClassifierPool:
         return self.cache[material]
 
 
+def _group_by(keys: np.ndarray):
+    """(key, positions) for each distinct key in ascending order; the
+    positions ascend, as ``np.flatnonzero(keys == key)`` gives them."""
+    order = np.argsort(keys, kind="stable")
+    distinct, starts = np.unique(keys[order], return_index=True)
+    bounds = np.append(starts, len(keys)).tolist()
+    for j, key in enumerate(distinct.tolist()):
+        yield key, order[bounds[j]:bounds[j + 1]]
+
+
 def _in_sorted(keys: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Membership of ``keys`` in the sorted array ``ref``."""
     if len(ref) == 0 or len(keys) == 0:
@@ -316,9 +326,7 @@ def _cc_classifier(config: ModelConfig, pool: ClassifierPool,
     def build(seed: int):
         audit.expect_role(train_m.role, "training",
                           f"CC features for labelset '{name}'")
-        rows = [train_m.row(int(j)) for j in nodes]
-        labels = y_train[nodes].astype(int)
-        ts = TrainingSet(rows, labels, [int(j) for j in nodes])
+        ts = TrainingSet(train_m, y_train[nodes].astype(int), nodes)
         return train_classifier(config.classifier, ts, seed,
                                 config.svm, config.rf)
 
@@ -464,14 +472,21 @@ def assign_lp_eval(full: EdgeSet, g_eval: EdgeSet, partition: str,
     owner = np.where(pick == 0, u, v)
 
     full_keys = full.pair_keys()
-    excl = full_keys
+    # incident_nonedges only looks up pairs incident to the owner, so each
+    # owner gets the network keys and the reserved keys incident to it
+    ends = np.concatenate([full_keys // n, full_keys % n])
+    by_end = np.argsort(ends, kind="stable")
+    inc_keys = np.concatenate([full_keys, full_keys])[by_end]
+    inc_ptr = np.searchsorted(ends[by_end], np.arange(n + 1))
+    reserved_at: dict[int, list[int]] = {}
     keep_pos = np.ones(len(u), dtype=bool)
     neg_u: list[np.ndarray] = []
     neg_owner: list[np.ndarray] = []
     dropped = 0
-    for i in np.unique(owner):
-        i = int(i)
-        at = np.flatnonzero(owner == i)
+    for i, at in _group_by(owner):
+        excl = np.sort(np.concatenate([
+            inc_keys[inc_ptr[i]:inc_ptr[i + 1]],
+            np.array(reserved_at.get(i, ()), dtype=np.int64)]))
         partners = incident_nonedges(n, excl, i, len(at),
                                      derive_seed(seed, "lp-neg", partition))
         if len(partners) < len(at):
@@ -483,7 +498,8 @@ def assign_lp_eval(full: EdgeSet, g_eval: EdgeSet, partition: str,
         hi = np.maximum(partners, i)
         neg_u.append(np.column_stack([lo, hi]))
         neg_owner.append(np.full(len(partners), i, dtype=np.int64))
-        excl = np.union1d(excl, _pair_keys(lo, hi, n))
+        for p, k in zip(partners.tolist(), _pair_keys(lo, hi, n).tolist()):
+            reserved_at.setdefault(p, []).append(k)
     if neg_u:
         neg = np.concatenate(neg_u)
         neg_own = np.concatenate(neg_owner)
@@ -658,26 +674,35 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
             shared_clf = _EnsembleVoter(trained, config.vote_measure,
                                         spec.ensemble_knn, matrix)
 
-    owners = np.unique(np.concatenate([plan.pos_owner, plan.neg_owner])) \
-        if (len(plan.pos_owner) or len(plan.neg_owner)) \
-        else np.empty(0, dtype=np.int64)
+    pos_of = {i: plan.pos[at] for i, at in _group_by(plan.pos_owner)}
+    neg_of = {i: plan.neg[at] for i, at in _group_by(plan.neg_owner)}
+    none = np.empty((0, 2), dtype=np.int64)
+    community_clf: dict[int, object] = {}
+
+    def local_classifier(i: int):
+        edges, nonedges = _lp_local_pair_sets(config, g_train, i, comm)
+        return _lp_classifier_for_pairs(config, pool, audit, matrix,
+                                        edges, nonedges, excl_keys, n)
+
     nodes_out: list[int] = []
     targets: list[str] = []
     preds: list[int] = []
     actuals: list[int] = []
     fbs: list[bool] = []
-    for i in owners:
-        i = int(i)
+    for i in sorted(pos_of.keys() | neg_of.keys()):
         if kind in ("global", "ensemble"):
             clf = shared_clf
+        elif kind == "community":
+            # every owner in a community trains on the same induced pairs
+            label = int(comm.labels[i])
+            if label not in community_clf:
+                community_clf[label] = local_classifier(i)
+            clf = community_clf[label]
         else:
-            edges, nonedges = _lp_local_pair_sets(config, g_train, i, comm)
-            clf = _lp_classifier_for_pairs(config, pool, audit, matrix,
-                                           edges, nonedges, excl_keys, n)
+            clf = local_classifier(i)
         fb = clf is None
-        my_pos = plan.pos[plan.pos_owner == i]
-        my_neg = plan.neg[plan.neg_owner == i]
-        for pairs, lab in ((my_pos, 1), (my_neg, 0)):
+        for pairs, lab in ((pos_of.get(i, none), 1),
+                           (neg_of.get(i, none), 0)):
             for p in pairs:
                 a, b = int(p[0]), int(p[1])
                 if fb:

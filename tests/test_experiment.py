@@ -177,6 +177,19 @@ class TestPipelineOutputs:
         for key in ("package", "python", "numpy", "scipy"):
             assert key in manifest
 
+    def test_manifest_counts_classifiers_trained(self, pipe):
+        manifest = json.loads((pipe / "manifest.json").read_text())
+        meta = json.loads((pipe / "batches_meta.json").read_text())
+        trained = manifest["classifiers_trained"]
+        assert trained.keys() == manifest["wall_ms"].keys() == meta.keys()
+        for key, parts in meta.items():
+            # the pool spans both partitions; testing runs last
+            assert trained[key] == \
+                parts["testing"]["notes"]["classifiers_trained"]
+            assert trained[key] >= \
+                parts["validation"]["notes"]["classifiers_trained"]
+        assert sum(trained.values()) > 0
+
 
 class TestDeterminism:
     def test_rerun_with_more_workers_is_byte_identical(self, pipe,

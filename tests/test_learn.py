@@ -68,6 +68,39 @@ def test_training_set_validation():
         ts_from([(np.array([0]), np.array([-1.0]))], [1])
 
 
+def test_training_set_from_matrix_rows_equals_row_list():
+    rng = np.random.default_rng(2)
+    recs = [(i, int(item), float(rng.random() * 5), 1)
+            for i in range(12) if i != 4  # node 4 has an empty row
+            for item in rng.choice(40, size=rng.integers(1, 15),
+                                   replace=False)]
+    m = build_matrix(EventLog.from_records(recs, n_nodes=12),
+                     np.arange(40), "training", "mean")
+    nodes = np.array([9, 4, 0, 11, 3, 7])
+    labels = np.array([1, 0, 0, 1, 1, 0])
+    got = TrainingSet(m, labels, nodes)
+    want = TrainingSet([m.row(int(j)) for j in nodes], labels.tolist(),
+                       nodes.tolist())
+    assert got.ids == want.ids == (0, 3, 4, 7, 9, 11)
+    assert all(type(i) is int for i in got.ids)
+    np.testing.assert_array_equal(got.y, want.y)
+    assert got.y.dtype == want.y.dtype
+    np.testing.assert_array_equal(got.dictionary, want.dictionary)
+    assert got.dictionary.dtype == want.dictionary.dtype
+    assert got.X.shape == want.X.shape
+    for a in ("indptr", "indices", "data"):
+        x, y = getattr(got.X, a), getattr(want.X, a)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert got.X.indptr[3] == got.X.indptr[2]  # node 4's empty row
+
+
+def test_training_set_rows_are_canonical():
+    rows = [(np.array([7, 3, 7]), np.array([1.0, 2.0, 4.0]))]
+    ts = ts_from(rows, [1])
+    assert ts.X.has_canonical_format
+    np.testing.assert_array_equal(ts.X.toarray(), [[2.0, 5.0]])
+
+
 # ----------------------------------------------------------- edge features
 
 
@@ -194,6 +227,128 @@ def test_svm_objective_never_worse_than_zero_model():
                              hyper.reg)
         assert obj <= zero + 1e-9
         assert zero == pytest.approx(1.0)
+
+
+def _reference_train_svm(ts, hyper, seed):
+    """train_svm as first written, on scipy's normalization and
+    ndarray.mean; the fast path must reproduce its bits."""
+    from scipy import sparse
+
+    from netsel._rng import generator
+    classes = ts.classes()
+    if len(classes) == 1:
+        return ConstantClassifier(int(classes[0]), "single-class")
+    X = ts.X.copy().astype(np.float64)
+    norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
+    scale = np.ones_like(norms)
+    nz = norms > 0
+    scale[nz] = 1.0 / norms[nz]
+    X = sparse.diags(scale) @ X
+    X = X.tocsr()
+    y = ts.y.astype(np.float64) * 2.0 - 1.0
+    w = np.zeros(ts.n_features)
+    b = 0.0
+    rng = generator(seed, "svm")
+    t = 0
+    for _ in range(hyper.epochs):
+        for i in rng.permutation(ts.n):
+            t += 1
+            eta = 1.0 / (hyper.reg * t)
+            lo, hi = X.indptr[i], X.indptr[i + 1]
+            cols = X.indices[lo:hi]
+            vals = X.data[lo:hi]
+            margin = y[i] * (w[cols] @ vals + b)
+            decay = 1.0 - eta * hyper.reg
+            w *= decay
+            b *= decay
+            if margin < 1.0:
+                w[cols] += eta * y[i] * vals
+                b += eta * y[i]
+    c = _reference_best_scale(w, b, X, y, hyper.reg)
+    return LinearSVM(c * w, c * b, ts.dictionary)
+
+
+def _reference_best_scale(w, b, X, y, reg):
+    margins = y * (X @ w + b)
+    quad = 0.5 * reg * float(w @ w)
+
+    def obj(c):
+        return quad * c * c + float(np.maximum(0.0, 1.0 - c * margins)
+                                    .mean())
+
+    pos = margins[margins > 0]
+    hi = float(max(1.0, (1.0 / pos).max())) if len(pos) else 1.0
+    lo = 0.0
+    for _ in range(100):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if obj(m1) <= obj(m2):
+            hi = m2
+        else:
+            lo = m1
+    best = (lo + hi) / 2.0
+    return best if obj(best) < obj(0.0) else 0.0
+
+
+def _random_svm_set(rng, aggregation):
+    """Up to 40 rows over up to 60 columns, rows long enough for numpy's
+    pairwise sums; some rows empty, some duplicated."""
+    n, d = int(rng.integers(2, 41)), int(rng.integers(1, 61))
+    rows = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.1:
+            rows.append((np.empty(0, dtype=np.int64), np.empty(0)))
+            continue
+        if r < 0.25 and rows:
+            rows.append(rows[int(rng.integers(len(rows)))])
+            continue
+        cols = np.sort(rng.choice(d, size=rng.integers(1, min(d, 35) + 1),
+                                  replace=False))
+        vals = (rng.integers(1, 6, size=len(cols)).astype(float)
+                if aggregation == "sum"
+                else rng.random(len(cols)) * 10.0 ** rng.integers(-3, 4))
+        rows.append((cols, vals))
+    return rows, rng.integers(0, 2, n)
+
+
+def _same_model(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, ConstantClassifier):
+        assert a.label == b.label
+        return
+    assert a.w.tobytes() == b.w.tobytes()
+    assert np.float64(a.b).tobytes() == np.float64(b.b).tobytes()
+    np.testing.assert_array_equal(a.dictionary, b.dictionary)
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "mean"])
+def test_svm_is_bit_identical_to_reference(aggregation):
+    rng = np.random.default_rng(11 if aggregation == "sum" else 12)
+    hypers = [SVMHyper(), SVMHyper(reg=1e-2, epochs=3),
+              SVMHyper(reg=0.5, epochs=4)]
+    kinds = set()
+    for trial in range(40):
+        rows, labels = _random_svm_set(rng, aggregation)
+        if trial % 10 == 0:
+            labels[:] = trial % 20 // 10  # single-class
+        ts = ts_from(rows, labels.tolist())
+        hyper = hypers[trial % len(hypers)]
+        got = train_svm(ts, hyper, seed=trial)
+        _same_model(got, _reference_train_svm(ts, hyper, seed=trial))
+        kinds.add(type(got).__name__)
+    assert kinds == {"LinearSVM", "ConstantClassifier"}
+
+
+def test_svm_matches_reference_at_scale_zero():
+    # identical rows with opposite labels: every scale above 0 loses to
+    # the zero solution
+    rows = [(np.array([0, 2, 5]), np.array([1.0, 3.0, 2.0]))] * 6
+    rows += [(np.empty(0, dtype=np.int64), np.empty(0))] * 2
+    ts = ts_from(rows, [1, 0, 1, 0, 1, 0, 1, 0])
+    want = _reference_train_svm(ts, SVMHyper(), seed=4)
+    assert not want.w.any() and want.b == 0.0
+    _same_model(train_svm(ts, SVMHyper(), seed=4), want)
 
 
 # ------------------------------------------------------------ random forest

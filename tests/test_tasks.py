@@ -9,8 +9,9 @@ from netsel._rng import derive_seed
 from netsel.community import CommunityAssignment, louvain
 from netsel.data import (AttributeMatrix, EventLog, LabelRule,
                          build_dataset, build_matrix)
-from netsel.experiment import prepare_family
-from netsel.graph import EdgeSet, NeighborhoodSpec, union_pair_keys
+from netsel.experiment import _write_batches, family_key, prepare_family
+from netsel.graph import (EdgeSet, NeighborhoodSpec, incident_nonedges,
+                          union_pair_keys)
 from netsel.learn import ConstantClassifier, edge_features
 from netsel.similarity import (NetworkModelSpec, RowBlock, SimilarityError,
                                sim)
@@ -546,6 +547,36 @@ def test_lp_eval_plan_is_owner_balanced():
         assert len(keys) == len(plan.pos) + len(plan.neg)
 
 
+def _reference_lp_negatives(full, plan, seed):
+    """assign_lp_eval's non-edge draws with one growing union of every
+    network and reserved key, owner by owner."""
+    n = full.n_nodes
+    excl = full.pair_keys()
+    neg = []
+    for i in np.unique(np.concatenate([plan.pos_owner, plan.neg_owner])):
+        i = int(i)
+        count = int((plan.pos_owner == i).sum())
+        partners = incident_nonedges(
+            n, excl, i, count, derive_seed(seed, "lp-neg", plan.partition))
+        lo, hi = np.minimum(partners, i), np.maximum(partners, i)
+        neg += list(zip(lo.tolist(), hi.tolist()))
+        excl = np.union1d(excl, lo * n + hi)
+    return neg
+
+
+def test_lp_eval_plan_matches_union_reference(homophily):
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.05)
+    fam = prepare_family(spec, spec.build(ds.matrix("training")), 5,
+                         False, True, False)
+    for plan in fam.lp_plans.values():
+        assert plan.dropped_pos == 0 and len(plan.neg) > 50
+        want = _reference_lp_negatives(
+            fam.graph.undirected_view(), plan,
+            derive_seed(5, "lp-eval", family_key(spec)))
+        assert [tuple(p) for p in plan.neg.tolist()] == want
+
+
 def test_lp_eval_plan_is_deterministic():
     a = _lp_fixture()[3]
     b = _lp_fixture()[3]
@@ -636,6 +667,59 @@ def test_lp_community_scope():
                    matrix, excl_keys=excl, comm=whole)
     assert batch.n_fallback == 0
     assert batch.precision == pytest.approx(1.0)
+
+
+def _per_owner_lp(config, g_train, plan, matrix, excl, comm):
+    """run_lp's owner loop with one pair set and classifier lookup per
+    owner and whole-plan masks per owner."""
+    pool = ClassifierPool(config)
+    n = g_train.n_nodes
+    out = {"nodes": [], "targets": [], "pred": [], "act": [], "fb": []}
+    for i in np.unique(np.concatenate([plan.pos_owner, plan.neg_owner])):
+        i = int(i)
+        edges, nonedges = tasks._lp_local_pair_sets(config, g_train, i, comm)
+        clf = tasks._lp_classifier_for_pairs(config, pool, LeakageAudit(),
+                                             matrix, edges, nonedges, excl, n)
+        for pairs, lab in ((plan.pos[plan.pos_owner == i], 1),
+                           (plan.neg[plan.neg_owner == i], 0)):
+            for a, b in pairs.tolist():
+                out["nodes"].append(i)
+                out["targets"].append(f"{a}-{b}")
+                out["pred"].append(0 if clf is None else int(
+                    clf.predict(*edge_features(matrix, a, b))))
+                out["act"].append(lab)
+                out["fb"].append(clf is None)
+    return PredictionBatch(
+        config_key=config.config_key, task="LP", partition=plan.partition,
+        nodes=np.array(out["nodes"], dtype=np.int64), targets=out["targets"],
+        predicted=np.array(out["pred"], dtype=np.int8),
+        actual=np.array(out["act"], dtype=np.int8),
+        fallback=np.array(out["fb"], dtype=bool),
+        notes={"classifiers_trained": pool.trained,
+               "dropped_pos": plan.dropped_pos})
+
+
+def test_lp_community_shares_pairs_per_community(homophily, tmp_path):
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
+    fam = prepare_family(spec, spec.build(ds.matrix("training")), 5,
+                         False, True, True)
+    assert len(np.unique(fam.comm_lp.labels)) > 1
+    config = cfg("community", task="LP", network=spec)
+    matrix = ds.matrix("training")
+    for role, plan in fam.lp_plans.items():
+        got = run_lp(config, fam.lp_train, plan, matrix,
+                     excl_keys=fam.excl_keys, comm=fam.comm_lp)
+        want = _per_owner_lp(config, fam.lp_train, plan, matrix,
+                             fam.excl_keys, fam.comm_lp)
+        assert 0 < got.n_fallback < got.n_records
+        dirs = (tmp_path / role / "got", tmp_path / role / "want")
+        for batch, d in zip((got, want), dirs):
+            d.mkdir(parents=True)
+            _write_batches(d / "batches.tsv", [batch])
+        for name in ("batches.tsv", "batches_meta.json"):
+            assert (dirs[0] / name).read_bytes() == \
+                (dirs[1] / name).read_bytes()
 
 
 def test_lp_training_edges_may_not_touch_eval_pairs():
