@@ -362,6 +362,7 @@ class PartitionedDataset:
     node_ids: np.ndarray
     item_ids: np.ndarray
     event_counts: dict
+    skipped_lines: int = 0
 
     @property
     def n_nodes(self) -> int:
@@ -402,6 +403,7 @@ def build_dataset(
         node_ids=log.node_ids,
         item_ids=item_ids,
         event_counts=counts,
+        skipped_lines=log.skipped_lines,
     )
 
 
@@ -419,6 +421,7 @@ def save_dataset(ds: PartitionedDataset, out_dir: str | Path) -> None:
         "roles": list(PARTITION_ROLES),
         "label_names": ds.labels["training"].names,
         "aggregation": ds.matrices["training"].aggregation,
+        "skipped_lines": ds.skipped_lines,
     }
     for role in PARTITION_ROLES:
         m = ds.matrices[role].data
@@ -464,4 +467,5 @@ def load_dataset(in_dir: str | Path) -> PartitionedDataset:
         node_ids=node_ids,
         item_ids=item_ids,
         event_counts=meta["event_counts"],
+        skipped_lines=meta.get("skipped_lines", 0),
     )

@@ -426,6 +426,13 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
             p["config_key"]: max(b.notes["classifiers_trained"]
                                  for b in p["batches"])
             for p in payloads},
+        "skipped_lines": dataset.skipped_lines,
+        # held-out LP edges left unevaluated: their owner ran out of
+        # non-edge partners
+        "lp_dropped_pos": {
+            fkey: {role: plan.dropped_pos
+                   for role, plan in sorted(f.lp_plans.items())}
+            for fkey, f in families.items() if f.lp_plans},
     }
     _atomic_write(out_dir / "manifest.json",
                   json.dumps(manifest, indent=1, sort_keys=True) + "\n")
@@ -605,7 +612,7 @@ def stage_select(out_dir: Path) -> None:
 # --- stage: report -----------------------------------------------------------------
 
 def stage_report(out_dir: Path) -> None:
-    """Regenerate record-level reports from cached batches."""
+    """Record-level reports from cached batches."""
     path = out_dir / "batches.tsv"
     if not path.exists():
         raise ExperimentError(f"missing evaluate stage output: {path}")
@@ -615,8 +622,6 @@ def stage_report(out_dir: Path) -> None:
         rows.append(f"{row.task},{row.classifier},{row.node},"
                     f"{row.n_records},{row.precision:.6f}")
     _atomic_write(out_dir / "node_difficulty.csv", "\n".join(rows) + "\n")
-    records = records_from_batches(batches)
-    _write_results(out_dir / "results.csv", records)
 
 
 # --- the whole pipeline ---------------------------------------------------------------

@@ -61,44 +61,47 @@ class TrainingSet:
     """Sparse instances in a local column space.
 
     ``dictionary`` maps local columns back to global item columns. ``ids``
-    are the canonical instance keys (node ids or pairs); instances are
-    sorted by id at construction, and each row's columns are sorted, with
-    duplicate columns summed.
+    are the canonical instance keys (node ids, or pairs as ``(m, 2)``
+    rows); instances are sorted by id at construction, and each row's
+    columns are sorted, with duplicate columns summed.
 
-    ``rows`` is a list of (cols, vals) instances aligned with ``labels``
-    and ``ids``, or an AttributeMatrix: then ``ids`` are node ids and the
-    instances are those nodes' rows, selected without a per-row copy.
+    ``rows`` holds the instances in one of three forms:
+
+    - an AttributeMatrix: ``ids`` are node ids and the instances are those
+      nodes' rows;
+    - a CSR triple ``(indptr, cols, vals)`` whose row t is instance t, as
+      ``pair_features`` returns it;
+    - a list of (cols, vals) instances, stacked into such a triple first.
+
+    All three go through one row gather in id order.
     """
 
     def __init__(self, rows, labels, ids) -> None:
-        if len(labels) != len(ids) or (
-                not isinstance(rows, AttributeMatrix)
-                and len(rows) != len(ids)):
+        if isinstance(rows, AttributeMatrix):
+            csr = rows.data
+            indptr, cols, vals = csr.indptr, csr.indices, csr.data
+            n_rows = None  # ids name the rows
+        else:
+            if isinstance(rows, list):
+                rows = _stack_rows(rows)
+            indptr, cols, vals = rows
+            n_rows = len(indptr) - 1
+        if len(labels) != len(ids) or n_rows not in (None, len(ids)):
             raise LearnError("rows, labels and ids must align")
         if len(ids) == 0:
             raise LearnError("empty training set")
-        if isinstance(rows, AttributeMatrix):
-            nodes = np.asarray(ids, dtype=np.int64)
-            order = np.argsort(nodes, kind="stable")
-            nodes = nodes[order]
-            self.ids = tuple(nodes.tolist())
-            ptr = rows.data.indptr
-            counts = ptr[nodes + 1] - ptr[nodes]
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            at = np.arange(indptr[-1]) + np.repeat(ptr[nodes] - indptr[:-1],
-                                                   counts)
-            cols = rows.data.indices[at].astype(np.int64)
-            data = rows.data.data[at].astype(np.float64, copy=False)
-        else:
-            order = sorted(range(len(ids)), key=lambda t: ids[t])
-            rows = [rows[t] for t in order]
-            self.ids = tuple(ids[t] for t in order)
-            cols = [np.asarray(c, dtype=np.int64) for c, _ in rows]
-            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-            indptr[1:] = np.cumsum([len(c) for c in cols])
-            cols = np.concatenate(cols)
-            data = np.concatenate(
-                [np.asarray(v, dtype=np.float64) for _, v in rows])
+        keys = np.asarray(ids)
+        if keys.ndim == 1:
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            self.ids = tuple(keys.tolist())
+        else:  # tuple ids sort lexicographically
+            order = np.lexsort(keys.T[::-1])
+            keys = keys[order]
+            self.ids = tuple(map(tuple, keys.tolist()))
+        indptr, at = _gather(indptr, keys if n_rows is None else order)
+        cols = cols[at].astype(np.int64)
+        data = vals[at].astype(np.float64, copy=False)
         y = np.asarray(labels)[order].astype(np.int64)
         if ((y != 0) & (y != 1)).any():
             raise LearnError("labels must be 0/1")
@@ -123,6 +126,27 @@ class TrainingSet:
 
     def classes(self) -> np.ndarray:
         return np.unique(self.y)
+
+
+def _gather(indptr: np.ndarray, rows: np.ndarray):
+    """CSR row selection: the selected rows' indptr and the positions of
+    their entries in the source's indices and data, row after row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    at = np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
+    return out, at
+
+
+def _stack_rows(rows):
+    """A list of (cols, vals) instances as one CSR triple."""
+    cols = [np.asarray(c, dtype=np.int64) for c, _ in rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in cols], out=indptr[1:])
+    return (indptr, np.concatenate([np.empty(0, np.int64), *cols]),
+            np.concatenate([np.empty(0), *(np.asarray(v, dtype=np.float64)
+                                           for _, v in rows)]))
 
 
 def _project(dictionary: np.ndarray, cols: np.ndarray, vals: np.ndarray):
@@ -481,13 +505,41 @@ def train_classifier(kind: str, ts: TrainingSet, seed: int,
     raise LearnError(f"unknown classifier kind: {kind}")
 
 
+def pair_features(matrix: AttributeMatrix, pairs):
+    """Pair feature vectors of every row of an ``(m, 2)`` pair array, as a
+    CSR triple ``(indptr, cols, vals)``.
+
+    Row t holds the element-wise minima of the attribute rows of
+    ``pairs[t]``: the columns both rows store, ascending, in the matrix's
+    index dtype. Both endpoint rows of every pair are gathered at once and
+    each entry is keyed ``t * n_cols + col``, so one intersection of the
+    two key arrays finds every shared column. Matrix rows hold each column
+    at most once, as a built or loaded AttributeMatrix does.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    csr = matrix.data
+    n_cols = matrix.n_items
+    sides = []
+    for ends in (pairs[:, 0], pairs[:, 1]):
+        indptr, at = _gather(csr.indptr, ends)
+        owner = np.repeat(np.arange(len(pairs)), np.diff(indptr))
+        sides.append((owner * n_cols + csr.indices[at], at))
+    (ku, au), (kv, av) = sides
+    common, iu, iv = np.intersect1d(ku, kv, assume_unique=True,
+                                    return_indices=True)
+    indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(common // n_cols, minlength=len(pairs)),
+              out=indptr[1:])
+    cols = (common % n_cols).astype(csr.indices.dtype)
+    vals = np.minimum(csr.data[au[iu]], csr.data[av[iv]])
+    return indptr, cols, vals
+
+
 def edge_features(matrix: AttributeMatrix, u: int, v: int):
     """Pair feature vector: element-wise minima of the two attribute rows.
 
     Summing the returned values gives exactly the intersection similarity
-    of u and v.
+    of u and v. The one-pair case of ``pair_features``.
     """
-    cu, vu = matrix.row(u)
-    cv, vv = matrix.row(v)
-    common, ku, kv = np.intersect1d(cu, cv, return_indices=True)
-    return common, np.minimum(vu[ku], vv[kv])
+    _, cols, vals = pair_features(matrix, [(u, v)])
+    return cols, vals

@@ -25,10 +25,11 @@ import numpy as np
 from ._rng import derive_seed, generator
 from .community import CommunityAssignment, louvain
 from .data import AttributeMatrix, PartitionedDataset
-from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, bfs_neighborhood,
-                    egonet, incident_nonedges, induced_pairs, sample_nonedges)
+from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
+                    bfs_neighborhood, egonet, incident_nonedges,
+                    induced_pairs)
 from .learn import (CoinClassifier, RFHyper, SVMHyper, TrainingSet,
-                    edge_features, train_classifier)
+                    pair_features, train_classifier)
 from .similarity import NetworkModelSpec, RowBlock
 
 TASKS = ("CC", "LP")
@@ -106,7 +107,8 @@ class LeakageAudit:
                    f"{what} drawn from partition '{got}', need '{want}'")
 
     def disjoint(self, a: np.ndarray, b: np.ndarray, what: str) -> None:
-        self.check(len(np.intersect1d(a, b)) == 0, what)
+        """Assert that no key of ``a`` is in ``b``, which must be sorted."""
+        self.check(not _in_sorted(a, b).any(), what)
 
     def merge(self, other: "LeakageAudit") -> None:
         self.assertions += other.assertions
@@ -576,16 +578,9 @@ def _lp_classifier_for_pairs(config: ModelConfig, pool: ClassifierPool,
                        "LP training non-edges overlap evaluation pairs")
         if config.classifier == "coin":  # coin never reads its features
             return CoinClassifier(seed)
-        rows = []
-        labels = []
-        ids = []
-        for pairs, lab in ((edges, 1), (nonedges, 0)):
-            for p in pairs:
-                a, b = int(p[0]), int(p[1])
-                rows.append(edge_features(matrix, a, b))
-                labels.append(lab)
-                ids.append((a, b))
-        ts = TrainingSet(rows, labels, ids)
+        pairs = np.concatenate([edges, nonedges])
+        labels = np.repeat([1, 0], [len(edges), len(nonedges)])
+        ts = TrainingSet(pair_features(matrix, pairs), labels, pairs)
         return train_classifier(config.classifier, ts, seed,
                                 config.svm, config.rf)
 
@@ -606,14 +601,9 @@ def _lp_global_classifier(config: ModelConfig, pool: ClassifierPool,
     lo = np.minimum(g_train.src[pick], g_train.dst[pick])
     hi = np.maximum(g_train.src[pick], g_train.dst[pick])
     edges = np.column_stack([lo, hi])
-    blocked = EdgeSet(
-        n_nodes=n, src=excl_keys // n, dst=excl_keys % n,
-        weights=np.ones(len(excl_keys)), directed=False,
-        provenance={"model": "BLOCKLIST"},
-    )
-    nonedges = sample_nonedges([blocked] if len(excl_keys) else [g_train],
-                               n_pos,
-                               derive_seed(config.seed, "lp-global-neg"))
+    nonedges = absent_pairs(n, excl_keys if len(excl_keys)
+                            else g_train.pair_keys(), n_pos,
+                            derive_seed(config.seed, "lp-global-neg"))
     return _lp_classifier_for_pairs(config, pool, audit, matrix, edges,
                                     nonedges, excl_keys, n)
 
@@ -674,9 +664,13 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
             shared_clf = _EnsembleVoter(trained, config.vote_measure,
                                         spec.ensemble_knn, matrix)
 
-    pos_of = {i: plan.pos[at] for i, at in _group_by(plan.pos_owner)}
-    neg_of = {i: plan.neg[at] for i, at in _group_by(plan.neg_owner)}
-    none = np.empty((0, 2), dtype=np.int64)
+    # every plan pair's features in one batch, positives first; a pair's
+    # row is sliced out for prediction (coin hashes it too)
+    pairs = np.concatenate([plan.pos, plan.neg])
+    ptr, feat_cols, feat_vals = pair_features(matrix, pairs)
+    ptr = ptr.tolist()
+    pairs = pairs.tolist()
+    n_pos = len(plan.pos)
     community_clf: dict[int, object] = {}
 
     def local_classifier(i: int):
@@ -689,7 +683,9 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
     preds: list[int] = []
     actuals: list[int] = []
     fbs: list[bool] = []
-    for i in sorted(pos_of.keys() | neg_of.keys()):
+    # an owner's positions ascend: its positives, then its negatives
+    for i, at in _group_by(np.concatenate([plan.pos_owner,
+                                           plan.neg_owner])):
         if kind in ("global", "ensemble"):
             clf = shared_clf
         elif kind == "community":
@@ -701,20 +697,18 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
         else:
             clf = local_classifier(i)
         fb = clf is None
-        for pairs, lab in ((pos_of.get(i, none), 1),
-                           (neg_of.get(i, none), 0)):
-            for p in pairs:
-                a, b = int(p[0]), int(p[1])
-                if fb:
-                    pred = 0
-                else:
-                    cols, vals = edge_features(matrix, a, b)
-                    pred = int(clf.predict(cols, vals))
-                nodes_out.append(i)
-                targets.append(f"{a}-{b}")
-                preds.append(pred)
-                actuals.append(lab)
-                fbs.append(fb)
+        for j in at.tolist():
+            a, b = pairs[j]
+            if fb:
+                pred = 0
+            else:
+                lo, hi = ptr[j], ptr[j + 1]
+                pred = int(clf.predict(feat_cols[lo:hi], feat_vals[lo:hi]))
+            nodes_out.append(i)
+            targets.append(f"{a}-{b}")
+            preds.append(pred)
+            actuals.append(1 if j < n_pos else 0)
+            fbs.append(fb)
     return PredictionBatch(
         config_key=config.config_key,
         task="LP",

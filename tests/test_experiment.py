@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from netsel.cli import main
+from netsel.data import save_label_rules
 from netsel.experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -26,6 +27,7 @@ from netsel.experiment import (
 )
 from netsel.graph import load_edgeset
 from netsel.selection import records_from_batches
+from netsel.synth import synth_bundle
 
 GRID = {
     "models": ["KNN", "TH"],
@@ -190,6 +192,24 @@ class TestPipelineOutputs:
                 parts["validation"]["notes"]["classifiers_trained"]
         assert sum(trained.values()) > 0
 
+    def test_manifest_surfaces_ingest_and_lp_plan_counts(self, pipe):
+        manifest = json.loads((pipe / "manifest.json").read_text())
+        meta = json.loads((pipe / "batches_meta.json").read_text())
+        ds_meta = json.loads((pipe / "dataset" / "dataset.json").read_text())
+        assert manifest["skipped_lines"] == ds_meta["skipped_lines"] == 0
+        dropped = manifest["lp_dropped_pos"]
+        assert sorted(dropped) == ["KNN-INT-0.02", "TH-INT-0.02"]
+        seen = 0
+        for key, parts in meta.items():
+            f = dict(p.split("=", 1) for p in key.split("|"))
+            if f["task"] != "LP":
+                continue
+            fam = f"{f['model']}-{f['measure']}-{f['density']}"
+            for role, part in parts.items():
+                assert dropped[fam][role] == part["notes"]["dropped_pos"]
+                seen += 1
+        assert seen == N_CONFIGS  # half the cells are LP, two batches each
+
 
 class TestDeterminism:
     def test_rerun_with_more_workers_is_byte_identical(self, pipe,
@@ -326,6 +346,26 @@ class TestCli:
         assert main(["run", "-c", str(path)]) == 1
         assert "not found" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_skipped_lines_reach_dataset_and_manifest(self, tmp_path):
+        bundle = synth_bundle(3, 40, 100)
+        log = bundle.log
+        lines = ["node item value timestamp"] + [
+            f"{a} {b} {c!r} {d}" for a, b, c, d in zip(
+                log.nodes.tolist(), log.items.tolist(),
+                log.values.tolist(), log.timestamps.tolist())]
+        lines[10:10] = ["7 3 many 12", "7 3"]
+        events = tmp_path / "events.txt"
+        events.write_text("\n".join(lines) + "\n")
+        save_label_rules(bundle.rules, tmp_path / "rules.json")
+        path = cli_config(tmp_path, events=str(events),
+                          rules=str(tmp_path / "rules.json"))
+        assert main(["run", "-c", str(path)]) == 0
+        out = tmp_path / "out"
+        ds_meta = json.loads((out / "dataset" / "dataset.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert ds_meta["skipped_lines"] == manifest["skipped_lines"] == 2
+        assert manifest["lp_dropped_pos"] == {}  # a CC-only grid
 
     def test_synth_command_needs_synth_block(self, tmp_path, capsys):
         path = cli_config(tmp_path, events="whatever.tsv",

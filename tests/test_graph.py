@@ -7,6 +7,7 @@ from netsel.graph import (
     EdgeSet,
     GraphError,
     NeighborhoodSpec,
+    absent_pairs,
     bfs_neighborhood,
     egonet,
     incident_nonedges,
@@ -181,6 +182,53 @@ def test_induced_pairs_on_subset():
     edges, nonedges = induced_pairs(g, np.array([0, 1, 4]))
     assert {tuple(e) for e in edges} == {(0, 1)}
     assert {tuple(e) for e in nonedges} == {(0, 4), (1, 4)}
+
+
+def _reference_induced_pairs(g, nodes):
+    """The per-node fill: each node's neighbours tested with np.isin."""
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    m = len(nodes)
+    sym = g.undirected_view()
+    adj = np.zeros((m, m), dtype=bool)
+    for li, u in enumerate(nodes):
+        nb = sym.neighbors(int(u))
+        hit = nb[np.isin(nb, nodes, assume_unique=True)]
+        adj[li, np.searchsorted(nodes, hit)] = True
+    iu, ju = np.triu_indices(m, 1)
+    on = adj[iu, ju]
+    return (np.column_stack([nodes[iu[on]], nodes[ju[on]]]),
+            np.column_stack([nodes[iu[~on]], nodes[ju[~on]]]))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_induced_pairs_match_per_node_reference(directed):
+    rng = np.random.default_rng(11)
+    n = 40
+    pairs = {(int(a), int(b)) for a, b in rng.integers(0, 35, (120, 2))
+             if a != b}  # nodes 35-39 stay isolated
+    if not directed:
+        pairs = {(min(p), max(p)) for p in pairs}
+    g = mk(n, sorted(pairs), directed=directed)
+    scopes = [np.arange(n), rng.permutation(n)[:15],
+              np.concatenate([rng.integers(0, n, 12), [36, 36, 38]]),
+              np.array([37, 39]), np.array([5]),
+              np.empty(0, dtype=np.int64)]
+    for nodes in scopes:
+        got = induced_pairs(g, nodes)
+        want = _reference_induced_pairs(g, nodes)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
+
+
+def test_absent_pairs_equals_sampling_around_graphs():
+    a = _random_graph(30, 60, 3)
+    b = _random_graph(30, 40, 4)
+    _, keys = union_pair_keys([a, b])
+    for count, seed in ((10, 1), (300, 2)):
+        np.testing.assert_array_equal(
+            absent_pairs(30, keys, count, seed),
+            sample_nonedges([a, b], count, seed))
 
 
 # ------------------------------------------------------------------ splits

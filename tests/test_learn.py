@@ -13,6 +13,7 @@ from netsel.learn import (
     SVMHyper,
     TrainingSet,
     edge_features,
+    pair_features,
     svm_objective,
     train_classifier,
     train_rf,
@@ -142,6 +143,77 @@ def test_edge_features_symmetric_and_sum_to_intersection():
             np.testing.assert_array_equal(cu, cv)
             np.testing.assert_array_equal(mu, mv)
             assert mu.sum() == pytest.approx(sim(rows[u], rows[v], "INT"))
+
+
+def _reference_edge_features(matrix, u, v):
+    """Per-pair features as two row intersections."""
+    cu, vu = matrix.row(u)
+    cv, vv = matrix.row(v)
+    common, ku, kv = np.intersect1d(cu, cv, return_indices=True)
+    return common, np.minimum(vu[ku], vv[kv])
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "mean"])
+def test_pair_features_match_per_pair_reference(aggregation):
+    for seed in range(6):
+        rng = np.random.default_rng([seed, aggregation == "mean"])
+        n, n_items = 30, 60
+        # nodes 0-4 have empty rows; nodes 5-9 draw from items 50-59
+        # only, so they share no column with nodes 10 and up
+        recs = []
+        for i in range(5, n):
+            pool = np.arange(50, 60) if i < 10 else np.arange(50)
+            for item in rng.choice(pool, size=rng.integers(1, 10),
+                                   replace=False):
+                for _ in range(rng.integers(1, 3)):  # repeats aggregate
+                    recs.append((i, int(item), float(rng.random() * 4), 1))
+        m = build_matrix(EventLog.from_records(recs, n_nodes=n),
+                         np.arange(n_items), "training", aggregation)
+        pairs = rng.integers(0, n, size=(200, 2))  # u > v and u == v too
+        pairs = np.concatenate([pairs, pairs[:20], [(3, 7), (7, 12)]])
+        indptr, cols, vals = pair_features(m, pairs)
+        assert len(indptr) == len(pairs) + 1
+        assert cols.dtype == m.data.indices.dtype
+        assert vals.dtype == np.float64
+        assert (np.diff(indptr) == 0).any() and (np.diff(indptr) > 1).any()
+        for t, (u, v) in enumerate(pairs.tolist()):
+            want_c, want_v = _reference_edge_features(m, u, v)
+            got_c = cols[indptr[t]:indptr[t + 1]]
+            got_v = vals[indptr[t]:indptr[t + 1]]
+            one_c, one_v = edge_features(m, u, v)
+            for c, x in ((got_c, got_v), (one_c, one_v)):
+                assert c.dtype == want_c.dtype
+                assert c.tobytes() == want_c.tobytes()
+                assert x.tobytes() == want_v.tobytes()
+
+
+def test_pair_features_of_no_pairs():
+    m = _attr_matrix([{0: 1.0}, {0: 2.0}], 2)
+    indptr, cols, vals = pair_features(m, np.empty((0, 2), dtype=np.int64))
+    assert indptr.tolist() == [0] and len(cols) == len(vals) == 0
+
+
+def test_training_set_from_pair_features_equals_row_list():
+    rng = np.random.default_rng(8)
+    recs = [(i, int(item), float(rng.integers(1, 5)), 1)
+            for i in range(15) if i != 6
+            for item in rng.choice(30, size=rng.integers(1, 12),
+                                   replace=False)]
+    m = build_matrix(EventLog.from_records(recs, n_nodes=15),
+                     np.arange(30), "training")
+    pairs = np.array([(4, 9), (0, 6), (2, 3), (0, 5), (11, 14), (2, 1)])
+    labels = np.array([1, 0, 1, 1, 0, 0])
+    got = TrainingSet(pair_features(m, pairs), labels, pairs)
+    want = TrainingSet([_reference_edge_features(m, a, b)
+                        for a, b in pairs.tolist()], labels.tolist(),
+                       [tuple(p) for p in pairs.tolist()])
+    assert got.ids == want.ids == tuple(sorted(map(tuple, pairs.tolist())))
+    assert all(type(a) is int for p in got.ids for a in p)
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.dictionary.tobytes() == want.dictionary.tobytes()
+    for a in ("indptr", "indices", "data"):
+        x, y = getattr(got.X, a), getattr(want.X, a)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 # -------------------------------------------------------------- linear SVM

@@ -10,8 +10,8 @@ from netsel.community import CommunityAssignment, louvain
 from netsel.data import (AttributeMatrix, EventLog, LabelRule,
                          build_dataset, build_matrix)
 from netsel.experiment import _write_batches, family_key, prepare_family
-from netsel.graph import (EdgeSet, NeighborhoodSpec, incident_nonedges,
-                          union_pair_keys)
+from netsel.graph import (EdgeSet, NeighborhoodSpec, egonet,
+                          incident_nonedges, union_pair_keys)
 from netsel.learn import ConstantClassifier, edge_features
 from netsel.similarity import (NetworkModelSpec, RowBlock, SimilarityError,
                                sim)
@@ -136,6 +136,21 @@ def test_leakage_audit_counts_and_raises():
     assert audit.assertions == 6
     assert audit.violations == 3
 
+
+def test_disjoint_finds_a_planted_overlap():
+    rng = np.random.default_rng(3)
+    keys = rng.choice(10**6, size=900, replace=False)
+    ref = np.sort(keys[:600])
+    # unsorted, with keys below and above every reference key
+    clean = np.concatenate([keys[600:], [-1, 10**6 + 5]])
+    audit = LeakageAudit()
+    audit.disjoint(clean, ref, "clean")
+    audit.disjoint(clean, np.empty(0, dtype=np.int64), "empty reference")
+    planted = np.insert(clean, 150, ref[417])
+    with pytest.raises(TaskError, match="planted"):
+        audit.disjoint(planted, ref, "planted")
+    assert audit.assertions == 3
+    assert audit.violations == 1
 
 # --------------------------------------------------------- prediction batch
 
@@ -720,6 +735,105 @@ def test_lp_community_shares_pairs_per_community(homophily, tmp_path):
         for name in ("batches.tsv", "batches_meta.json"):
             assert (dirs[0] / name).read_bytes() == \
                 (dirs[1] / name).read_bytes()
+
+
+
+def _reference_edge_features(matrix, a, b):
+    """One pair's features as two row intersections."""
+    ca, va = matrix.row(a)
+    cb, vb = matrix.row(b)
+    common, ka, kb = np.intersect1d(ca, cb, return_indices=True)
+    return common, np.minimum(va[ka], vb[kb])
+
+
+def _per_pair_features(matrix, pairs):
+    """``pair_features`` as a loop over ``_reference_edge_features``."""
+    rows = [_reference_edge_features(matrix, a, b)
+            for a, b in np.asarray(pairs).reshape(-1, 2).tolist()]
+    return (np.concatenate([[0], np.cumsum([len(c) for c, _ in rows])]),
+            np.concatenate([np.empty(0, matrix.data.indices.dtype),
+                            *(c for c, _ in rows)]),
+            np.concatenate([np.empty(0), *(v for _, v in rows)]))
+
+
+def _per_pair_lp(config, g_train, plan, matrix, excl, comm):
+    """run_lp with one classifier lookup per owner and one
+    ``_reference_edge_features`` call per evaluation pair."""
+    pool, audit = ClassifierPool(config), LeakageAudit()
+    n = g_train.n_nodes
+    spec = config.locality
+    shared = None
+    if spec.locality == "global":
+        shared = tasks._lp_global_classifier(config, pool, audit, g_train,
+                                             excl, matrix)
+    elif spec.locality == "ensemble":
+        members = []
+        for mnode in ensemble_members(config, g_train, matrix).tolist():
+            _, edges, nonedges = egonet(g_train, mnode)
+            clf = tasks._lp_classifier_for_pairs(
+                config, pool, audit, matrix, edges, nonedges, excl, n)
+            if clf is not None:
+                members.append((mnode, clf))
+        assert len(members) >= spec.ensemble_knn  # no fallback here
+        shared = tasks._EnsembleVoter(members, config.vote_measure,
+                                      spec.ensemble_knn, matrix)
+    out = {"nodes": [], "targets": [], "pred": [], "act": [], "fb": []}
+    for i in np.unique(np.concatenate([plan.pos_owner, plan.neg_owner])):
+        i = int(i)
+        clf = shared
+        if clf is None:
+            edges, nonedges = tasks._lp_local_pair_sets(config, g_train, i,
+                                                        comm)
+            clf = tasks._lp_classifier_for_pairs(
+                config, pool, audit, matrix, edges, nonedges, excl, n)
+        for pairs, lab in ((plan.pos[plan.pos_owner == i], 1),
+                           (plan.neg[plan.neg_owner == i], 0)):
+            for a, b in pairs.tolist():
+                out["nodes"].append(i)
+                out["targets"].append(f"{a}-{b}")
+                out["pred"].append(0 if clf is None else int(
+                    clf.predict(*_reference_edge_features(matrix, a, b))))
+                out["act"].append(lab)
+                out["fb"].append(clf is None)
+    return PredictionBatch(
+        config_key=config.config_key, task="LP", partition=plan.partition,
+        nodes=np.array(out["nodes"], dtype=np.int64), targets=out["targets"],
+        predicted=np.array(out["pred"], dtype=np.int8),
+        actual=np.array(out["act"], dtype=np.int8),
+        fallback=np.array(out["fb"], dtype=bool),
+        notes={"classifiers_trained": pool.trained,
+               "dropped_pos": plan.dropped_pos})
+
+
+@pytest.mark.parametrize("classifier", ["linear-svm", "coin"])
+def test_lp_batched_pair_features_match_per_pair_loop(
+        homophily, tmp_path, monkeypatch, classifier):
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
+    matrix = ds.matrix("training")
+    fam = prepare_family(spec, spec.build(matrix), 5, False, True, True)
+    plans = list(fam.lp_plans.values())
+    for loc in ("local-adjacency", "community", "global:60",
+                "ensemble:degree"):
+        config = cfg(loc, task="LP", classifier=classifier, network=spec)
+        got = [run_lp(config, fam.lp_train, plan, matrix,
+                      excl_keys=fam.excl_keys, comm=fam.comm_lp)
+               for plan in plans]
+        with monkeypatch.context() as mp:  # per-pair training features
+            mp.setattr(tasks, "pair_features", _per_pair_features)
+            want = [_per_pair_lp(config, fam.lp_train, plan, matrix,
+                                 fam.excl_keys, fam.comm_lp)
+                    for plan in plans]
+        assert not any(b.ensemble_fallback for b in got)
+        assert sum(b.n_fallback for b in got) < \
+            sum(b.n_records for b in got)
+        dirs = (tmp_path / loc / "got", tmp_path / loc / "want")
+        for batches, d in zip((got, want), dirs):
+            d.mkdir(parents=True)
+            _write_batches(d / "batches.tsv", batches)
+        for name in ("batches.tsv", "batches_meta.json"):
+            assert (dirs[0] / name).read_bytes() == \
+                (dirs[1] / name).read_bytes(), (loc, name)
 
 
 def test_lp_training_edges_may_not_touch_eval_pairs():
