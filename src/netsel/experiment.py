@@ -337,6 +337,7 @@ def evaluate_config(family: FamilyData, dataset: PartitionedDataset,
         "assertions": audit.assertions,
         "violations": audit.violations,
         "wall_ms": wall_ms,
+        "single_class": pool.single_class,
     }
 
 
@@ -426,6 +427,10 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
             p["config_key"]: max(b.notes["classifiers_trained"]
                                  for b in p["batches"])
             for p in payloads},
+        # of those, CC builds whose material carries one label: answered
+        # with a constant classifier, no training set assembled
+        "single_class": {p["config_key"]: p["single_class"]
+                         for p in payloads},
         "skipped_lines": dataset.skipped_lines,
         # held-out LP edges left unevaluated: their owner ran out of
         # non-edge partners
@@ -433,6 +438,11 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
             fkey: {role: plan.dropped_pos
                    for role, plan in sorted(f.lp_plans.items())}
             for fkey, f in families.items() if f.lp_plans},
+        # KNN / TH edges the family's density asked for but no
+        # positive-similarity pair could supply (edge-file provenance)
+        "shortfall": {fkey: f.graph.provenance["shortfall"]
+                      for fkey, f in families.items()
+                      if "shortfall" in f.graph.provenance},
     }
     _atomic_write(out_dir / "manifest.json",
                   json.dumps(manifest, indent=1, sort_keys=True) + "\n")

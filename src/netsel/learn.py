@@ -10,6 +10,8 @@ them in; all stochasticity comes from the seed.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +29,17 @@ class LearnError(ValueError):
 
 @dataclass(frozen=True)
 class SVMHyper:
+    """The ``svm`` config block; bad values fail here, naming their key."""
+
     reg: float = 1e-4
     epochs: int = 10
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.reg) and self.reg > 0):
+            raise LearnError(f"svm.reg must be finite and > 0, "
+                             f"got {self.reg!r}")
+        if self.epochs < 1:
+            raise LearnError(f"svm.epochs must be >= 1, got {self.epochs!r}")
 
     @staticmethod
     def from_dict(d: dict | None) -> "SVMHyper":
@@ -39,11 +50,24 @@ class SVMHyper:
 
 @dataclass(frozen=True)
 class RFHyper:
+    """The ``rf`` config block; bad values fail here, naming their key."""
+
     trees: int = 50
     max_depth: int = 16
     min_leaf: int = 1
     feature_frac: float | str = "sqrt"
     bootstrap: bool = True
+
+    def __post_init__(self) -> None:
+        for key in ("trees", "min_leaf"):
+            if getattr(self, key) < 1:
+                raise LearnError(f"rf.{key} must be >= 1, "
+                                 f"got {getattr(self, key)!r}")
+        f = self.feature_frac
+        if f != "sqrt" and not (isinstance(f, numbers.Real)
+                                and not isinstance(f, bool) and 0 < f <= 1):
+            raise LearnError(f'rf.feature_frac must be "sqrt" or a number '
+                             f'in (0, 1], got {f!r}')
 
     @staticmethod
     def from_dict(d: dict | None) -> "RFHyper":
@@ -103,11 +127,8 @@ class TrainingSet:
         cols = cols[at].astype(np.int64)
         data = vals[at].astype(np.float64, copy=False)
         y = np.asarray(labels)[order].astype(np.int64)
-        if ((y != 0) & (y != 1)).any():
-            raise LearnError("labels must be 0/1")
+        _check_material(y, data)
         self.y = y.astype(np.int8)
-        if len(data) and data.min() < 0:
-            raise LearnError("negative feature value")
         self.dictionary, local = np.unique(cols, return_inverse=True)
         # int32 indices are scipy's own choice at this size; handing them
         # over skips its scan for the smallest index type that fits
@@ -126,6 +147,34 @@ class TrainingSet:
 
     def classes(self) -> np.ndarray:
         return np.unique(self.y)
+
+
+def _check_material(y: np.ndarray, vals: np.ndarray) -> None:
+    """What every piece of training material must satisfy: 0/1 labels and
+    no negative feature value."""
+    if ((y != 0) & (y != 1)).any():
+        raise LearnError("labels must be 0/1")
+    if len(vals) and vals.min() < 0:
+        raise LearnError("negative feature value")
+
+
+def single_class_label(matrix: AttributeMatrix, labels, ids) -> int | None:
+    """The one label of node material whose labels are all one class;
+    None when they are not (or there are none), so a TrainingSet is due.
+
+    Both learners return ``ConstantClassifier(label, "single-class")`` for
+    such material without reading the seed or the features, so a caller
+    may return that itself and skip assembly and training. The material
+    still passes the TrainingSet checks, on one gather of the selected
+    rows' values: no sort, dictionary or CSR build.
+    """
+    y = np.asarray(labels)
+    if len(y) == 0 or y.min() != y.max():
+        return None
+    csr = matrix.data
+    _, at = _gather(csr.indptr, np.asarray(ids))
+    _check_material(y, csr.data[at])
+    return int(y[0])
 
 
 def _gather(indptr: np.ndarray, rows: np.ndarray):
@@ -392,41 +441,42 @@ def _best_split(X: np.ndarray, idx: np.ndarray, y: np.ndarray,
                 feats: np.ndarray, min_leaf: int):
     """Exhaustive Gini split search over the sampled features.
 
-    Ties break toward the lowest feature id, then the lowest threshold.
-    Returns (feature, threshold) or None when no impurity-reducing split
-    exists.
+    A threshold between sorted positions k and k + 1 of a column is valid
+    when it separates two distinct values and leaves ``min_leaf`` rows on
+    each side; the weighted Gini score is computed at valid positions
+    only, so the runs of tied values that dominate sparse item columns
+    cost no arithmetic. Positions are enumerated column-major (feature,
+    then threshold), so the first minimum is the lowest feature id, then
+    the lowest threshold: that is the tie rule. Returns (feature,
+    threshold) or None when no impurity-reducing split exists.
     """
     nn = len(y)
-    Xs = X[np.ix_(idx, feats)]
+    Xs = X[idx[:, None], feats]
     order = np.argsort(Xs, axis=0, kind="stable")
-    xs = np.take_along_axis(Xs, order, axis=0)
-    ys = y[order]
-    pos = np.cumsum(ys, axis=0)
-    k = np.arange(1, nn)[:, None].astype(np.float64)
-    lp = pos[:-1].astype(np.float64)
-    rp = pos[-1] - lp
-    rn = nn - k
-    gini_l = 1.0 - (lp / k) ** 2 - ((k - lp) / k) ** 2
-    gini_r = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
-    score = (k * gini_l + rn * gini_r) / nn
+    xs = Xs[order, np.arange(len(feats))]
     valid = xs[1:] > xs[:-1]
     if min_leaf > 1:
         ks = np.arange(1, nn)
         ok = (ks >= min_leaf) & (nn - ks >= min_leaf)
         valid &= ok[:, None]
-    score = np.where(valid, score, np.inf)
+    c, r = np.nonzero(valid.T)
+    if len(c) == 0:
+        return None
+    pos = np.cumsum(y[order], axis=0)
+    k = (r + 1).astype(np.float64)
+    lp = pos[r, c].astype(np.float64)
+    rp = pos[-1, c] - lp
+    rn = nn - k
+    gini_l = 1.0 - (lp / k) ** 2 - ((k - lp) / k) ** 2
+    gini_r = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
+    score = (k * gini_l + rn * gini_r) / nn
+    j = int(np.argmin(score))
     p1 = y.sum() / nn
     parent = 1.0 - p1 ** 2 - (1.0 - p1) ** 2
-    best = None
-    best_score = parent - 1e-12
-    for c in range(len(feats)):
-        kidx = int(np.argmin(score[:, c]))
-        s = score[kidx, c]
-        if s < best_score:
-            best_score = s
-            thr = 0.5 * (xs[kidx, c] + xs[kidx + 1, c])
-            best = (int(feats[c]), float(thr))
-    return best
+    if not score[j] < parent - 1e-12:
+        return None
+    c, r = c[j], r[j]
+    return int(feats[c]), float(0.5 * (xs[r, c] + xs[r + 1, c]))
 
 
 def _grow(tree: _Tree, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
@@ -468,7 +518,13 @@ class RandomForest:
 
 def train_rf(ts: TrainingSet, hyper: RFHyper, seed: int):
     """Bootstrap-aggregated Gini CART trees with per-split feature
-    sampling (sqrt of the dictionary size by default)."""
+    sampling (sqrt of the dictionary size by default), after Breiman
+    (2001). Single-class sets yield a constant classifier.
+
+    Each tree draws its bootstrap rows and then, depth first, each node's
+    feature sample from one stream seeded by (seed, tree index); split
+    search (``_best_split``) scores only the thresholds a split can use,
+    which leaves every tree exactly as scoring all of them would."""
     classes = ts.classes()
     if len(classes) == 1:
         return ConstantClassifier(int(classes[0]), "single-class")

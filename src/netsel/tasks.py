@@ -28,8 +28,9 @@ from .data import AttributeMatrix, PartitionedDataset
 from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
                     bfs_neighborhood, egonet, incident_nonedges,
                     induced_pairs)
-from .learn import (CoinClassifier, RFHyper, SVMHyper, TrainingSet,
-                    pair_features, train_classifier)
+from .learn import (CoinClassifier, ConstantClassifier, RFHyper, SVMHyper,
+                    TrainingSet, pair_features, single_class_label,
+                    train_classifier)
 from .similarity import NetworkModelSpec, RowBlock
 
 TASKS = ("CC", "LP")
@@ -183,13 +184,16 @@ class ClassifierPool:
 
     The training seed is derived from the material digest, so identical
     training sets reached through different test instances (or partitions)
-    produce the same classifier.
+    produce the same classifier. ``trained`` counts builds, and
+    ``single_class`` the CC builds answered without training because the
+    material carries one label.
     """
 
     def __init__(self, config: ModelConfig) -> None:
         self.config = config
         self.cache: dict = {}
         self.trained = 0
+        self.single_class = 0
 
     def get(self, material: str, builder):
         if material not in self.cache:
@@ -321,14 +325,23 @@ def _cc_classifier(config: ModelConfig, pool: ClassifierPool,
                    audit: LeakageAudit, train_m: AttributeMatrix,
                    name: str, y_train: np.ndarray, nodes: np.ndarray):
     """Train (or fetch) the classifier for one labelset and one training
-    node set; None when the set is empty."""
+    node set; None when the set is empty. Material with one label gets the
+    constant classifier both learners would train from it, with no
+    training set."""
     if len(nodes) == 0:
         return None
 
     def build(seed: int):
         audit.expect_role(train_m.role, "training",
                           f"CC features for labelset '{name}'")
-        ts = TrainingSet(train_m, y_train[nodes].astype(int), nodes)
+        if config.classifier == "coin":  # coin never reads its features
+            return CoinClassifier(seed)
+        labels = y_train[nodes].astype(int)
+        label = single_class_label(train_m, labels, nodes)
+        if label is not None:
+            pool.single_class += 1
+            return ConstantClassifier(label, "single-class")
+        ts = TrainingSet(train_m, labels, nodes)
         return train_classifier(config.classifier, ts, seed,
                                 config.svm, config.rf)
 

@@ -26,8 +26,10 @@ from netsel.experiment import (
     stage_select,
 )
 from netsel.graph import load_edgeset
+from netsel.learn import LearnError
 from netsel.selection import records_from_batches
 from netsel.synth import synth_bundle
+from netsel.tasks import config_key_fields
 
 GRID = {
     "models": ["KNN", "TH"],
@@ -108,6 +110,34 @@ class TestGrid:
         (raw[block] if block else raw)[key] = ["community"]
         with pytest.raises(ExperimentError, match=path):
             ExperimentConfig.from_dict(raw)
+
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("svm", "reg", 0),
+        ("svm", "reg", -1e-4),
+        ("svm", "reg", float("nan")),
+        ("svm", "reg", float("inf")),
+        ("svm", "epochs", 0),
+        ("rf", "trees", 0),
+        ("rf", "min_leaf", 0),
+        ("rf", "feature_frac", "log2"),
+        ("rf", "feature_frac", 0),
+        ("rf", "feature_frac", 1.5),
+        ("rf", "feature_frac", True),
+    ])
+    def test_bad_learner_hyperparameters_are_fatal(self, block, key, value):
+        raw = make_config("unused")
+        raw[block] = {key: value}
+        with pytest.raises(LearnError, match=f"{block}\\.{key}"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_learner_hyperparameter_bounds_load(self):
+        raw = make_config("unused")
+        raw["svm"] = {"reg": 1e-9, "epochs": 1}
+        for frac in ("sqrt", 1e-3, 0.5, 1, 1.0):
+            raw["rf"] = {"trees": 1, "min_leaf": 1, "feature_frac": frac}
+            cfg = ExperimentConfig.from_dict(raw)
+            assert cfg.rf.feature_frac == frac and cfg.svm.epochs == 1
 
 
 # --- the end-to-end run ---------------------------------------------------------
@@ -209,6 +239,35 @@ class TestPipelineOutputs:
                 assert dropped[fam][role] == part["notes"]["dropped_pos"]
                 seen += 1
         assert seen == N_CONFIGS  # half the cells are LP, two batches each
+
+
+    def test_manifest_counts_single_class_builds(self, pipe):
+        manifest = json.loads((pipe / "manifest.json").read_text())
+        single = manifest["single_class"]
+        trained = manifest["classifiers_trained"]
+        assert single.keys() == trained.keys()
+        for key, count in single.items():
+            assert 0 <= count <= trained[key]
+            if config_key_fields(key)["task"] == "LP":
+                assert count == 0  # LP material always holds both classes
+        assert sum(single.values()) > 0
+
+    def test_manifest_surfaces_edge_file_shortfall(self, pipe, tmp_path):
+        # at density 0.9 some nodes have fewer KNN peers than k
+        out = tmp_path / "dense"
+        raw = make_config(out)
+        raw["dataset"]["synth"].update(n_nodes=40, n_items=1000)
+        raw["grid"].update(densities=[0.9], localities=["global:20"],
+                           tasks=["CC"])
+        run_experiment(ExperimentConfig.from_dict(raw))
+        for run in (pipe, out):
+            shortfall = json.loads((run / "manifest.json").read_text())[
+                "shortfall"]
+            assert len(shortfall) == 2
+            for fam, value in shortfall.items():
+                header = load_edgeset(run / "networks" / f"{fam}.tsv")
+                assert value == header.provenance["shortfall"]
+        assert shortfall["KNN-INT-0.9"] > 0
 
 
 class TestDeterminism:

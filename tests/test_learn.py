@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from netsel.data import EventLog, build_matrix
+from netsel.data import AttributeMatrix, EventLog, build_matrix
 from netsel.learn import (
     CoinClassifier,
     ConstantClassifier,
@@ -12,8 +13,10 @@ from netsel.learn import (
     RFHyper,
     SVMHyper,
     TrainingSet,
+    _best_split,
     edge_features,
     pair_features,
+    single_class_label,
     svm_objective,
     train_classifier,
     train_rf,
@@ -67,6 +70,21 @@ def test_training_set_validation():
         ts_from([row], [2])
     with pytest.raises(LearnError):
         ts_from([(np.array([0]), np.array([-1.0]))], [1])
+
+
+def test_single_class_label_makes_the_training_set_checks():
+    m = AttributeMatrix(
+        data=sparse.csr_matrix(np.array([[1.0, -2.0], [1.0, 0.0],
+                                         [0.0, 3.0]])),
+        item_ids=np.arange(2), role="training")
+    assert single_class_label(m, [1, 1], [2, 1]) == 1
+    assert single_class_label(m, [0], [1]) == 0
+    assert single_class_label(m, [0, 1], [1, 2]) is None  # two classes
+    for labels, ids, what in (([1, 1], [2, 0], "negative"),
+                              ([2, 2], [1, 2], "0/1")):
+        for check in (single_class_label, TrainingSet):
+            with pytest.raises(LearnError, match=what):
+                check(m, labels, ids)
 
 
 def test_training_set_from_matrix_rows_equals_row_list():
@@ -540,6 +558,108 @@ def test_single_deterministic_tree_matches_reference_cart(max_depth, min_leaf):
             cols = np.flatnonzero(dense[i])
             got = model.predict(cols, dense[i][cols])
             assert got == _ref_predict(ref, local[i]), (trial, i)
+
+
+def _per_column_best_split(X, idx, y, feats, min_leaf):
+    """Split search with the Gini score of every (threshold, feature)
+    position, invalid ones set to inf, and one argmin per column."""
+    nn = len(y)
+    Xs = X[np.ix_(idx, feats)]
+    order = np.argsort(Xs, axis=0, kind="stable")
+    xs = np.take_along_axis(Xs, order, axis=0)
+    ys = y[order]
+    pos = np.cumsum(ys, axis=0)
+    k = np.arange(1, nn)[:, None].astype(np.float64)
+    lp = pos[:-1].astype(np.float64)
+    rp = pos[-1] - lp
+    rn = nn - k
+    gini_l = 1.0 - (lp / k) ** 2 - ((k - lp) / k) ** 2
+    gini_r = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
+    score = (k * gini_l + rn * gini_r) / nn
+    valid = xs[1:] > xs[:-1]
+    if min_leaf > 1:
+        ks = np.arange(1, nn)
+        ok = (ks >= min_leaf) & (nn - ks >= min_leaf)
+        valid &= ok[:, None]
+    score = np.where(valid, score, np.inf)
+    p1 = y.sum() / nn
+    parent = 1.0 - p1 ** 2 - (1.0 - p1) ** 2
+    best = None
+    best_score = parent - 1e-12
+    for c in range(len(feats)):
+        kidx = int(np.argmin(score[:, c]))
+        s = score[kidx, c]
+        if s < best_score:
+            best_score = s
+            thr = 0.5 * (xs[kidx, c] + xs[kidx + 1, c])
+            best = (int(feats[c]), float(thr))
+    return best
+
+
+def _random_node(rng, t):
+    """One split-search input: a dense matrix, the node's rows (bootstrap
+    duplicates or not), their labels, a feature sample and min_leaf."""
+    n, d = int(rng.integers(2, 40)), int(rng.integers(1, 30))
+    kind = t % 4
+    if kind == 0:  # item counts: mostly small integers and zeros
+        X = rng.poisson(rng.uniform(0.1, 2.0), size=(n, d)).astype(float)
+    elif kind == 1:  # floats, rounded so some values repeat
+        X = rng.random((n, d)).round(int(rng.integers(0, 4)))
+    elif kind == 2:  # sparse item columns
+        X = (rng.random((n, d)) < 0.1) * rng.integers(1, 4, (n, d)) * 1.0
+    else:  # exact ties: copied and mirrored columns
+        X = rng.poisson(1.0, size=(n, d)).astype(float)
+        for j in range(1, d):
+            i = int(rng.integers(0, j))
+            X[:, j] = X[:, i] if rng.random() < 0.5 else 9.0 - X[:, i]
+    if rng.random() < 0.2:  # all-tied columns
+        X[:, rng.random(d) < 0.5] = float(rng.integers(0, 3))
+    if rng.random() < 0.7:
+        idx = rng.integers(0, n, size=n)
+    else:
+        idx = rng.permutation(n)[:int(rng.integers(2, n + 1))]
+    y = rng.integers(0, 2, len(idx))
+    feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)),
+                               replace=False))
+    return X, idx, y, feats, int(rng.integers(1, 4))
+
+
+def test_best_split_matches_per_column_search():
+    rng = np.random.default_rng(2024)
+    nones = 0
+    for t in range(3200):
+        X, idx, y, feats, min_leaf = _random_node(rng, t)
+        want = _per_column_best_split(X, idx, y, feats, min_leaf)
+        got = _best_split(X, idx, y, feats, min_leaf)
+        assert got == want, t
+        if want is None:
+            nones += 1
+        else:  # the same threshold bits, not just an equal float
+            assert np.float64(got[1]).tobytes() == \
+                np.float64(want[1]).tobytes(), t
+    assert 100 < nones < 3000
+
+
+def test_best_split_tie_rules():
+    idx = np.arange(5)
+    y = np.array([0, 0, 0, 0, 1])
+    # both columns split the positive off with Gini 0: column 0 at its
+    # highest threshold, column 1 at its lowest; the lower feature wins
+    X = np.column_stack([[0.0, 1, 2, 3, 4], [4.0, 3, 2, 1, 0]])
+    assert _best_split(X, idx, y, np.arange(2), 1) == (0, 3.5)
+    assert _best_split(X[:, ::-1], idx, y, np.arange(2), 1) == (0, 0.5)
+    # one column, equal scores at its first and last threshold
+    X = np.array([[0.0], [1], [2], [3]])
+    assert _best_split(X, np.arange(4), np.array([0, 1, 1, 0]),
+                       np.array([0]), 1) == (0, 0.5)
+    # tied values never split, even when the labels differ
+    tied = np.ones((4, 3))
+    assert _best_split(tied, np.arange(4), np.array([0, 1, 0, 1]),
+                       np.arange(3), 1) is None
+    # min_leaf moves the split off the pure threshold
+    y = np.array([1, 0, 0, 0])
+    assert _best_split(X, np.arange(4), y, np.array([0]), 1) == (0, 0.5)
+    assert _best_split(X, np.arange(4), y, np.array([0]), 2) == (0, 1.5)
 
 
 # -------------------------------------------------------------------- coin

@@ -12,7 +12,8 @@ from netsel.data import (AttributeMatrix, EventLog, LabelRule,
 from netsel.experiment import _write_batches, family_key, prepare_family
 from netsel.graph import (EdgeSet, NeighborhoodSpec, egonet,
                           incident_nonedges, union_pair_keys)
-from netsel.learn import ConstantClassifier, edge_features
+from netsel.learn import (ConstantClassifier, LearnError, RFHyper,
+                          TrainingSet, edge_features, train_classifier)
 from netsel.similarity import (NetworkModelSpec, RowBlock, SimilarityError,
                                sim)
 from netsel.synth import PlantSpec, synth_bundle
@@ -444,6 +445,90 @@ def test_cc_global_trains_once_per_labelset():
     assert pool.trained == 2
     assert batch.notes["classifiers_trained"] == 2
     assert batch.n_fallback == 0
+
+
+def _always_assembled_cc_classifier(config, pool, audit, train_m, name,
+                                    y_train, nodes):
+    """``_cc_classifier`` with no shortcut: every build assembles a
+    TrainingSet and hands it to ``train_classifier``."""
+    if len(nodes) == 0:
+        return None
+
+    def build(seed):
+        audit.expect_role(train_m.role, "training",
+                          f"CC features for labelset '{name}'")
+        ts = TrainingSet(train_m, y_train[nodes].astype(int), nodes)
+        return train_classifier(config.classifier, ts, seed, config.svm,
+                                config.rf)
+
+    return pool.get(tasks._digest("cc", name, np.sort(nodes)), build)
+
+
+@pytest.mark.parametrize("classifier",
+                         ["linear-svm", "random-forest", "coin"])
+def test_cc_single_class_shortcut_matches_always_assembled(
+        homophily, tmp_path, monkeypatch, classifier):
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
+    g = spec.build(ds.matrix("training"))
+    single = trained = 0
+    for loc in ("local-adjacency", "community", "ensemble:degree",
+                "global:60"):
+        config = ModelConfig(network=spec,
+                             locality=NeighborhoodSpec.parse(loc),
+                             task="CC", classifier=classifier, seed=3,
+                             rf=RFHyper(trees=3))
+
+        def run():
+            pool, audit = ClassifierPool(config), LeakageAudit()
+            batches = [run_cc(config, g, ds, role, audit=audit, pool=pool)
+                       for role in ("validation", "testing")]
+            return batches, pool, audit.assertions
+
+        got, pool, got_asserts = run()
+        with monkeypatch.context() as mp:
+            mp.setattr(tasks, "_cc_classifier",
+                       _always_assembled_cc_classifier)
+            want, ref_pool, want_asserts = run()
+        dirs = (tmp_path / loc / "got", tmp_path / loc / "want")
+        for batches, d in zip((got, want), dirs):
+            d.mkdir(parents=True)
+            _write_batches(d / "batches.tsv", batches)
+        for name in ("batches.tsv", "batches_meta.json"):
+            assert (dirs[0] / name).read_bytes() == \
+                (dirs[1] / name).read_bytes(), (loc, name)
+        assert got_asserts == want_asserts
+        assert not any(b.ensemble_fallback for b in got)
+        # the shortcut answers exactly the builds that trained a constant
+        assert pool.single_class == sum(
+            isinstance(c, ConstantClassifier)
+            for c in ref_pool.cache.values())
+        single += pool.single_class
+        trained += pool.trained
+    if classifier == "coin":
+        assert single == 0
+    else:  # both kinds of material occur
+        assert 0 < single < trained
+
+
+def test_cc_single_class_material_is_still_checked():
+    m = AttributeMatrix(
+        data=sparse.csr_matrix(np.array([[1.0, -2.0], [1.0, 0.0],
+                                         [0.0, 3.0]])),
+        item_ids=np.arange(2), role="training")
+    for classifier in ("linear-svm", "random-forest"):
+        config = cfg("global", classifier=classifier)
+        pool = ClassifierPool(config)
+        for y, nodes, what in (([1, 1, 1], [0, 1], "negative"),
+                               ([2, 2, 2], [1, 2], "0/1")):
+            with pytest.raises(LearnError, match=what):
+                tasks._cc_classifier(config, pool, LeakageAudit(), m, "a",
+                                     np.array(y), np.array(nodes))
+        clf = tasks._cc_classifier(config, pool, LeakageAudit(), m, "a",
+                                   np.array([1, 1, 1]), np.array([1, 2]))
+        assert isinstance(clf, ConstantClassifier)
+        assert (clf.label, clf.reason) == (1, "single-class")
+        assert pool.single_class == 1
 
 
 def test_cc_empty_evaluation_is_degenerate():
