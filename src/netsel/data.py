@@ -205,6 +205,8 @@ class AttributeMatrix:
     aggregation: str = "sum"
     _item_index: dict | None = field(default=None, repr=False)
     _row_sums: np.ndarray | None = field(default=None, repr=False)
+    # (i, j, inter) of similarity.pairwise_intersections, set on first use
+    _pairs: tuple | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:

@@ -443,6 +443,15 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
         "shortfall": {fkey: f.graph.provenance["shortfall"]
                       for fkey, f in families.items()
                       if "shortfall" in f.graph.provenance},
+        # Louvain partitions family prep built: CC's on the family's
+        # network, LP's on its LP training graph
+        "communities": {
+            fkey: {task: {"n_communities": comm.n_communities,
+                          "modularity": float(comm.modularity)}
+                   for task, comm in (("CC", f.comm_cc), ("LP", f.comm_lp))
+                   if comm is not None}
+            for fkey, f in families.items()
+            if f.comm_cc is not None or f.comm_lp is not None},
     }
     _atomic_write(out_dir / "manifest.json",
                   json.dumps(manifest, indent=1, sort_keys=True) + "\n")

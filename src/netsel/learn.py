@@ -27,6 +27,16 @@ class LearnError(ValueError):
     pass
 
 
+def _integer(d: dict, block: str, key: str, default: int) -> int:
+    """d[key] (or the default) as an int; a bool, a non-number or a
+    fractional value is a config error naming block.key."""
+    v = d.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+            or not float(v).is_integer():
+        raise LearnError(f"{block}.{key} must be an integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class SVMHyper:
     """The ``svm`` config block; bad values fail here, naming their key."""
@@ -44,8 +54,11 @@ class SVMHyper:
     @staticmethod
     def from_dict(d: dict | None) -> "SVMHyper":
         d = d or {}
-        return SVMHyper(reg=float(d.get("reg", 1e-4)),
-                        epochs=int(d.get("epochs", 10)))
+        reg = d.get("reg", 1e-4)
+        if isinstance(reg, bool) or not isinstance(reg, numbers.Real):
+            raise LearnError(f"svm.reg must be a number, got {reg!r}")
+        return SVMHyper(reg=float(reg),
+                        epochs=_integer(d, "svm", "epochs", 10))
 
 
 @dataclass(frozen=True)
@@ -59,7 +72,7 @@ class RFHyper:
     bootstrap: bool = True
 
     def __post_init__(self) -> None:
-        for key in ("trees", "min_leaf"):
+        for key in ("trees", "max_depth", "min_leaf"):
             if getattr(self, key) < 1:
                 raise LearnError(f"rf.{key} must be >= 1, "
                                  f"got {getattr(self, key)!r}")
@@ -72,12 +85,16 @@ class RFHyper:
     @staticmethod
     def from_dict(d: dict | None) -> "RFHyper":
         d = d or {}
+        bootstrap = d.get("bootstrap", True)
+        if not isinstance(bootstrap, bool):
+            raise LearnError(f"rf.bootstrap must be true or false, "
+                             f"got {bootstrap!r}")
         return RFHyper(
-            trees=int(d.get("trees", 50)),
-            max_depth=int(d.get("max_depth", 16)),
-            min_leaf=int(d.get("min_leaf", 1)),
+            trees=_integer(d, "rf", "trees", 50),
+            max_depth=_integer(d, "rf", "max_depth", 16),
+            min_leaf=_integer(d, "rf", "min_leaf", 1),
             feature_frac=d.get("feature_frac", "sqrt"),
-            bootstrap=bool(d.get("bootstrap", True)),
+            bootstrap=bootstrap,
         )
 
 

@@ -7,10 +7,14 @@ Two measures over non-negative sparse attribute vectors:
   with 0/0 defined as 0. Bounded in [0, 1] and invariant under joint
   scaling of both vectors.
 
-All-pairs similarities come from an inverted index over items: only pairs
-that co-support at least one item are materialized, so cost scales with
-sum over items of (nodes per item)^2 rather than with n^2. This is the
-documented bottleneck for very popular items.
+All-pairs similarities come from an inverted index over items: an item
+held by m nodes contributes m(m-1)/2 raw (pair, min) terms. The terms are
+summed into a dense accumulator over one block of rows at a time, and its
+positive cells are read out in (i, j) order. Cost is the raw contributions
+plus n^2/2 accumulator cells streamed in blocks; memory is bounded by
+BLOCK_CELLS accumulator cells and CHUNK_LEN terms in flight, however
+popular an item is. Each training matrix gets one such pass, shared by
+every KNN / TH family built from it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .graph import EdgeSet
 
 MEASURES = ("INT", "INT-N")
 MODELS = ("KNN", "TH")
+
+BLOCK_CELLS = 2**22  # float64 cells of one dense row block (32 MB)
+CHUNK_LEN = 2**15  # (pair, min) terms generated at once
 
 
 class SimilarityError(ValueError):
@@ -101,61 +108,65 @@ class RowBlock:
         return np.lexsort((self.ids, -s))[:k]
 
 
-class _PairAccumulator:
-    """Accumulates (pair key, value) contributions with periodic reduction
-    to bound memory."""
-
-    def __init__(self, flush_at: int = 4_000_000) -> None:
-        self.keys: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-        self.pending = 0
-        self.flush_at = flush_at
-
-    def add(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        self.keys.append(keys)
-        self.vals.append(vals)
-        self.pending += len(keys)
-        if self.pending >= self.flush_at:
-            self.reduce()
-
-    def reduce(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.keys:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        keys = np.concatenate(self.keys)
-        vals = np.concatenate(self.vals)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inv, weights=vals, minlength=len(uniq))
-        self.keys = [uniq]
-        self.vals = [sums]
-        self.pending = len(uniq)
-        return uniq, sums
-
-
 def pairwise_intersections(
     matrix: AttributeMatrix,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All co-supported pairs and their intersection values.
 
-    Returns (i, j, inter) with i < j and inter > 0. Pairs sharing no item
-    never appear, which is what makes sparse inputs tractable.
+    Returns (i, j, inter) with i < j and inter > 0, in (i, j) order. Pairs
+    sharing no item never appear. Each pair's terms are summed in column
+    order, one float64 addition at a time.
     """
     n = matrix.n_nodes
     csc = matrix.data.tocsc()
-    acc = _PairAccumulator()
-    indptr, indices, values = csc.indptr, csc.indices, csc.data
-    for col in range(csc.shape[1]):
-        lo, hi = indptr[col], indptr[col + 1]
-        m = hi - lo
-        if m < 2:
-            continue
-        rows = indices[lo:hi].astype(np.int64)
-        vals = values[lo:hi]
-        iu, ju = np.triu_indices(m, 1)
-        acc.add(rows[iu] * n + rows[ju], np.minimum(vals[iu], vals[ju]))
-    keys, sums = acc.reduce()
-    pos = sums > 0
-    keys, sums = keys[pos], sums[pos]
-    return keys // n, keys % n, sums
+    step = max(1, BLOCK_CELLS // max(n, 1))
+    parts = [_row_block_pairs(csc, r0, min(n, r0 + step))
+             for r0 in range(0, n, step)]
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), \
+            np.empty(0)
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _row_block_pairs(csc, r0: int, r1: int):
+    """pairwise_intersections restricted to pairs whose i is in [r0, r1)."""
+    n = csc.shape[0]
+    indptr, rows, vals = csc.indptr, csc.indices.astype(np.int64), csc.data
+    # entry p pairs with the entries after it up to its column's end;
+    # walking p in CSC order yields each column's triu pairs in turn
+    seg = np.flatnonzero((rows >= r0) & (rows < r1))
+    length = np.repeat(indptr[1:], np.diff(indptr))[seg] - seg - 1
+    start = np.concatenate(([0], np.cumsum(length)))
+    # per entry: its row's offset in the block, its value, and the shift
+    # from a term's index t to its partner entry q = t + shift
+    row_off = (rows[seg] - r0) * n
+    own = vals[seg]
+    shift = seg + 1 - start[:-1]
+    block = np.zeros((r1 - r0) * n)
+    for t0 in range(0, int(start[-1]), CHUNK_LEN):
+        t1 = min(int(start[-1]), t0 + CHUNK_LEN)
+        s0 = np.searchsorted(start, t0, side="right") - 1
+        s1 = np.searchsorted(start, t1, side="left")
+        reps = length[s0:s1]
+        lo, hi = t0 - start[s0], t1 - start[s0]
+        q = np.repeat(shift[s0:s1], reps)[lo:hi] + np.arange(t0, t1)
+        cell = np.repeat(row_off[s0:s1], reps)[lo:hi] + rows[q]
+        term = np.minimum(np.repeat(own[s0:s1], reps)[lo:hi], vals[q])
+        np.add.at(block, cell, term)
+    cells = np.flatnonzero(block > 0)
+    i, j = np.divmod(cells, n)
+    return i + r0, j, block[cells]
+
+
+def _intersections(matrix: AttributeMatrix):
+    """pairwise_intersections of the matrix, computed once per matrix: every
+    KNN / TH family over one training matrix shares the pass."""
+    if matrix._pairs is None:
+        pairs = pairwise_intersections(matrix)
+        for col in pairs:
+            col.setflags(write=False)
+        matrix._pairs = pairs
+    return matrix._pairs
 
 
 def pairwise_similarities(
@@ -164,7 +175,7 @@ def pairwise_similarities(
     """Positive-similarity pairs (i < j) under the given measure."""
     if measure not in MEASURES:
         raise SimilarityError(f"unknown measure: {measure}")
-    ii, jj, inter = pairwise_intersections(matrix)
+    ii, jj, inter = _intersections(matrix)
     if measure == "INT":
         return ii, jj, inter
     sums = matrix.row_sums
@@ -201,26 +212,36 @@ def knn_graph(matrix: AttributeMatrix, measure: str, lam: int) -> EdgeSet:
         raise SimilarityError(
             f"lambda {lam} gives no out-edges for {n} nodes (need lambda >= n)")
     ii, jj, s = pairwise_similarities(matrix, measure)
-    src = np.concatenate([ii, jj])
-    dst = np.concatenate([jj, ii])
-    ss = np.concatenate([s, s])
-    order = np.lexsort((dst, -ss, src))
-    src, dst, ss = src[order], dst[order], ss[order]
-    starts = np.searchsorted(src, np.arange(n + 1))
-    take: list[np.ndarray] = []
+    kth = max(n - k, 0)
+    step = max(1, BLOCK_CELLS // n)
+    src, dst, weights = [], [], []
     shortfall = 0
-    for v in range(n):
-        lo, hi = starts[v], starts[v + 1]
-        avail = hi - lo
-        take.append(np.arange(lo, min(lo + k, hi)))
-        if avail < k:
-            shortfall += k - avail
-    sel = np.concatenate(take) if take else np.empty(0, dtype=np.int64)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        # the block's rows of the symmetric similarity matrix: pairs come
+        # in (i, j) order, so its upper half is one slice of them
+        block = np.zeros((r1 - r0, n))
+        a, b = np.searchsorted(ii, [r0, r1])
+        block[ii[a:b] - r0, jj[a:b]] = s[a:b]
+        low = np.flatnonzero((jj >= r0) & (jj < r1))
+        block[jj[low] - r0, ii[low]] = s[low]
+        # each row's k-th largest value; 0 when it has fewer than k peers,
+        # and then every positive entry is taken
+        cut = np.partition(block, kth, axis=1)[:, [kth]]
+        take = block > cut
+        need = np.where(cut[:, 0] > 0, k - take.sum(axis=1), 0)
+        tied = (block == cut) & (need[:, None] > 0)
+        take |= tied & (np.cumsum(tied, axis=1) <= need[:, None])
+        shortfall += int(np.maximum(k - (block > 0).sum(axis=1), 0).sum())
+        r, c = np.nonzero(take)
+        src.append(r0 + r)
+        dst.append(c)
+        weights.append(block[r, c])
     return EdgeSet(
         n_nodes=n,
-        src=src[sel],
-        dst=dst[sel],
-        weights=ss[sel],
+        src=np.concatenate(src),
+        dst=np.concatenate(dst),
+        weights=np.concatenate(weights),
         directed=True,
         provenance={"model": "KNN", "measure": measure, "lambda": int(lam),
                     "k": int(k), "source": matrix.role,
@@ -238,9 +259,16 @@ def threshold_graph(matrix: AttributeMatrix, measure: str, lam: int) -> EdgeSet:
         raise SimilarityError("lambda must be >= 1")
     n = matrix.n_nodes
     ii, jj, s = pairwise_similarities(matrix, measure)
-    order = np.lexsort((jj, ii, -s))
-    sel = order[:lam]
-    shortfall = max(0, lam - len(sel))
+    shortfall = max(0, lam - len(s))
+    if shortfall:
+        sel = np.arange(len(s))
+    else:
+        # the lam-th largest value; pairs come in (i, j) order, so the
+        # first ties at it are the lexicographically smallest
+        cut = np.partition(s, len(s) - lam)[len(s) - lam]
+        take = s > cut
+        take[np.flatnonzero(s == cut)[:lam - take.sum()]] = True
+        sel = np.flatnonzero(take)
     return EdgeSet(
         n_nodes=n,
         src=ii[sel],

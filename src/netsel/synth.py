@@ -260,36 +260,37 @@ def synth_bundle(
         sel = np.sort(rng.choice(lay.sub_block, size=take, replace=False))
         return sel, rng.integers(wlo, whi + 1, take)
 
-    nodes: list[np.ndarray] = []
+    # emissions in order: the node and size of each, its items and values;
+    # nodes and timestamps are expanded once at the end
+    emit_node: list[int] = []
+    emit_len: list[int] = []
     items: list[np.ndarray] = []
     values: list[np.ndarray] = []
-    stamps: list[np.ndarray] = []
+    seg_events = [0] * plant.segments
     seg_len = plant.segment_length
 
-    def emit(node: int, item_arr, value_arr, seg: int, counter: list) -> None:
+    def emit(node: int, item_arr, value_arr, seg: int) -> None:
         m = len(item_arr)
         if m == 0:
             return
-        ts = seg * seg_len + (counter[0] + np.arange(m)) % (seg_len - 1)
-        counter[0] += m
-        nodes.append(np.full(m, node, dtype=np.int64))
-        items.append(np.asarray(item_arr, dtype=np.int64))
-        values.append(np.asarray(value_arr, dtype=np.float64))
-        stamps.append(ts.astype(np.int64))
+        emit_node.append(node)
+        emit_len.append(m)
+        items.append(item_arr)
+        values.append(value_arr)
+        seg_events[seg] += m
 
     pool = lay.noise_pool
     n_sub = lay.n_subgroups
     for seg in range(plant.segments):
-        counter = [0]
         for i in range(n_nodes):
             sg = lay.subgroup(i)
             sel, vals = block_emission(i, seg)
-            emit(i, lay.sub_items(sg)[sel], vals, seg, counter)
+            emit(i, lay.sub_items(sg)[sel], vals, seg)
             if lay.grp_block:
-                emit(i, lay.grp_items(lay.group(i)), grp_w[i], seg, counter)
+                emit(i, lay.grp_items(lay.group(i)), grp_w[i], seg)
             p = lay.pod(i)
             if p >= 0 and lay.pod_block and plant.pod_items > 0:
-                emit(i, lay.pod_items_of(p), pod_w[i], seg, counter)
+                emit(i, lay.pod_items_of(p), pod_w[i], seg)
             if len(pool) and plant.noise_hi > 0:
                 rng = generator(seed, "noise", i, seg)
                 rate = (plant.noise_hi
@@ -298,7 +299,7 @@ def synth_bundle(
                 if rate > 0:
                     draws = rng.choice(pool, size=rate, replace=True)
                     uniq, counts = np.unique(draws, return_counts=True)
-                    emit(i, uniq, counts, seg, counter)
+                    emit(i, uniq, counts, seg)
             if plant.contamination_items > 0 and lay.contamination_per_block > 0 and n_sub > 1:
                 rng = generator(seed, "contamination", i, seg)
                 per = lay.contamination_per_block
@@ -315,14 +316,18 @@ def synth_bundle(
                                         replace=False)
                     vals = rng.integers(plant.contamination_lo,
                                         plant.contamination_hi + 1, take)
-                    emit(i, np.sort(choice), vals, seg, counter)
+                    emit(i, np.sort(choice), vals, seg)
                     left -= take
 
+    # each segment's events are stamped consecutively from its start,
+    # wrapping before the next segment begins
+    stamps = [seg * seg_len + np.arange(m) % (seg_len - 1)
+              for seg, m in enumerate(seg_events)]
     log = EventLog(
-        nodes=np.concatenate(nodes),
-        items=np.concatenate(items),
-        values=np.concatenate(values),
-        timestamps=np.concatenate(stamps),
+        nodes=np.repeat(np.array(emit_node, dtype=np.int64), emit_len),
+        items=np.concatenate(items).astype(np.int64),
+        values=np.concatenate(values).astype(np.float64),
+        timestamps=np.concatenate(stamps).astype(np.int64),
         n_nodes=n_nodes,
         node_ids=np.arange(n_nodes),
     )

@@ -2,12 +2,14 @@
 plus stage chaining, reruns under different worker counts, explicit
 network thinning, and the CLI front end."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from netsel import similarity
 from netsel.cli import main
 from netsel.data import save_label_rules
 from netsel.experiment import (
@@ -18,6 +20,7 @@ from netsel.experiment import (
     family_specs,
     load_batches,
     load_results,
+    prepare_family,
     run_experiment,
     stage_evaluate,
     stage_infer,
@@ -26,7 +29,7 @@ from netsel.experiment import (
     stage_select,
 )
 from netsel.graph import load_edgeset
-from netsel.learn import LearnError
+from netsel.learn import LearnError, RFHyper
 from netsel.selection import records_from_batches
 from netsel.synth import synth_bundle
 from netsel.tasks import config_key_fields
@@ -130,6 +133,47 @@ class TestGrid:
         raw[block] = {key: value}
         with pytest.raises(LearnError, match=f"{block}\\.{key}"):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("rf", "bootstrap", "false"),
+        ("rf", "bootstrap", 0),
+        ("rf", "bootstrap", None),
+        ("rf", "trees", 2.9),
+        ("rf", "trees", True),
+        ("rf", "trees", "3"),
+        ("rf", "max_depth", -3),
+        ("rf", "max_depth", 0),
+        ("rf", "max_depth", 2.5),
+        ("rf", "max_depth", False),
+        ("rf", "min_leaf", 1.5),
+        ("rf", "min_leaf", True),
+        ("rf", "min_leaf", float("nan")),
+        ("svm", "epochs", 2.7),
+        ("svm", "epochs", True),
+        ("svm", "epochs", float("inf")),
+        ("svm", "reg", "abc"),
+        ("svm", "reg", "1e-4"),
+        ("svm", "reg", True),
+        ("svm", "reg", None),
+    ])
+    def test_hyperparameters_are_not_coerced(self, block, key, value):
+        raw = make_config("unused")
+        raw[block] = {key: value}
+        with pytest.raises(LearnError, match=f"{block}\\.{key}"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_integral_hyperparameters_load_as_ints(self):
+        raw = make_config("unused")
+        raw["svm"] = {"reg": 1, "epochs": 3.0}
+        raw["rf"] = {"trees": 2.0, "max_depth": 1, "min_leaf": 2.0,
+                     "bootstrap": False}
+        cfg = ExperimentConfig.from_dict(raw)
+        assert (cfg.svm.reg, cfg.svm.epochs) == (1.0, 3)
+        assert (cfg.rf.trees, cfg.rf.max_depth, cfg.rf.min_leaf,
+                cfg.rf.bootstrap) == (2, 1, 2, False)
+        for v in (cfg.svm.epochs, cfg.rf.trees, cfg.rf.min_leaf):
+            assert type(v) is int
+        assert ExperimentConfig.from_dict(make_config("x")).rf == RFHyper()
 
     def test_learner_hyperparameter_bounds_load(self):
         raw = make_config("unused")
@@ -268,6 +312,92 @@ class TestPipelineOutputs:
                 header = load_edgeset(run / "networks" / f"{fam}.tsv")
                 assert value == header.provenance["shortfall"]
         assert shortfall["KNN-INT-0.9"] > 0
+
+
+    def test_manifest_reports_family_communities(self, pipe, tmp_path):
+        communities = json.loads((pipe / "manifest.json").read_text())[
+            "communities"]
+        cfg = ExperimentConfig.from_dict(make_config(pipe))
+        assert sorted(communities) == ["KNN-INT-0.02", "TH-INT-0.02"]
+        for spec in family_specs(cfg):
+            fkey = family_key(spec)
+            g = load_edgeset(pipe / "networks" / f"{fkey}.tsv")
+            fam = prepare_family(spec, g, cfg.seed, True, True, True)
+            for task, comm in (("CC", fam.comm_cc), ("LP", fam.comm_lp)):
+                assert communities[fkey][task] == {
+                    "n_communities": comm.n_communities,
+                    "modularity": comm.modularity}
+                assert comm.n_communities > 1
+        # no community locality: no partition built, none reported
+        out = tmp_path / "flat"
+        raw = make_config(out)
+        raw["grid"].update(localities=["global:20"], tasks=["CC"])
+        run_experiment(ExperimentConfig.from_dict(raw))
+        assert json.loads((out / "manifest.json").read_text())[
+            "communities"] == {}
+
+
+# sha256 of the edge files stage_infer writes for the INFER_GRID below,
+# taken from the sort-and-reduce pass with lexsort selection
+INFER_GRID = {"models": ["KNN", "TH"], "measures": ["INT", "INT-N"],
+              "densities": [0.02, 0.1], "localities": ["global"],
+              "tasks": ["CC"], "classifiers": ["linear-svm"]}
+NETWORK_SHA256 = {
+    "KNN-INT-0.02.tsv":
+        "680c21d385d0a16d5525bcacb4b5de7f60b0549fc5943c3a3b9437a3dff548b9",
+    "KNN-INT-0.1.tsv":
+        "3dd536dc0990a7a0bd396d0d7431e0d45e0f95a010ed801665f5661c0db91553",
+    "KNN-INT-N-0.02.tsv":
+        "0b101d106b7d5216a150da1e2916f6711d6e149497343704cf49dc55cf851a5d",
+    "KNN-INT-N-0.1.tsv":
+        "55a747723316ec19d310567f960c704865029b4c11356264f83dd9e098bf76f7",
+    "TH-INT-0.02.tsv":
+        "8dde2779ab4707f1e4aaebce65a061eff6d2ae07d88e4ef58a841ef8494cc441",
+    "TH-INT-0.1.tsv":
+        "bc7780fbaa3583c18ef19627ee27f89261003799b1fa9f0c61790b9e0191234a",
+    "TH-INT-N-0.02.tsv":
+        "be2cad3c0124001492636bb51fa3417da6fc24a1ecd1df616961b9ad8a62941a",
+    "TH-INT-N-0.1.tsv":
+        "fc429fcc3b1a926cfb4dbf7cdd03b894d0771f12ca7d1588bb81df76eb4b4761",
+}
+
+
+class TestInfer:
+    def _infer(self, out, monkeypatch):
+        """Ingest and infer the 2 x 2 x 2 grid; returns the matrices
+        pairwise_intersections was called on."""
+        calls = []
+        real = similarity.pairwise_intersections
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(similarity, "pairwise_intersections", counting)
+        raw = make_config(out)
+        raw["grid"] = dict(INFER_GRID)
+        cfg = ExperimentConfig.from_dict(raw)
+        stage_ingest(cfg, out)
+        stage_infer(cfg, out)
+        return calls
+
+    def test_one_intersection_pass_for_the_grid(self, tmp_path,
+                                                 monkeypatch):
+        calls = self._infer(tmp_path / "run", monkeypatch)
+        assert len(calls) == 1 and calls[0].role == "training"
+        assert len(list((tmp_path / "run" / "networks").iterdir())) == 8
+
+    def test_network_files_are_pinned(self, tmp_path, monkeypatch):
+        # one-row blocks and 7-term chunks: the bytes do not depend on them
+        for cells, chunk in ((similarity.BLOCK_CELLS, similarity.CHUNK_LEN),
+                             (1, 7)):
+            monkeypatch.setattr(similarity, "BLOCK_CELLS", cells)
+            monkeypatch.setattr(similarity, "CHUNK_LEN", chunk)
+            out = tmp_path / f"run-{cells}"
+            self._infer(out, monkeypatch)
+            got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in (out / "networks").iterdir()}
+            assert got == NETWORK_SHA256
 
 
 class TestDeterminism:

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from netsel.data import EventLog, build_matrix
+from netsel import similarity
+from netsel.data import AttributeMatrix, EventLog, build_matrix
+from netsel.graph import EdgeSet
 from netsel.similarity import (
     MEASURES,
+    MODELS,
     NetworkModelSpec,
     SimilarityError,
     knn_graph,
@@ -315,3 +319,211 @@ def test_spec_validation():
     mat, _ = random_matrix(7, 10, 5)
     with pytest.raises(SimilarityError):
         explicit.build(mat)
+
+
+# ------------------------------------- one bounded pass against the old path
+#
+# The pass below is the sort-and-reduce accumulator and lexsort selection
+# that preceded the row-blocked pass, frozen as the byte-level reference.
+
+
+def _ref_pairwise_intersections(matrix, flush_at=4_000_000):
+    n = matrix.n_nodes
+    csc = matrix.data.tocsc()
+    keys_l, vals_l, pending = [], [], 0
+
+    def reduce():
+        keys = np.concatenate(keys_l)
+        vals = np.concatenate(vals_l)
+        uniq, inv = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inv, weights=vals, minlength=len(uniq))
+        keys_l[:] = [uniq]
+        vals_l[:] = [sums]
+        return uniq, sums
+
+    indptr, indices, values = csc.indptr, csc.indices, csc.data
+    for col in range(csc.shape[1]):
+        lo, hi = indptr[col], indptr[col + 1]
+        m = hi - lo
+        if m < 2:
+            continue
+        rows = indices[lo:hi].astype(np.int64)
+        vals = values[lo:hi]
+        iu, ju = np.triu_indices(m, 1)
+        keys_l.append(rows[iu] * n + rows[ju])
+        vals_l.append(np.minimum(vals[iu], vals[ju]))
+        pending += m * (m - 1) // 2
+        if pending >= flush_at:
+            pending = len(reduce()[0])
+    if not keys_l:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), \
+            np.empty(0)
+    keys, sums = reduce()
+    pos = sums > 0
+    keys, sums = keys[pos], sums[pos]
+    return keys // n, keys % n, sums
+
+
+def _ref_similarities(matrix, measure):
+    ii, jj, inter = _ref_pairwise_intersections(matrix)
+    if measure == "INT":
+        return ii, jj, inter
+    sums = matrix.row_sums
+    union = sums[ii] + sums[jj] - inter
+    out = np.zeros_like(inter)
+    nz = union > 0
+    out[nz] = inter[nz] / union[nz]
+    return ii, jj, out
+
+
+def _ref_knn(matrix, measure, lam):
+    n = matrix.n_nodes
+    k = lam // n
+    ii, jj, s = _ref_similarities(matrix, measure)
+    src = np.concatenate([ii, jj])
+    dst = np.concatenate([jj, ii])
+    ss = np.concatenate([s, s])
+    order = np.lexsort((dst, -ss, src))
+    src, dst, ss = src[order], dst[order], ss[order]
+    starts = np.searchsorted(src, np.arange(n + 1))
+    take, shortfall = [], 0
+    for v in range(n):
+        lo, hi = starts[v], starts[v + 1]
+        take.append(np.arange(lo, min(lo + k, hi)))
+        shortfall += max(0, k - (hi - lo))
+    sel = np.concatenate(take)
+    return EdgeSet(n_nodes=n, src=src[sel], dst=dst[sel], weights=ss[sel],
+                   directed=True,
+                   provenance={"model": "KNN", "measure": measure,
+                               "lambda": int(lam), "k": int(k),
+                               "source": matrix.role,
+                               "shortfall": int(shortfall)})
+
+
+def _ref_threshold(matrix, measure, lam):
+    ii, jj, s = _ref_similarities(matrix, measure)
+    sel = np.lexsort((jj, ii, -s))[:lam]
+    return EdgeSet(n_nodes=matrix.n_nodes, src=ii[sel], dst=jj[sel],
+                   weights=s[sel], directed=False,
+                   provenance={"model": "TH", "measure": measure,
+                               "lambda": int(lam), "source": matrix.role,
+                               "shortfall": max(0, lam - len(sel))})
+
+
+def _csr_matrix(dense):
+    return AttributeMatrix(data=sparse.csr_matrix(dense),
+                           item_ids=np.arange(dense.shape[1]),
+                           role="training")
+
+
+def _pass_case(seed):
+    """A seeded random matrix for the pass comparison: integer or
+    seven-decade float values, with empty, single-entry and full columns
+    and duplicated rows (ties at every KNN k and TH cutoff)."""
+    rng = np.random.default_rng([9, seed])
+    n = int(rng.integers(2, 41))
+    m = int(rng.integers(1, 31))
+    if seed % 2:
+        dense = rng.integers(1, 5, size=(n, m)).astype(float)
+    else:
+        dense = 10.0 ** rng.uniform(-3, 4, size=(n, m))
+    dense[rng.random((n, m)) >= rng.uniform(0.05, 0.9)] = 0.0
+    if m > 1 and seed % 3 == 0:
+        dense[:, rng.integers(m)] = 0.0  # empty column
+    if m > 2 and seed % 5 == 0:
+        col = rng.integers(m)
+        dense[:, col] = 0.0
+        dense[rng.integers(n), col] = 1.0  # single-entry column
+    if seed % 4 == 0:
+        dense[:, rng.integers(m)] = 2.0  # one column holding every node
+    if n > 3 and seed % 7 == 0:
+        dense[rng.integers(n)] = dense[rng.integers(n)]  # tied rows
+    return _csr_matrix(dense), dense
+
+
+def _same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_edges(got, want):
+    _same_arrays((got.src, got.dst, got.weights),
+                 (want.src, want.dst, want.weights))
+    assert got.directed == want.directed
+    assert got.provenance == want.provenance
+
+
+def _small_budgets(monkeypatch, seed):
+    """Budgets for the seed: defaults, multi-block, multi-chunk or both."""
+    if seed % 4 in (1, 3):
+        monkeypatch.setattr(similarity, "BLOCK_CELLS", 64)
+    if seed % 4 in (2, 3):
+        monkeypatch.setattr(similarity, "CHUNK_LEN", 5)
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_pass_matches_frozen_reference(block, monkeypatch):
+    """300 seeded matrices, 30 per block: pairs, KNN at every k up to the
+    pair count and TH at four budgets, including above the pair count,
+    byte for byte with provenance, under default and forced budgets."""
+    for seed in range(30 * block, 30 * block + 30):
+        mat, _ = _pass_case(seed)
+        with monkeypatch.context() as mp:
+            _small_budgets(mp, seed)
+            _same_arrays(similarity.pairwise_intersections(mat),
+                         _ref_pairwise_intersections(mat))
+            n = mat.n_nodes
+            n_pairs = len(_ref_similarities(mat, "INT")[0])
+            rng = np.random.default_rng([10, seed])
+            for measure in MEASURES:
+                fresh, _ = _pass_case(seed)
+                ks = sorted({1, 2, n - 1, n, n_pairs, n_pairs + 1,
+                             int(rng.integers(1, n_pairs + 2))} - {0})
+                for k in ks:
+                    lam = k * n + int(rng.integers(n))
+                    _same_edges(knn_graph(fresh, measure, lam),
+                                _ref_knn(mat, measure, lam))
+                for lam in sorted({1, max(1, n_pairs // 2),
+                                   max(1, n_pairs), n_pairs + 3}):
+                    _same_edges(threshold_graph(fresh, measure, lam),
+                                _ref_threshold(mat, measure, lam))
+
+
+def test_pass_sums_in_column_order(monkeypatch):
+    """Three terms whose float sum depends on their order: the pair's
+    value is the left-to-right sum in column order, under any budget."""
+    dense = np.array([[1e16, 1.0, 1.0], [1e16, 1.0, 1.0]])
+    mat = _csr_matrix(dense)
+    want = (1e16 + 1.0) + 1.0
+    assert want != 1e16 + (1.0 + 1.0)
+    for cells, chunk in ((2**22, 2**20), (1, 1), (64, 2)):
+        monkeypatch.setattr(similarity, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(similarity, "CHUNK_LEN", chunk)
+        ii, jj, inter = similarity.pairwise_intersections(mat)
+        assert ii.tolist() == [0] and jj.tolist() == [1]
+        assert inter.tolist() == [want]
+    mat = _csr_matrix(dense[:, ::-1].copy())
+    assert similarity.pairwise_intersections(mat)[2].tolist() == \
+        [1.0 + 1.0 + 1e16]
+
+
+def test_pairs_computed_once_per_matrix(monkeypatch):
+    calls = []
+    real = similarity.pairwise_intersections
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(similarity, "pairwise_intersections", counting)
+    mat, _ = random_matrix(11, 20, 8, density=0.5)
+    graphs = [NetworkModelSpec(model, measure, density).build(mat)
+              for model in MODELS for measure in MEASURES
+              for density in (0.1, 0.2)]
+    assert len(calls) == 1 and len(graphs) == 8
+    ii, jj, inter = pairwise_similarities(mat, "INT")
+    assert not inter.flags.writeable
+    other, _ = random_matrix(11, 20, 8, density=0.5)
+    knn_graph(other, "INT", lam=20)
+    assert len(calls) == 2

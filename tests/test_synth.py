@@ -1,5 +1,7 @@
 """Planted-structure generator: determinism, guarantees, truth graphs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,27 @@ def test_plant_guards():
     with pytest.raises(DataError):
         synth_bundle(0, 60, 400, PlantSpec(doppel_per_subgroup=1,
                                            doppel_emit=16))
+
+
+# sha256 over (dtype, bytes) of the event-log columns, taken from the
+# generator before its events were assembled in one pass at the end
+EVENT_LOG_SHA256 = {
+    "default":
+        "6539d6dadc51c9967364a6d3ae1f3a6800bec2ead2a82b708351881fa95386d2",
+    "divergent":
+        "f48fd325f0bd4b15ba74623aafd1fa7915255a3fdf6d32ba4237301f57662920",
+    "quiet":
+        "5d4b6984241cd366e62b5c4f44ae0cab0cb663ae5baea06d33affd96ec5f1021",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_LOG_SHA256))
+def test_event_log_bytes_are_pinned(name):
+    plant = getattr(PlantSpec(), name)() if name != "default" \
+        else PlantSpec()
+    log = synth_bundle(11, 600, 400, plant).log
+    h = hashlib.sha256()
+    for col in (log.nodes, log.items, log.values, log.timestamps):
+        h.update(col.dtype.str.encode())
+        h.update(col.tobytes())
+    assert h.hexdigest() == EVENT_LOG_SHA256[name]
