@@ -338,6 +338,7 @@ def evaluate_config(family: FamilyData, dataset: PartitionedDataset,
         "violations": audit.violations,
         "wall_ms": wall_ms,
         "single_class": pool.single_class,
+        "pool_hits": pool.hits,
     }
 
 
@@ -431,6 +432,8 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
         # with a constant classifier, no training set assembled
         "single_class": {p["config_key"]: p["single_class"]
                          for p in payloads},
+        # pool lookups answered from the cache, over both partitions
+        "pool_hits": {p["config_key"]: p["pool_hits"] for p in payloads},
         "skipped_lines": dataset.skipped_lines,
         # held-out LP edges left unevaluated: their owner ran out of
         # non-edge partners

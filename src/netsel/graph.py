@@ -8,6 +8,7 @@ merges antiparallel edges with the max of their weights.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -396,33 +397,43 @@ def save_edgeset(g: EdgeSet, path: str | Path) -> None:
     """TSV rows (u, v, weight) under a JSON provenance header line."""
     header = dict(g.provenance)
     header.update(n_nodes=g.n_nodes, directed=g.directed, n_edges=g.n_edges)
-    lines = ["# " + json.dumps(header, sort_keys=True)]
-    for u, v, w in zip(g.src, g.dst, g.weights):
-        lines.append(f"{u}\t{v}\t{w:.10g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = "".join(map("{}\t{}\t{:.10g}\n".format, g.src.tolist(),
+                       g.dst.tolist(), g.weights.tolist()))
+    Path(path).write_text("# " + json.dumps(header, sort_keys=True) + "\n"
+                          + rows)
+
+
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
 def load_edgeset(path: str | Path) -> EdgeSet:
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("# "):
+    """Read a file ``save_edgeset`` wrote. A row that is not three
+    tab-separated fields, or a row count other than the header's
+    ``n_edges``, is an error naming the file."""
+    with open(path) as fh:
+        head = fh.readline()
+        body = fh.read()
+    if not head.startswith("# "):
         raise GraphError(f"{path}: missing provenance header")
-    header = json.loads(text[0][2:])
-    us, vs, ws = [], [], []
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        u, v, w = line.split("\t")
-        us.append(int(u))
-        vs.append(int(v))
-        ws.append(float(w))
+    header = json.loads(head[2:])
+    rows = np.empty(0, dtype=_EDGE_ROW)
+    if body.strip():  # loadtxt warns on input without rows
+        try:
+            rows = np.loadtxt(io.StringIO(body), dtype=_EDGE_ROW,
+                              delimiter="\t", ndmin=1)
+        except ValueError as exc:
+            raise GraphError(f"{path}: {exc}") from None
     n_nodes = int(header.pop("n_nodes"))
     directed = bool(header.pop("directed"))
-    header.pop("n_edges", None)
+    n_edges = header.pop("n_edges", None)
+    if n_edges is not None and n_edges != len(rows):
+        raise GraphError(f"{path}: header says {n_edges} edges, "
+                         f"found {len(rows)} rows")
     return EdgeSet(
         n_nodes=n_nodes,
-        src=np.array(us, dtype=np.int64),
-        dst=np.array(vs, dtype=np.int64),
-        weights=np.array(ws, dtype=np.float64),
+        src=rows["u"].copy(),
+        dst=rows["v"].copy(),
+        weights=rows["w"].copy(),
         directed=directed,
         provenance=header,
     )

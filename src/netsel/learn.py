@@ -10,6 +10,7 @@ them in; all stochasticity comes from the seed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -258,14 +259,36 @@ class CoinClassifier:
 
 
 class LinearSVM:
-    """Primal hinge-loss linear SVM with per-instance L2 normalization."""
+    """Primal hinge-loss linear SVM with per-instance L2 normalization.
+
+    ``train_svm`` returns a model whose scale is pending: it holds the
+    final SGD iterate and that iterate's signed training ``margins``, and
+    ``settle_svms`` scales it. Reading ``w`` or ``b``, or predicting,
+    settles a pending model by itself first.
+    """
 
     kind = "linear-svm"
 
-    def __init__(self, w: np.ndarray, b: float, dictionary: np.ndarray) -> None:
-        self.w = w
-        self.b = b
+    def __init__(self, w: np.ndarray, b: float, dictionary: np.ndarray,
+                 margins: np.ndarray | None = None,
+                 reg: float | None = None) -> None:
+        self._w = w
+        self._b = b
         self.dictionary = dictionary
+        self.margins = margins
+        self.reg = reg
+
+    @property
+    def w(self) -> np.ndarray:
+        if self.margins is not None:
+            settle_svms([self])
+        return self._w
+
+    @property
+    def b(self) -> float:
+        if self.margins is not None:
+            settle_svms([self])
+        return self._b
 
     def decision(self, cols, vals) -> float:
         loc, v = _project(self.dictionary, np.asarray(cols), vals)
@@ -296,21 +319,26 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
 
     Predictions are invariant under positive scaling of (w, b) but the
     objective is not, and short runs end with the right direction at the
-    wrong norm. The returned model is the final iterate at the objective-
-    minimizing scale; scale 0 is the zero solution, so the objective never
-    exceeds its value at the zero vector.
+    wrong norm. The model is returned with its scale pending: ``settle_svms``
+    moves it to the objective-minimizing scale of the final iterate, for
+    many models in one search, and a pending model settles by itself when
+    first read (``w``, ``b``, ``decision``, ``predict``). Scale 0 is the
+    zero solution, so the objective never exceeds its value at the zero
+    vector.
 
-    Summation order is part of the contract. The trained (w, b) are
+    Summation order is part of the contract. The settled (w, b) are
     bit-identical to the plain scipy formulation (normalize with
     ``(sparse.diags(1 / norms) @ X).tocsr()``, take means with
     ``ndarray.mean``; tests/test_learn.py keeps it as the reference), so
     pinned outputs never move. That product stores each row's entries in
     reverse column order, so ``_unit_rows`` does too and every per-row dot
-    product (the SGD margins and the final ``X @ w``) sums in that order;
-    each hinge mean in ``_best_scale`` is ``np.add.reduce`` over one
-    contiguous row, divided by n, which is how ``ndarray.mean`` computes
-    it. Floating-point addition is not associative: another order moves
-    the last bits of (w, b) and, on degenerate sets, a few predictions.
+    product (the SGD margins and the final ``X @ w``) sums in that order.
+    Each hinge mean of the scale search is ``np.add.reduce`` over one
+    contiguous row of a ``(2, G, n)`` buffer, whose 2G rows are both
+    probes of the G pending models with n training rows, divided by n,
+    which is how ``ndarray.mean`` computes it. Floating-point addition is not
+    associative: another order moves the last bits of (w, b) and, on
+    degenerate sets, a few predictions.
     """
     classes = ts.classes()
     if len(classes) == 1:
@@ -339,8 +367,7 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
                 b += eta * yi
     margins = y * (np.bincount(row, weights=vals * w[cols], minlength=ts.n)
                    + b)
-    c = _best_scale(w, margins, reg)
-    return LinearSVM(c * w, c * b, ts.dictionary)
+    return LinearSVM(w, b, ts.dictionary, margins, reg)
 
 
 def _unit_rows(X: sparse.csr_matrix):
@@ -379,40 +406,92 @@ def _unit_rows(X: sparse.csr_matrix):
     return row, cols, vals, rows
 
 
-def _best_scale(w: np.ndarray, margins: np.ndarray, reg: float) -> float:
-    """Objective-minimizing scale of (w, b) given the signed margins
-    y * (X @ w + b); 0 when nothing beats the zero solution. The objective
-    is convex in the scale (quadratic plus hinge terms), so a ternary
-    search finds the optimum. Both probes of a step share one pass over a
-    (2, n) buffer."""
-    n = len(margins)
-    quad = 0.5 * reg * float(w @ w)
-    probe = np.empty((2, 1))
-    buf = np.empty((2, n))
+_SCALE_STEPS = 100
 
-    def obj(c1: float, c2: float) -> tuple[float, float]:
-        probe[0, 0] = c1
-        probe[1, 0] = c2
-        np.multiply(probe, margins, out=buf)
-        np.subtract(1.0, buf, out=buf)
-        np.maximum(0.0, buf, out=buf)
-        s1, s2 = np.add.reduce(buf, axis=1).tolist()
-        return quad * c1 * c1 + s1 / n, quad * c2 * c2 + s2 / n
 
-    pos = margins[margins > 0]
-    hi = float(max(1.0, (1.0 / pos).max())) if len(pos) else 1.0
-    lo = 0.0
-    for _ in range(100):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        o1, o2 = obj(m1, m2)
-        if o1 <= o2:
-            hi = m2
-        else:
-            lo = m1
-    best = (lo + hi) / 2.0
-    o_best, o_zero = obj(best, 0.0)
-    return best if o_best < o_zero else 0.0
+def settle_svms(models) -> None:
+    """Scale every pending LinearSVM among ``models`` to its objective-
+    minimizing scale; other classifiers and settled models are skipped,
+    and a model listed twice is settled once.
+
+    A model's objective is convex in the scale (quadratic plus hinge
+    terms), so a ternary search over ``[0, hi]`` finds the optimum, with
+    ``hi = max(1, 1 / m)`` over the positive margins m; the scale stays 0
+    when nothing beats the zero solution. The searches of all the models
+    run in lock step: each step's bookkeeping (probes, objectives, the
+    ``o1 <= o2`` test, the lo/hi update) is one elementwise pass over
+    every model, in the float operations a single search makes. Hinge
+    sums never mix row counts: models with n training rows share a
+    ``(2, G, n)`` buffer whose rows are both probes of each of the G
+    models, each summed with ``np.add.reduce`` over its own contiguous
+    row. Padding rows to a common n or summing with ``np.add.reduceat``
+    would move the last bits.
+    """
+    todo = list({id(m): m for m in models
+                 if isinstance(m, LinearSVM) and m.margins is not None
+                 }.values())
+    if not todo:
+        return
+    todo.sort(key=lambda m: len(m.margins))
+    g = len(todo)
+    lh = np.zeros((2, g))  # lo over hi
+    quad = np.empty((2, g))
+    n_rows = np.empty((2, g))
+    probe = np.empty((2, g))
+    step = np.empty((2, g))
+    sums = np.empty((2, g))
+    objective = np.empty((2, g))
+    take = np.empty((2, g), dtype=bool)
+    blocks = []  # per row count n: margins, buffer, probes, sums
+    start = 0
+    for n, group in itertools.groupby(todo, key=lambda m: len(m.margins)):
+        margins = np.stack([m.margins for m in group])
+        stop = start + len(margins)
+        inv = np.zeros_like(margins)
+        np.divide(1.0, margins, out=inv, where=margins > 0)
+        lh[1, start:stop] = np.maximum(1.0, inv.max(axis=1))
+        n_rows[:, start:stop] = n
+        blocks.append((margins, np.empty((2, stop - start, n)),
+                       probe[:, start:stop, None], sums[:, start:stop]))
+        start = stop
+    quad[:] = [0.5 * m.reg * float(m._w @ m._w) for m in todo]
+    lo, hi, o1, o2 = lh[0], lh[1], objective[0], objective[1]
+    best, zero, take_lo, take_hi = probe[0], probe[1], take[0], take[1]
+    swapped = lh[::-1]
+
+    # out= goes positionally where numpy allows: a keyword costs more
+    # than the arithmetic on these few-element arrays
+    def evaluate() -> None:
+        """objective = quad * c * c + mean hinge, at every probe c."""
+        for margins, buf, c, s in blocks:
+            np.multiply(c, margins, buf)
+            np.subtract(1.0, buf, buf)
+            np.maximum(0.0, buf, out=buf)
+            np.add.reduce(buf, 2, None, s)
+        np.multiply(quad, probe, objective)
+        np.multiply(objective, probe, objective)
+        np.divide(sums, n_rows, sums)
+        np.add(objective, sums, objective)
+
+    for _ in range(_SCALE_STEPS):
+        # d = (hi - lo) / 3 over -d, exactly: negation commutes with
+        # rounding, and hi + (-d) is hi - d
+        np.subtract(swapped, lh, step)
+        np.divide(step, 3.0, step)
+        np.add(lh, step, probe)  # m1 = lo + d over m2 = hi - d
+        evaluate()
+        np.less_equal(o1, o2, take_hi)  # o1 <= o2: hi = m2
+        np.logical_not(take_hi, take_lo)  # otherwise lo = m1
+        np.copyto(lh, probe, where=take)
+    np.add(lo, hi, best)
+    np.divide(best, 2.0, best)  # (lo + hi) / 2
+    zero[:] = 0.0
+    evaluate()
+    scales = np.where(o1 < o2, best, 0.0).tolist()
+    for m, c in zip(todo, scales):
+        m._w = c * m._w
+        m._b = c * m._b
+        m.margins = m.reg = None
 
 
 class _Tree:

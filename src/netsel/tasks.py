@@ -29,8 +29,8 @@ from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
                     bfs_neighborhood, egonet, incident_nonedges,
                     induced_pairs)
 from .learn import (CoinClassifier, ConstantClassifier, RFHyper, SVMHyper,
-                    TrainingSet, pair_features, single_class_label,
-                    train_classifier)
+                    TrainingSet, pair_features, settle_svms,
+                    single_class_label, train_classifier)
 from .similarity import NetworkModelSpec, RowBlock
 
 TASKS = ("CC", "LP")
@@ -184,23 +184,34 @@ class ClassifierPool:
 
     The training seed is derived from the material digest, so identical
     training sets reached through different test instances (or partitions)
-    produce the same classifier. ``trained`` counts builds, and
-    ``single_class`` the CC builds answered without training because the
-    material carries one label.
+    produce the same classifier. ``trained`` counts builds, ``hits`` the
+    lookups answered from the cache, and ``single_class`` the CC builds
+    answered without training because the material carries one label.
+    SVMs come out of training with their scale pending; ``settle`` scales
+    every one built since its last call in one search.
     """
 
     def __init__(self, config: ModelConfig) -> None:
         self.config = config
         self.cache: dict = {}
         self.trained = 0
+        self.hits = 0
         self.single_class = 0
+        self.unsettled: list = []
 
     def get(self, material: str, builder):
-        if material not in self.cache:
+        if material in self.cache:
+            self.hits += 1
+        else:
             seed = derive_seed(self.config.seed, "clf", material)
             self.cache[material] = builder(seed)
+            self.unsettled.append(self.cache[material])
             self.trained += 1
         return self.cache[material]
+
+    def settle(self) -> None:
+        settle_svms(self.unsettled)
+        self.unsettled.clear()
 
 
 def _group_by(keys: np.ndarray):
@@ -396,40 +407,48 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
             global_nodes = global_training_nodes(config, g.n_nodes)
         else:
             block = RowBlock(member_ids, train_m)
-    # a test node's vector, hence its member ranking, is the same for
-    # every labelset
-    tops: dict[int, np.ndarray] = {}
-
+    voting = kind == "ensemble" and not ensemble_fallback
+    # every record's classifier first (a vote needs none), then the SVMs
+    # this call built settle in one search, then every record predicts
     nodes_out: list[int] = []
     targets: list[str] = []
-    preds: list[int] = []
-    fbs: list[bool] = []
+    clfs: list = []
     for name in sorted(eval_l.names):
         y_tr = train_l.array(name)
-        for i in eval_l.positives(name):
-            i = int(i)
-            cols, vals = eval_m.row(i)
-            if kind == "ensemble" and not ensemble_fallback:
-                if i not in tops:
-                    tops[i] = block.nearest(cols, vals, config.vote_measure,
-                                            spec.ensemble_knn)
-                pred = ensemble_vote(members_by_label[name], cols, vals,
-                                     config.vote_measure, spec.ensemble_knn,
-                                     train_m, tops[i])
-                fb = False
-            else:
+        for i in eval_l.positives(name).tolist():
+            clf = None
+            if not voting:
                 if kind == "ensemble":
                     tn = global_nodes
                 else:
                     tn = resolve_neighborhood(g, spec, i, comm, global_nodes)
                 clf = _cc_classifier(config, pool, audit, train_m, name,
                                      y_tr, tn)
-                fb = clf is None
-                pred = 0 if fb else int(clf.predict(cols, vals))
             nodes_out.append(i)
             targets.append(name)
-            preds.append(pred)
-            fbs.append(fb)
+            clfs.append(clf)
+    pool.settle()
+
+    # a test node's vector, hence its member ranking, is the same for
+    # every labelset
+    tops: dict[int, np.ndarray] = {}
+    preds: list[int] = []
+    fbs: list[bool] = []
+    for i, name, clf in zip(nodes_out, targets, clfs):
+        cols, vals = eval_m.row(i)
+        if voting:
+            if i not in tops:
+                tops[i] = block.nearest(cols, vals, config.vote_measure,
+                                        spec.ensemble_knn)
+            pred = ensemble_vote(members_by_label[name], cols, vals,
+                                 config.vote_measure, spec.ensemble_knn,
+                                 train_m, tops[i])
+            fb = False
+        else:
+            fb = clf is None
+            pred = 0 if fb else int(clf.predict(cols, vals))
+        preds.append(pred)
+        fbs.append(fb)
     m = len(preds)
     return PredictionBatch(
         config_key=config.config_key,
@@ -691,11 +710,9 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
         return _lp_classifier_for_pairs(config, pool, audit, matrix,
                                         edges, nonedges, excl_keys, n)
 
-    nodes_out: list[int] = []
-    targets: list[str] = []
-    preds: list[int] = []
-    actuals: list[int] = []
-    fbs: list[bool] = []
+    # every owner's classifier first, then the SVMs this call built
+    # settle in one search, then every pair predicts
+    owners = []
     # an owner's positions ascend: its positives, then its negatives
     for i, at in _group_by(np.concatenate([plan.pos_owner,
                                            plan.neg_owner])):
@@ -709,6 +726,15 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
             clf = community_clf[label]
         else:
             clf = local_classifier(i)
+        owners.append((i, at, clf))
+    pool.settle()
+
+    nodes_out: list[int] = []
+    targets: list[str] = []
+    preds: list[int] = []
+    actuals: list[int] = []
+    fbs: list[bool] = []
+    for i, at, clf in owners:
         fb = clf is None
         for j in at.tolist():
             a, b = pairs[j]

@@ -296,6 +296,13 @@ class TestPipelineOutputs:
                 assert count == 0  # LP material always holds both classes
         assert sum(single.values()) > 0
 
+    def test_manifest_counts_pool_hits(self, pipe):
+        manifest = json.loads((pipe / "manifest.json").read_text())
+        hits = manifest["pool_hits"]
+        assert hits.keys() == manifest["classifiers_trained"].keys()
+        assert all(isinstance(h, int) and h >= 0 for h in hits.values())
+        assert sum(hits.values()) > 0
+
     def test_manifest_surfaces_edge_file_shortfall(self, pipe, tmp_path):
         # at density 0.9 some nodes have fewer KNN peers than k
         out = tmp_path / "dense"

@@ -1,5 +1,7 @@
 """Edge-set container, neighborhood extraction, sampling, persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,69 @@ def test_load_edgeset_requires_header(tmp_path):
     (tmp_path / "bad.tsv").write_text("0\t1\t1.0\n")
     with pytest.raises(GraphError):
         load_edgeset(tmp_path / "bad.tsv")
+
+
+def _pinned_edgesets():
+    k = np.arange(60)
+    return {
+        "weighted": EdgeSet(n_nodes=200, src=k, dst=k + 61 + k % 5,
+                            weights=(k + 1) / 7.0 * 10.0 ** (k % 9 - 4),
+                            directed=False,
+                            provenance={"model": "KNN", "measure": "INT-N",
+                                        "shortfall": 2}),
+        "empty": EdgeSet(n_nodes=3, src=np.empty(0, np.int64),
+                         dst=np.empty(0, np.int64), weights=np.empty(0),
+                         directed=True, provenance={}),
+        "unit": EdgeSet(n_nodes=1000, src=k * 16, dst=k * 16 + 1,
+                        weights=np.ones(60), directed=True,
+                        provenance={"model": "EXPLICIT", "source": "e.tsv"}),
+    }
+
+
+# sha256 of the files the line-by-line writer produced for these edge sets
+_PINNED_EDGE_FILES = {
+    "weighted":
+        "becbfb2d6fdcf09997fcceaba825d7ed41a6757c28a4dc13e8b49856400eb1d2",
+    "empty":
+        "0f60e6d96b95fae92ac3cdc2c3b8ed219d9352c0548dde0b6c559d6f05dffc27",
+    "unit":
+        "becc245b0a569f06206b12410d54c93d27c364d8a8f6926c0c023934ec893fa8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_EDGE_FILES))
+def test_save_edgeset_bytes_are_pinned(tmp_path, name):
+    g = _pinned_edgesets()[name]
+    save_edgeset(g, tmp_path / "g.tsv")
+    data = (tmp_path / "g.tsv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _PINNED_EDGE_FILES[name]
+    back = load_edgeset(tmp_path / "g.tsv")
+    assert back.src.tobytes() == g.src.tobytes()
+    assert back.dst.tobytes() == g.dst.tobytes()
+    # weights are written to 10 significant digits
+    assert back.weights.tobytes() == np.array(
+        [float(f"{w:.10g}") for w in g.weights.tolist()]).tobytes()
+    assert back.directed == g.directed and back.n_nodes == g.n_nodes
+    assert back.provenance == g.provenance
+
+
+def test_load_edgeset_rejects_a_truncated_file(tmp_path):
+    path = tmp_path / "g.tsv"
+    save_edgeset(_pinned_edgesets()["unit"], path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-3]))
+    with pytest.raises(GraphError, match="g.tsv.*60 edges, found 57"):
+        load_edgeset(path)
+
+
+@pytest.mark.parametrize("row", ["3\t4\n", "3\t4\t1\t9\n", "3 4 1\n"])
+def test_load_edgeset_rejects_a_row_without_three_fields(tmp_path, row):
+    path = tmp_path / "g.tsv"
+    save_edgeset(mk(6, [(0, 1), (2, 0)]), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + [row] + lines[2:]))
+    with pytest.raises(GraphError, match="g.tsv"):
+        load_edgeset(path)
 
 
 def test_load_explicit_edges(tmp_path):

@@ -16,6 +16,7 @@ from netsel.learn import (
     _best_split,
     edge_features,
     pair_features,
+    settle_svms,
     single_class_label,
     svm_objective,
     train_classifier,
@@ -439,6 +440,109 @@ def test_svm_matches_reference_at_scale_zero():
     want = _reference_train_svm(ts, SVMHyper(), seed=4)
     assert not want.w.any() and want.b == 0.0
     _same_model(train_svm(ts, SVMHyper(), seed=4), want)
+
+
+def _frozen_best_scale(w, margins, reg):
+    """The scale search as it ran once per model, before settle_svms ran
+    them in lock step; kept verbatim as the bit-level reference."""
+    n = len(margins)
+    quad = 0.5 * reg * float(w @ w)
+    probe = np.empty((2, 1))
+    buf = np.empty((2, n))
+
+    def obj(c1, c2):
+        probe[0, 0] = c1
+        probe[1, 0] = c2
+        np.multiply(probe, margins, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        np.maximum(0.0, buf, out=buf)
+        s1, s2 = np.add.reduce(buf, axis=1).tolist()
+        return quad * c1 * c1 + s1 / n, quad * c2 * c2 + s2 / n
+
+    pos = margins[margins > 0]
+    hi = float(max(1.0, (1.0 / pos).max())) if len(pos) else 1.0
+    lo = 0.0
+    for _ in range(100):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        o1, o2 = obj(m1, m2)
+        if o1 <= o2:
+            hi = m2
+        else:
+            lo = m1
+    best = (lo + hi) / 2.0
+    o_best, o_zero = obj(best, 0.0)
+    return best if o_best < o_zero else 0.0
+
+
+def _random_pending(rng):
+    """A pending model over 1 to 60 rows: margins of mixed magnitude, some
+    with no positive entry, some mirrored (+m, -m) so that no scale beats
+    zero, some from w = 0."""
+    n = int(rng.integers(1, 61))
+    d = int(rng.integers(0, 8))
+    w = rng.normal(size=d) * 10.0 ** int(rng.integers(-3, 3))
+    b = float(rng.normal())
+    margins = rng.normal(size=n) * 10.0 ** int(rng.integers(-4, 3))
+    kind = rng.random()
+    if kind < 0.1:
+        margins = -np.abs(margins)
+    elif kind < 0.2 and n > 1:
+        margins[n // 2:2 * (n // 2)] = -margins[:n // 2]
+    elif kind < 0.3:
+        w[:] = 0.0
+        margins = np.full(n, b) * rng.choice([-1.0, 1.0], size=n)
+    reg = float(rng.choice([1e-4, 1e-2, 0.5]))
+    return w, b, margins, reg
+
+
+def test_settle_svms_matches_the_frozen_search():
+    rng = np.random.default_rng(2024)
+    seen = {"zero": 0, "scaled": 0, "shared_n": 0}
+    for _ in range(500):
+        drawn = [_random_pending(rng) for _ in range(int(rng.integers(1, 9)))]
+        models = [LinearSVM(w, b, np.arange(len(w)), m, reg)
+                  for w, b, m, reg in drawn]
+        twin = int(rng.integers(len(drawn)))  # equal content, own object
+        w, b, m, reg = drawn[twin]
+        models.append(LinearSVM(w.copy(), b, np.arange(len(w)), m.copy(),
+                                reg))
+        drawn.append(drawn[twin])
+        ns = [len(m) for _, _, m, _ in drawn]
+        seen["shared_n"] += len(ns) - len(set(ns))
+        settle_svms(models + models[:2])  # listed twice: settled once
+        for model, (w, b, m, reg) in zip(models, drawn):
+            assert model.margins is None
+            c = _frozen_best_scale(w, m, reg)
+            seen["zero" if c == 0.0 else "scaled"] += 1
+            assert model.w.tobytes() == (c * w).tobytes()
+            assert np.float64(model.b).tobytes() == \
+                np.float64(c * b).tobytes()
+    assert min(seen.values()) > 100
+
+
+def test_settle_svms_skips_other_and_settled_models():
+    settled = LinearSVM(np.ones(2), 0.5, COLS2)
+    const = ConstantClassifier(1)
+    settle_svms([settled, const, None])
+    assert settled.w.tolist() == [1.0, 1.0] and settled.b == 0.5
+
+
+def test_model_read_before_settling_equals_one_settled_in_a_batch():
+    rng = np.random.default_rng(5)
+    sets = [ts_from(*_random_svm_set(rng, "sum")) for _ in range(6)]
+    sets = [ts for ts in sets if len(ts.classes()) == 2]
+    batch = [train_svm(ts, SVMHyper(), seed=k) for k, ts in enumerate(sets)]
+    alone = train_svm(sets[0], SVMHyper(), seed=0)
+    assert alone.margins is not None
+    alone_pred = alone.predict(np.array([0, 1]), np.array([1.0, 2.0]))
+    assert alone.margins is None  # predicting settled it, by itself
+    settle_svms(batch)
+    _same_model(alone, batch[0])
+    assert batch[0].predict(np.array([0, 1]), np.array([1.0, 2.0])) == \
+        alone_pred
+    for k, ts in enumerate(sets):
+        _same_model(batch[k], _reference_train_svm(ts, SVMHyper(), seed=k))
 
 
 # ------------------------------------------------------------ random forest

@@ -12,8 +12,9 @@ from netsel.data import (AttributeMatrix, EventLog, LabelRule,
 from netsel.experiment import _write_batches, family_key, prepare_family
 from netsel.graph import (EdgeSet, NeighborhoodSpec, egonet,
                           incident_nonedges, union_pair_keys)
-from netsel.learn import (ConstantClassifier, LearnError, RFHyper,
-                          TrainingSet, edge_features, train_classifier)
+from netsel.learn import (ConstantClassifier, LearnError, LinearSVM,
+                          RFHyper, TrainingSet, edge_features,
+                          train_classifier)
 from netsel.similarity import (NetworkModelSpec, RowBlock, SimilarityError,
                                sim)
 from netsel.synth import PlantSpec, synth_bundle
@@ -203,6 +204,7 @@ def test_pool_is_content_addressed():
     c = pool.get("mat-2", builder)
     assert a is b and a is not c
     assert pool.trained == 2
+    assert pool.hits == 1
     assert calls[0] == derive_seed(cfg("global").seed, "clf", "mat-1")
 
 
@@ -605,6 +607,48 @@ def test_cc_community_locality_self_excluded():
     assert batch.precision > 0
 
 
+def _settle_recorder(monkeypatch):
+    """Replace the runners' settle_svms with one that records, per call,
+    the ids of the pending SVMs it was given."""
+    calls = []
+    real = tasks.settle_svms
+
+    def record(models):
+        models = list(models)
+        calls.append([id(m) for m in models
+                      if isinstance(m, LinearSVM) and m.margins is not None])
+        real(models)
+
+    monkeypatch.setattr(tasks, "settle_svms", record)
+    return calls
+
+
+def _assert_settled_once(calls, n_runs, pool):
+    built = [id(m) for m in pool.cache.values() if isinstance(m, LinearSVM)]
+    settled = [k for call in calls for k in call]
+    assert len(calls) == n_runs  # one settle per runner call
+    assert built and sorted(settled) == sorted(built)
+    assert all(m.margins is None for m in pool.cache.values()
+               if isinstance(m, LinearSVM))
+
+
+@pytest.mark.parametrize("locality", ["local-adjacency", "global",
+                                      "ensemble:degree", "community"])
+def test_run_cc_settles_each_built_svm_once(homophily, monkeypatch,
+                                            locality):
+    _, ds = homophily
+    # random edges: neighborhoods mix both labels, so SVMs get trained
+    ends = np.random.default_rng(0).integers(0, 120, size=(700, 2))
+    g = mk(120, {(min(a, b), max(a, b)) for a, b in ends.tolist() if a != b})
+    config = cfg(locality, seed=2)
+    pool = ClassifierPool(config)
+    calls = _settle_recorder(monkeypatch)
+    for role in ("validation", "testing"):
+        run_cc(config, g, ds, role, pool=pool)
+    _assert_settled_once(calls, 2, pool)
+    assert pool.hits > 0
+
+
 # ------------------------------------------------------------ link prediction
 
 
@@ -919,6 +963,23 @@ def test_lp_batched_pair_features_match_per_pair_loop(
         for name in ("batches.tsv", "batches_meta.json"):
             assert (dirs[0] / name).read_bytes() == \
                 (dirs[1] / name).read_bytes(), (loc, name)
+
+
+@pytest.mark.parametrize("locality", ["local-adjacency", "global",
+                                      "ensemble:degree", "community"])
+def test_run_lp_settles_each_built_svm_once(homophily, monkeypatch,
+                                            locality):
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
+    fam = prepare_family(spec, spec.build(ds.matrix("training")), 5,
+                         False, True, True)
+    config = cfg(NeighborhoodSpec.parse(locality), task="LP", network=spec)
+    pool = ClassifierPool(config)
+    calls = _settle_recorder(monkeypatch)
+    for plan in fam.lp_plans.values():
+        run_lp(config, fam.lp_train, plan, ds.matrix("training"),
+               excl_keys=fam.excl_keys, comm=fam.comm_lp, pool=pool)
+    _assert_settled_once(calls, 2, pool)
 
 
 def test_lp_training_edges_may_not_touch_eval_pairs():
