@@ -440,6 +440,11 @@ def save_dataset(ds: PartitionedDataset, out_dir: str | Path) -> None:
 
 
 def load_dataset(in_dir: str | Path) -> PartitionedDataset:
+    """Read what ``save_dataset`` wrote. Every matrix must be well-formed
+    CSR with canonical rows (columns ascending and distinct) and finite,
+    non-negative values, and every label array one entry per node, as
+    ``build_dataset`` makes them; anything else is a DataError naming the
+    partition role and the fault."""
     inp = Path(in_dir)
     with open(inp / "dataset.json") as fh:
         meta = json.load(fh)
@@ -450,18 +455,32 @@ def load_dataset(in_dir: str | Path) -> PartitionedDataset:
     matrices = {}
     labels = {}
     for role in PARTITION_ROLES:
-        mat = sparse.csr_matrix(
-            (blob[f"{role}_data"], blob[f"{role}_indices"],
-             blob[f"{role}_indptr"]),
-            shape=(n_nodes, len(item_ids)),
-        )
+        try:
+            mat = sparse.csr_matrix(
+                (blob[f"{role}_data"], blob[f"{role}_indices"],
+                 blob[f"{role}_indptr"]),
+                shape=(n_nodes, len(item_ids)),
+            )
+            mat.check_format(full_check=True)
+        except ValueError as exc:
+            raise DataError(f"{role} matrix: {exc}") from None
+        if not mat.has_canonical_format:
+            raise DataError(f"{role} matrix: a row holds a column twice "
+                            f"or out of order")
+        if not np.isfinite(mat.data).all():
+            raise DataError(f"{role} matrix: non-finite value")
+        if (mat.data < 0).any():
+            raise DataError(f"{role} matrix: negative value")
         matrices[role] = AttributeMatrix(
             mat, item_ids, role, meta["aggregation"])
+        arrays = {name: blob[f"{role}_label_{name}"]
+                  for name in meta["label_names"]}
+        for name, arr in arrays.items():
+            if len(arr) != n_nodes:
+                raise DataError(f"{role} label {name!r}: {len(arr)} "
+                                f"entries for {n_nodes} nodes")
         labels[role] = LabelSetCollection(
-            {name: blob[f"{role}_label_{name}"].astype(bool)
-             for name in meta["label_names"]},
-            role,
-        )
+            {name: arr.astype(bool) for name, arr in arrays.items()}, role)
     return PartitionedDataset(
         boundaries=tuple(meta["boundaries"]),
         matrices=matrices,

@@ -30,7 +30,7 @@ from .data import (PartitionedDataset, build_dataset, ingest_events,
                    save_label_rules)
 from .graph import (EdgeSet, NeighborhoodSpec, load_edgeset,
                     load_explicit_edges, save_edgeset, split_edges_random)
-from .learn import RFHyper, SVMHyper
+from .learn import RFHyper, SVMHyper, _integer
 from .selection import (EvaluationRecord, SelectionError, cross_task,
                         match_mismatch, node_difficulty,
                         records_from_batches, selection_stats)
@@ -78,17 +78,24 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        """Parse a config; an unknown key, say a misspelled grid axis,
-        raises ExperimentError naming its path instead of leaving the
-        default in place."""
+        """Parse a config; an unknown key, say a misspelled grid axis, or
+        a scalar of the wrong type raises ExperimentError naming its path
+        instead of leaving the default in place or coercing the value."""
         _reject_unknown(raw, CONFIG_KEYS, "")
         grid = raw.get("grid", {})
         _reject_unknown(grid, GRID_KEYS, "grid.")
         for name, hyper in (("svm", SVMHyper), ("rf", RFHyper)):
             _reject_unknown(raw.get(name) or {},
                             [f.name for f in fields(hyper)], f"{name}.")
+        workers = _integer(raw.get("workers", 1), "workers", ExperimentError)
+        if workers < 1:
+            raise ExperimentError(f"workers must be >= 1, got {workers!r}")
+        dataset = raw.get("dataset", {})
+        if not isinstance(dataset.get("strict", False), bool):
+            raise ExperimentError(f"dataset.strict must be true or false, "
+                                  f"got {dataset['strict']!r}")
         return ExperimentConfig(
-            dataset=raw.get("dataset", {}),
+            dataset=dataset,
             models=list(grid.get("models", ["KNN", "TH"])),
             measures=list(grid.get("measures", ["INT", "INT-N"])),
             densities=[float(d) for d in grid.get("densities",
@@ -98,8 +105,8 @@ class ExperimentConfig:
                                      ["local-adjacency", "global"])),
             tasks=list(grid.get("tasks", ["CC", "LP"])),
             classifiers=list(grid.get("classifiers", ["linear-svm"])),
-            seed=int(raw.get("seed", 0)),
-            workers=int(raw.get("workers", 1)),
+            seed=_integer(raw.get("seed", 0), "seed", ExperimentError),
+            workers=workers,
             out=str(raw.get("out", "out")),
             svm=SVMHyper.from_dict(raw.get("svm")),
             rf=RFHyper.from_dict(raw.get("rf")),
@@ -153,7 +160,7 @@ def stage_ingest(cfg: ExperimentConfig, out_dir: Path) -> Path:
     rules_path = dcfg.get("rules")
     if not rules_path:
         raise ExperimentError("event datasets need a 'rules' file")
-    log = ingest_events(events, strict=bool(dcfg.get("strict", False)))
+    log = ingest_events(events, strict=dcfg.get("strict", False))
     rules = load_label_rules(rules_path)
     bounds = dcfg.get("boundaries")
     dataset = build_dataset(

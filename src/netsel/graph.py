@@ -145,19 +145,6 @@ class EdgeSet:
         return pos < len(keys) and keys[pos] == k
 
 
-def union_pair_keys(graphs) -> tuple[int, np.ndarray]:
-    """Sorted union of undirected pair keys over several edge-sets."""
-    graphs = list(graphs)
-    if not graphs:
-        raise GraphError("no graphs given")
-    n = graphs[0].n_nodes
-    for g in graphs:
-        if g.n_nodes != n:
-            raise GraphError("mismatched node universes")
-    keys = np.unique(np.concatenate([g.pair_keys() for g in graphs]))
-    return n, keys
-
-
 def bfs_neighborhood(g: EdgeSet, i: int, k: int = 200) -> np.ndarray:
     """First k nodes reached from i, excluding i.
 
@@ -262,14 +249,6 @@ def split_edges_random(g: EdgeSet, fractions, seed: int) -> list[EdgeSet]:
                             split_fractions=fractions),
         ))
     return parts
-
-
-def sample_nonedges(graphs, count: int, seed: int) -> np.ndarray:
-    """Uniform sample of ``count`` distinct node pairs absent from every
-    given edge-set (``absent_pairs`` over their union)."""
-    if isinstance(graphs, EdgeSet):
-        graphs = [graphs]
-    return absent_pairs(*union_pair_keys(graphs), count, seed)
 
 
 def absent_pairs(n: int, keys: np.ndarray, count: int,

@@ -2,9 +2,12 @@
 
 Both learners consume sparse instances over a per-training-set dictionary
 (the union of item columns seen in the training instances; unseen columns
-at prediction time are dropped). Instances are canonically ordered at
-assembly so that training is invariant to the order the caller collected
-them in; all stochasticity comes from the seed.
+at prediction time are dropped). Instances are ordered by id at assembly
+so that training is invariant to the order the caller collected them in;
+all stochasticity comes from the seed. Rows must arrive canonical, each
+row's columns ascending and distinct, as ``build_matrix``,
+``load_dataset`` and ``pair_features`` emit them: assembly neither sorts
+nor sums within a row.
 """
 
 from __future__ import annotations
@@ -16,25 +19,21 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ._rng import generator
 from .data import AttributeMatrix
-
-CLASSIFIERS = ("linear-svm", "random-forest", "coin")
 
 
 class LearnError(ValueError):
     pass
 
 
-def _integer(d: dict, block: str, key: str, default: int) -> int:
-    """d[key] (or the default) as an int; a bool, a non-number or a
-    fractional value is a config error naming block.key."""
-    v = d.get(key, default)
+def _integer(v, name: str, error: type = LearnError) -> int:
+    """A config value as an int; a bool, a non-number or a fractional value
+    raises ``error`` naming the key."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real) \
             or not float(v).is_integer():
-        raise LearnError(f"{block}.{key} must be an integer, got {v!r}")
+        raise error(f"{name} must be an integer, got {v!r}")
     return int(v)
 
 
@@ -59,7 +58,7 @@ class SVMHyper:
         if isinstance(reg, bool) or not isinstance(reg, numbers.Real):
             raise LearnError(f"svm.reg must be a number, got {reg!r}")
         return SVMHyper(reg=float(reg),
-                        epochs=_integer(d, "svm", "epochs", 10))
+                        epochs=_integer(d.get("epochs", 10), "svm.epochs"))
 
 
 @dataclass(frozen=True)
@@ -91,31 +90,28 @@ class RFHyper:
             raise LearnError(f"rf.bootstrap must be true or false, "
                              f"got {bootstrap!r}")
         return RFHyper(
-            trees=_integer(d, "rf", "trees", 50),
-            max_depth=_integer(d, "rf", "max_depth", 16),
-            min_leaf=_integer(d, "rf", "min_leaf", 1),
+            trees=_integer(d.get("trees", 50), "rf.trees"),
+            max_depth=_integer(d.get("max_depth", 16), "rf.max_depth"),
+            min_leaf=_integer(d.get("min_leaf", 1), "rf.min_leaf"),
             feature_frac=d.get("feature_frac", "sqrt"),
             bootstrap=bootstrap,
         )
 
 
 class TrainingSet:
-    """Sparse instances in a local column space.
+    """Sparse instances in a local column space, as the CSR arrays
+    ``indptr``, ``indices`` and ``data``: row t is instance ``ids[t]``.
 
     ``dictionary`` maps local columns back to global item columns. ``ids``
     are the canonical instance keys (node ids, or pairs as ``(m, 2)``
-    rows); instances are sorted by id at construction, and each row's
-    columns are sorted, with duplicate columns summed.
+    rows); instances are sorted by id at construction.
 
-    ``rows`` holds the instances in one of three forms:
-
-    - an AttributeMatrix: ``ids`` are node ids and the instances are those
-      nodes' rows;
-    - a CSR triple ``(indptr, cols, vals)`` whose row t is instance t, as
-      ``pair_features`` returns it;
-    - a list of (cols, vals) instances, stacked into such a triple first.
-
-    All three go through one row gather in id order.
+    ``rows`` holds the instances as an AttributeMatrix (``ids`` are node
+    ids and the instances are those nodes' rows) or as a CSR triple
+    ``(indptr, cols, vals)`` whose row t is instance t, as
+    ``pair_features`` returns it. Both go through one row gather in id
+    order. Rows must be canonical (columns ascending and distinct); the
+    local columns keep that order, so the set is canonical too.
     """
 
     def __init__(self, rows, labels, ids) -> None:
@@ -124,8 +120,6 @@ class TrainingSet:
             indptr, cols, vals = csr.indptr, csr.indices, csr.data
             n_rows = None  # ids name the rows
         else:
-            if isinstance(rows, list):
-                rows = _stack_rows(rows)
             indptr, cols, vals = rows
             n_rows = len(indptr) - 1
         if len(labels) != len(ids) or n_rows not in (None, len(ids)):
@@ -141,27 +135,22 @@ class TrainingSet:
             order = np.lexsort(keys.T[::-1])
             keys = keys[order]
             self.ids = tuple(map(tuple, keys.tolist()))
-        indptr, at = _gather(indptr, keys if n_rows is None else order)
-        cols = cols[at].astype(np.int64)
-        data = vals[at].astype(np.float64, copy=False)
+        self.indptr, at = _gather(indptr,
+                                  keys if n_rows is None else order)
+        self.data = vals[at].astype(np.float64, copy=False)
         y = np.asarray(labels)[order].astype(np.int64)
-        _check_material(y, data)
+        _check_material(y, self.data)
         self.y = y.astype(np.int8)
-        self.dictionary, local = np.unique(cols, return_inverse=True)
-        # int32 indices are scipy's own choice at this size; handing them
-        # over skips its scan for the smallest index type that fits
-        self.X = sparse.csr_matrix(
-            (data, local.astype(np.int32), indptr.astype(np.int32)),
-            shape=(len(ids), len(self.dictionary)))
-        self.X.sum_duplicates()
+        self.dictionary, self.indices = np.unique(
+            cols[at].astype(np.int64), return_inverse=True)
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return len(self.indptr) - 1
 
     @property
     def n_features(self) -> int:
-        return self.X.shape[1]
+        return len(self.dictionary)
 
     def classes(self) -> np.ndarray:
         return np.unique(self.y)
@@ -204,16 +193,6 @@ def _gather(indptr: np.ndarray, rows: np.ndarray):
     np.cumsum(counts, out=out[1:])
     at = np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
     return out, at
-
-
-def _stack_rows(rows):
-    """A list of (cols, vals) instances as one CSR triple."""
-    cols = [np.asarray(c, dtype=np.int64) for c, _ in rows]
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(c) for c in cols], out=indptr[1:])
-    return (indptr, np.concatenate([np.empty(0, np.int64), *cols]),
-            np.concatenate([np.empty(0), *(np.asarray(v, dtype=np.float64)
-                                           for _, v in rows)]))
 
 
 def _project(dictionary: np.ndarray, cols: np.ndarray, vals: np.ndarray):
@@ -301,14 +280,6 @@ class LinearSVM:
         return 1 if self.decision(cols, vals) >= 0 else 0
 
 
-def svm_objective(w: np.ndarray, b: float, X: sparse.csr_matrix,
-                  y_signed: np.ndarray, reg: float) -> float:
-    """Regularized mean hinge loss on pre-normalized instances."""
-    margins = y_signed * (X @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
-    return float(0.5 * reg * (w @ w) + hinge)
-
-
 def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
     """Seeded stochastic subgradient descent with step 1 / (reg * t).
 
@@ -343,7 +314,7 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
     classes = ts.classes()
     if len(classes) == 1:
         return ConstantClassifier(int(classes[0]), "single-class")
-    row, cols, vals, rows = _unit_rows(ts.X)
+    row, cols, vals, rows = _unit_rows(ts)
     y = ts.y.astype(np.float64) * 2.0 - 1.0
     y_list = y.tolist()
     reg = hyper.reg
@@ -370,8 +341,8 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
     return LinearSVM(w, b, ts.dictionary, margins, reg)
 
 
-def _unit_rows(X: sparse.csr_matrix):
-    """Rows of a canonical CSR matrix scaled to unit L2 norm, flattened.
+def _unit_rows(ts: TrainingSet):
+    """Rows of a training set scaled to unit L2 norm, flattened.
 
     Returns (row, cols, vals, rows): every entry's row, column and value,
     with each row's entries in reverse column order, and each row's
@@ -380,9 +351,9 @@ def _unit_rows(X: sparse.csr_matrix):
     keep scale 1, and entries that scale to 0 are dropped, exactly as
     ``sparse.diags(scale) @ X`` emits them.
     """
-    n = X.shape[0]
-    data = X.data
-    row = np.repeat(np.arange(n), np.diff(X.indptr))
+    n = ts.n
+    data = ts.data
+    row = np.repeat(np.arange(n), np.diff(ts.indptr))
     sq = data * data
     keep = sq != 0
     sq_row = row[keep]
@@ -397,7 +368,7 @@ def _unit_rows(X: sparse.csr_matrix):
     vals = data * scale[row]
     keep = vals != 0
     row = row[keep][::-1]
-    cols = X.indices[keep][::-1].astype(np.intp)  # intp: cheapest to take
+    cols = ts.indices[keep][::-1].astype(np.intp)  # intp: cheapest to take
     vals = np.ascontiguousarray(vals[keep][::-1])
     counts = np.bincount(row, minlength=n)
     lo = len(vals) - np.cumsum(counts)
@@ -624,7 +595,9 @@ def train_rf(ts: TrainingSet, hyper: RFHyper, seed: int):
     classes = ts.classes()
     if len(classes) == 1:
         return ConstantClassifier(int(classes[0]), "single-class")
-    X = np.asarray(ts.X.todense(), dtype=np.float64)
+    n = ts.n
+    X = np.zeros((n, ts.n_features))
+    X[np.repeat(np.arange(n), np.diff(ts.indptr)), ts.indices] = ts.data
     y = ts.y.astype(np.int64)
     d = ts.n_features
     if hyper.feature_frac == "sqrt":
@@ -632,7 +605,6 @@ def train_rf(ts: TrainingSet, hyper: RFHyper, seed: int):
     else:
         m_feats = max(1, int(round(float(hyper.feature_frac) * d)))
     trees = []
-    n = ts.n
     for t in range(hyper.trees):
         rng = generator(seed, "tree", t)
         idx = rng.integers(0, n, size=n) if hyper.bootstrap else np.arange(n)

@@ -300,3 +300,41 @@ def test_build_save_load_roundtrip(tmp_path):
         np.testing.assert_array_equal(
             ds.labelset(role).array("hot"), back.labelset(role).array("hot"))
     assert back.n_nodes == 8
+
+
+def _tampered_dataset(tmp_path, **arrays):
+    """A saved 6-node, 4-item dataset with some npz arrays replaced."""
+    recs = [(node, item, 1.0 + node, 10 * node + item)
+            for node in range(6) for item in range(4) if (node + item) % 2]
+    log = EventLog.from_records(recs, n_nodes=6)
+    rules = [LabelRule("hot", (1, 3), min_count=1, min_value=2.0)]
+    save_dataset(build_dataset(log, rules), tmp_path)
+    blob = dict(np.load(tmp_path / "dataset.npz"))
+    blob.update(arrays)
+    np.savez_compressed(tmp_path / "dataset.npz", **blob)
+    return tmp_path
+
+
+def _row0(cols, vals):
+    """training_* arrays of a 6 x 4 matrix whose only stored row is 0."""
+    return {"training_indptr": np.array([0] + [len(cols)] * 6),
+            "training_indices": np.array(cols, dtype=np.int32),
+            "training_data": np.array(vals, dtype=np.float64)}
+
+
+@pytest.mark.parametrize("arrays, fault", [
+    (_row0([0, 0], [1.0, 2.0]), "training matrix: a row holds a column "
+                                "twice"),
+    (_row0([2, 0], [1.0, 2.0]), "training matrix: a row holds a column "
+                                "twice or out of order"),
+    (_row0([0], [-1.0]), "training matrix: negative value"),
+    (_row0([0], [np.nan]), "training matrix: non-finite value"),
+    (_row0([0], [np.inf]), "training matrix: non-finite value"),
+    (_row0([99], [1.0]), r"training matrix: .* < 4"),
+    ({"testing_label_hot": np.zeros(3, dtype=bool)},
+     "testing label 'hot': 3 entries for 6 nodes"),
+], ids=["duplicate-column", "unsorted-columns", "negative-value",
+        "nan-value", "inf-value", "column-out-of-range", "short-labels"])
+def test_malformed_dataset_fails_on_load(tmp_path, arrays, fault):
+    with pytest.raises(DataError, match=fault):
+        load_dataset(_tampered_dataset(tmp_path, **arrays))

@@ -167,13 +167,39 @@ class TestGrid:
         raw["svm"] = {"reg": 1, "epochs": 3.0}
         raw["rf"] = {"trees": 2.0, "max_depth": 1, "min_leaf": 2.0,
                      "bootstrap": False}
+        raw.update(seed=2.0, workers=3.0)
+        raw["dataset"]["strict"] = True
         cfg = ExperimentConfig.from_dict(raw)
+        assert (cfg.seed, cfg.workers, cfg.dataset["strict"]) == (2, 3, True)
         assert (cfg.svm.reg, cfg.svm.epochs) == (1.0, 3)
         assert (cfg.rf.trees, cfg.rf.max_depth, cfg.rf.min_leaf,
                 cfg.rf.bootstrap) == (2, 1, 2, False)
-        for v in (cfg.svm.epochs, cfg.rf.trees, cfg.rf.min_leaf):
+        for v in (cfg.svm.epochs, cfg.rf.trees, cfg.rf.min_leaf, cfg.seed,
+                  cfg.workers):
             assert type(v) is int
         assert ExperimentConfig.from_dict(make_config("x")).rf == RFHyper()
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 2.9),
+        ("seed", True),
+        ("seed", "3"),
+        ("seed", None),
+        ("seed", float("nan")),
+        ("workers", "3"),
+        ("workers", 2.5),
+        ("workers", False),
+        ("workers", 0),
+        ("workers", -2),
+        ("dataset.strict", "false"),
+        ("dataset.strict", 1),
+        ("dataset.strict", None),
+    ])
+    def test_config_scalars_are_not_coerced(self, key, value):
+        raw = make_config("unused")
+        block, _, name = key.rpartition(".")
+        (raw[block] if block else raw)[name] = value
+        with pytest.raises(ExperimentError, match=f"^{key} must be"):
+            ExperimentConfig.from_dict(raw)
 
     def test_learner_hyperparameter_bounds_load(self):
         raw = make_config("unused")

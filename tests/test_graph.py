@@ -16,10 +16,8 @@ from netsel.graph import (
     induced_pairs,
     load_edgeset,
     load_explicit_edges,
-    sample_nonedges,
     save_edgeset,
     split_edges_random,
-    union_pair_keys,
 )
 
 
@@ -120,18 +118,6 @@ def test_pair_keys_and_has_pair():
     assert not g.has_pair(2, 2)
 
 
-def test_union_pair_keys():
-    a = mk(4, [(0, 1)])
-    b = mk(4, [(0, 1), (2, 3)])
-    n, keys = union_pair_keys([a, b])
-    assert n == 4
-    assert len(keys) == 2
-    with pytest.raises(GraphError):
-        union_pair_keys([a, mk(5, [(0, 1)])])
-    with pytest.raises(GraphError):
-        union_pair_keys([])
-
-
 # ------------------------------------------------------------ neighborhoods
 
 
@@ -223,16 +209,6 @@ def test_induced_pairs_match_per_node_reference(directed):
             assert x.tobytes() == y.tobytes()
 
 
-def test_absent_pairs_equals_sampling_around_graphs():
-    a = _random_graph(30, 60, 3)
-    b = _random_graph(30, 40, 4)
-    _, keys = union_pair_keys([a, b])
-    for count, seed in ((10, 1), (300, 2)):
-        np.testing.assert_array_equal(
-            absent_pairs(30, keys, count, seed),
-            sample_nonedges([a, b], count, seed))
-
-
 # ------------------------------------------------------------------ splits
 
 
@@ -284,15 +260,20 @@ def test_split_fraction_validation():
 # ---------------------------------------------------------------- sampling
 
 
+def union_keys(*graphs):
+    """Sorted union of the graphs' undirected pair keys."""
+    return np.unique(np.concatenate([g.pair_keys() for g in graphs]))
+
+
 def test_sample_nonedges_complete_graph_is_fatal():
     g = mk(3, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(GraphError):
-        sample_nonedges(g, 1, seed=0)
+        absent_pairs(3, union_keys(g), 1, seed=0)
 
 
 def test_sample_nonedges_empty_graph_enumerates_all_pairs():
     g = mk(4, [])
-    got = sample_nonedges(g, 6, seed=0)
+    got = absent_pairs(4, union_keys(g), 6, seed=0)
     assert {tuple(p) for p in got} == {
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
@@ -300,7 +281,7 @@ def test_sample_nonedges_empty_graph_enumerates_all_pairs():
 def test_sample_nonedges_avoids_every_given_graph():
     a = _random_graph(20, 30, 4)
     b = _random_graph(20, 30, 5)
-    got = sample_nonedges([a, b], 40, seed=1)
+    got = absent_pairs(20, union_keys(a, b), 40, seed=1)
     assert len(got) == 40
     assert len({tuple(p) for p in got}) == 40
     for u, v in got:
@@ -311,17 +292,19 @@ def test_sample_nonedges_avoids_every_given_graph():
 
 def test_sample_nonedges_zero_count_and_determinism():
     g = _random_graph(20, 30, 4)
-    assert sample_nonedges(g, 0, seed=0).shape == (0, 2)
-    x = sample_nonedges(g, 10, seed=3)
-    y = sample_nonedges(g, 10, seed=3)
+    keys = union_keys(g)
+    assert absent_pairs(20, keys, 0, seed=0).shape == (0, 2)
+    x = absent_pairs(20, keys, 10, seed=3)
+    y = absent_pairs(20, keys, 10, seed=3)
     np.testing.assert_array_equal(x, y)
 
 
 def test_sample_nonedges_rejection_path():
     # big enough universe to skip enumeration
     g = mk(3000, [])
-    got = sample_nonedges(g, 50, seed=2)
-    again = sample_nonedges(g, 50, seed=2)
+    keys = union_keys(g)
+    got = absent_pairs(3000, keys, 50, seed=2)
+    again = absent_pairs(3000, keys, 50, seed=2)
     np.testing.assert_array_equal(got, again)
     assert len({tuple(p) for p in got}) == 50
     assert (got[:, 0] < got[:, 1]).all()
@@ -329,14 +312,14 @@ def test_sample_nonedges_rejection_path():
 
 def test_incident_nonedges_small_complement_returns_all():
     g = mk(4, [(0, 1)])
-    _, keys = union_pair_keys([g])
+    keys = union_keys(g)
     got = incident_nonedges(4, keys, 0, count=5, seed=0)
     np.testing.assert_array_equal(got, [2, 3])
 
 
 def test_incident_nonedges_sampled_subset():
     g = mk(50, [(0, 1)])
-    _, keys = union_pair_keys([g])
+    keys = union_keys(g)
     got = incident_nonedges(50, keys, 0, count=10, seed=9)
     assert len(got) == 10
     assert 0 not in got and 1 not in got

@@ -1,4 +1,4 @@
-"""Training-set canonicalization and the from-scratch classifiers."""
+"""Training-set assembly and the from-scratch classifiers."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from netsel.learn import (
     pair_features,
     settle_svms,
     single_class_label,
-    svm_objective,
     train_classifier,
     train_rf,
     train_svm,
@@ -28,10 +27,34 @@ from netsel.similarity import sim
 COLS2 = np.array([0, 1])
 
 
+def stack_rows(rows):
+    """A list of canonical (cols, vals) instances as one CSR triple."""
+    cols = [np.asarray(c, dtype=np.int64) for c, _ in rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in cols], out=indptr[1:])
+    return (indptr, np.concatenate([np.empty(0, np.int64), *cols]),
+            np.concatenate([np.empty(0), *(np.asarray(v, dtype=np.float64)
+                                           for _, v in rows)]))
+
+
 def ts_from(rows, labels, ids=None):
     if ids is None:
         ids = list(range(len(rows)))
-    return TrainingSet(rows, labels, ids)
+    return TrainingSet(stack_rows(rows), labels, ids)
+
+
+def csr(ts):
+    """A training set as a scipy matrix, for the reference formulations."""
+    return sparse.csr_matrix((ts.data, ts.indices, ts.indptr),
+                             shape=(ts.n, ts.n_features))
+
+
+def svm_objective(w: np.ndarray, b: float, X: sparse.csr_matrix,
+                  y_signed: np.ndarray, reg: float) -> float:
+    """Regularized mean hinge loss on pre-normalized instances."""
+    margins = y_signed * (X @ w + b)
+    hinge = np.maximum(0.0, 1.0 - margins).mean()
+    return float(0.5 * reg * (w @ w) + hinge)
 
 
 def dense_rows(X):
@@ -45,15 +68,15 @@ def dense_rows(X):
 def test_training_set_sorts_by_id():
     rows = [(np.array([0]), np.array([5.0])),
             (np.array([1]), np.array([7.0]))]
-    ts = TrainingSet(rows, [1, 0], ids=[9, 2])
+    ts = ts_from(rows, [1, 0], ids=[9, 2])
     assert ts.ids == (2, 9)
     np.testing.assert_array_equal(ts.y, [0, 1])
     # row for id 2 carries column 1
-    np.testing.assert_array_equal(ts.X.toarray(), [[0, 7.0], [5.0, 0]])
+    np.testing.assert_array_equal(csr(ts).toarray(), [[0, 7.0], [5.0, 0]])
 
 
 def test_training_set_dictionary_is_sorted_union():
-    rows = [(np.array([7, 3]), np.array([1.0, 2.0])),
+    rows = [(np.array([3, 7]), np.array([2.0, 1.0])),
             (np.array([5]), np.array([4.0]))]
     ts = ts_from(rows, [0, 1])
     np.testing.assert_array_equal(ts.dictionary, [3, 5, 7])
@@ -64,9 +87,9 @@ def test_training_set_dictionary_is_sorted_union():
 def test_training_set_validation():
     row = (np.array([0]), np.array([1.0]))
     with pytest.raises(LearnError):
-        TrainingSet([row], [1, 0], ids=[0])
+        ts_from([row], [1, 0], ids=[0])
     with pytest.raises(LearnError):
-        TrainingSet([], [], ids=[])
+        ts_from([], [], ids=[])
     with pytest.raises(LearnError):
         ts_from([row], [2])
     with pytest.raises(LearnError):
@@ -99,26 +122,20 @@ def test_training_set_from_matrix_rows_equals_row_list():
     nodes = np.array([9, 4, 0, 11, 3, 7])
     labels = np.array([1, 0, 0, 1, 1, 0])
     got = TrainingSet(m, labels, nodes)
-    want = TrainingSet([m.row(int(j)) for j in nodes], labels.tolist(),
-                       nodes.tolist())
+    want = ts_from([m.row(int(j)) for j in nodes], labels.tolist(),
+                   nodes.tolist())
     assert got.ids == want.ids == (0, 3, 4, 7, 9, 11)
     assert all(type(i) is int for i in got.ids)
     np.testing.assert_array_equal(got.y, want.y)
     assert got.y.dtype == want.y.dtype
     np.testing.assert_array_equal(got.dictionary, want.dictionary)
     assert got.dictionary.dtype == want.dictionary.dtype
-    assert got.X.shape == want.X.shape
+    assert (got.n, got.n_features) == (want.n, want.n_features)
     for a in ("indptr", "indices", "data"):
-        x, y = getattr(got.X, a), getattr(want.X, a)
+        x, y = getattr(got, a), getattr(want, a)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    assert got.X.indptr[3] == got.X.indptr[2]  # node 4's empty row
-
-
-def test_training_set_rows_are_canonical():
-    rows = [(np.array([7, 3, 7]), np.array([1.0, 2.0, 4.0]))]
-    ts = ts_from(rows, [1])
-    assert ts.X.has_canonical_format
-    np.testing.assert_array_equal(ts.X.toarray(), [[2.0, 5.0]])
+    assert got.indptr[3] == got.indptr[2]  # node 4's empty row
+    assert csr(got).has_canonical_format
 
 
 # ----------------------------------------------------------- edge features
@@ -223,16 +240,17 @@ def test_training_set_from_pair_features_equals_row_list():
     pairs = np.array([(4, 9), (0, 6), (2, 3), (0, 5), (11, 14), (2, 1)])
     labels = np.array([1, 0, 1, 1, 0, 0])
     got = TrainingSet(pair_features(m, pairs), labels, pairs)
-    want = TrainingSet([_reference_edge_features(m, a, b)
-                        for a, b in pairs.tolist()], labels.tolist(),
-                       [tuple(p) for p in pairs.tolist()])
+    want = ts_from([_reference_edge_features(m, a, b)
+                    for a, b in pairs.tolist()], labels.tolist(),
+                   [tuple(p) for p in pairs.tolist()])
     assert got.ids == want.ids == tuple(sorted(map(tuple, pairs.tolist())))
     assert all(type(a) is int for p in got.ids for a in p)
     assert got.y.tobytes() == want.y.tobytes()
     assert got.dictionary.tobytes() == want.dictionary.tobytes()
     for a in ("indptr", "indices", "data"):
-        x, y = getattr(got.X, a), getattr(want.X, a)
+        x, y = getattr(got, a), getattr(want, a)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert csr(got).has_canonical_format
 
 
 # -------------------------------------------------------------- linear SVM
@@ -282,11 +300,11 @@ def test_svm_input_order_does_not_matter():
     rows = [(np.array([i % 3]), np.array([float(i + 1)])) for i in range(6)]
     labels = [0, 1, 0, 1, 0, 1]
     ids = list(range(6))
-    fwd = train_svm(TrainingSet(rows, labels, ids), SVMHyper(), seed=1)
+    fwd = train_svm(ts_from(rows, labels, ids), SVMHyper(), seed=1)
     perm = [4, 0, 5, 2, 1, 3]
     bwd = train_svm(
-        TrainingSet([rows[p] for p in perm], [labels[p] for p in perm],
-                    [ids[p] for p in perm]),
+        ts_from([rows[p] for p in perm], [labels[p] for p in perm],
+                [ids[p] for p in perm]),
         SVMHyper(), seed=1)
     np.testing.assert_array_equal(fwd.w, bwd.w)
     assert fwd.b == bwd.b
@@ -307,10 +325,9 @@ def test_svm_objective_never_worse_than_zero_model():
         ts = ts_from(rows, y.tolist())
         hyper = SVMHyper()
         model = train_svm(ts, hyper, seed=trial)
-        X = ts.X.astype(np.float64)
+        X = csr(ts)
         norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
         inv = np.where(norms > 0, 1.0 / np.maximum(norms, 1e-300), 1.0)
-        from scipy import sparse
         Xn = (sparse.diags(inv) @ X).tocsr()
         y_signed = ts.y.astype(float) * 2 - 1
         obj = svm_objective(model.w, model.b, Xn, y_signed, hyper.reg)
@@ -323,13 +340,11 @@ def test_svm_objective_never_worse_than_zero_model():
 def _reference_train_svm(ts, hyper, seed):
     """train_svm as first written, on scipy's normalization and
     ndarray.mean; the fast path must reproduce its bits."""
-    from scipy import sparse
-
     from netsel._rng import generator
     classes = ts.classes()
     if len(classes) == 1:
         return ConstantClassifier(int(classes[0]), "single-class")
-    X = ts.X.copy().astype(np.float64)
+    X = csr(ts)
     norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
     scale = np.ones_like(norms)
     nz = norms > 0
@@ -656,7 +671,7 @@ def test_single_deterministic_tree_matches_reference_cart(max_depth, min_leaf):
         hyper = RFHyper(trees=1, max_depth=max_depth, min_leaf=min_leaf,
                         feature_frac=1.0, bootstrap=False)
         model = train_rf(ts, hyper, seed=trial)
-        local = np.asarray(ts.X.todense())
+        local = csr(ts).toarray()
         ref = _ref_cart(local, ts.y.astype(np.int64), max_depth, min_leaf)
         for i in range(n):
             cols = np.flatnonzero(dense[i])

@@ -11,7 +11,7 @@ from netsel.data import (AttributeMatrix, EventLog, LabelRule,
                          build_dataset, build_matrix)
 from netsel.experiment import _write_batches, family_key, prepare_family
 from netsel.graph import (EdgeSet, NeighborhoodSpec, egonet,
-                          incident_nonedges, union_pair_keys)
+                          incident_nonedges)
 from netsel.learn import (ConstantClassifier, LearnError, LinearSVM,
                           RFHyper, TrainingSet, edge_features,
                           train_classifier)
@@ -672,8 +672,8 @@ def _lp_fixture(n_bridges=10):
         "validation": assign_lp_eval(full, g_val, "validation", seed=7),
         "testing": assign_lp_eval(full, g_test, "testing", seed=7),
     }
-    _, excl = union_pair_keys([full])
-    excl = np.union1d(np.union1d(excl, plans["validation"].reserved_keys),
+    excl = np.union1d(np.union1d(full.pair_keys(),
+                                 plans["validation"].reserved_keys),
                       plans["testing"].reserved_keys)
     return full, g_train, matrix, plans, excl
 
