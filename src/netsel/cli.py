@@ -23,18 +23,22 @@ def _load_config(args) -> ExperimentConfig:
     if not path.exists():
         raise ExperimentError(f"config file not found: {path}")
     try:
-        cfg = ExperimentConfig.load(path)
+        with open(path) as fh:
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ExperimentError(f"config file is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ExperimentError("config file must hold a JSON object")
+    # overrides go through the same checks as the file's own values
     if args.seed is not None:
-        cfg.seed = args.seed
+        raw["seed"] = args.seed
     if args.workers is not None:
-        cfg.workers = args.workers
+        raw["workers"] = args.workers
     if args.out is not None:
-        cfg.out = args.out
+        raw["out"] = args.out
     if args.strict:
-        cfg.dataset = dict(cfg.dataset, strict=True)
-    return cfg
+        raw["dataset"] = dict(raw.get("dataset", {}), strict=True)
+    return ExperimentConfig.from_dict(raw)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

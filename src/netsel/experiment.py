@@ -94,6 +94,18 @@ class ExperimentConfig:
         if not isinstance(dataset.get("strict", False), bool):
             raise ExperimentError(f"dataset.strict must be true or false, "
                                   f"got {dataset['strict']!r}")
+        synth = dataset.get("synth")
+        if synth is not None and not isinstance(synth, dict):
+            raise ExperimentError(f"dataset.synth must be an object, "
+                                  f"got {synth!r}")
+        for key, least in (("seed", None), ("n_nodes", 1), ("n_items", 1)):
+            if synth is None or key not in synth:
+                continue
+            name = f"dataset.synth.{key}"
+            value = _integer(synth[key], name, ExperimentError)
+            if least is not None and value < least:
+                raise ExperimentError(f"{name} must be >= {least}, "
+                                      f"got {value!r}")
         return ExperimentConfig(
             dataset=dataset,
             models=list(grid.get("models", ["KNN", "TH"])),
@@ -435,6 +447,11 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
             p["config_key"]: max(b.notes["classifiers_trained"]
                                  for b in p["batches"])
             for p in payloads},
+        # records per evaluation partition that no classifier scored (an
+        # empty CC neighborhood, an LP owner with an untrainable pair set)
+        "fallback": {p["config_key"]: {b.partition: b.n_fallback
+                                       for b in p["batches"]}
+                     for p in payloads},
         # of those, CC builds whose material carries one label: answered
         # with a constant classifier, no training set assembled
         "single_class": {p["config_key"]: p["single_class"]

@@ -240,32 +240,40 @@ class CoinClassifier:
 class LinearSVM:
     """Primal hinge-loss linear SVM with per-instance L2 normalization.
 
-    ``train_svm`` returns a model whose scale is pending: it holds the
-    final SGD iterate and that iterate's signed training ``margins``, and
-    ``settle_svms`` scales it. Reading ``w`` or ``b``, or predicting,
-    settles a pending model by itself first.
+    ``train_svm`` returns a model whose training is pending: ``sgd`` holds
+    the material its SGD reads. ``train_svms`` runs that SGD, leaving the
+    final iterate and its signed training ``margins`` with the scale
+    pending, and ``settle_svms`` trains what is still pending, then scales.
+    Reading ``w`` or ``b``, or predicting, settles a pending model by
+    itself first.
     """
 
     kind = "linear-svm"
 
-    def __init__(self, w: np.ndarray, b: float, dictionary: np.ndarray,
-                 margins: np.ndarray | None = None,
-                 reg: float | None = None) -> None:
+    def __init__(self, w: np.ndarray | None, b: float,
+                 dictionary: np.ndarray, margins: np.ndarray | None = None,
+                 reg: float | None = None,
+                 sgd: _SGDInput | None = None) -> None:
         self._w = w
         self._b = b
         self.dictionary = dictionary
         self.margins = margins
         self.reg = reg
+        self.sgd = sgd
+
+    @property
+    def pending(self) -> bool:
+        return self.sgd is not None or self.margins is not None
 
     @property
     def w(self) -> np.ndarray:
-        if self.margins is not None:
+        if self.pending:
             settle_svms([self])
         return self._w
 
     @property
     def b(self) -> float:
-        if self.margins is not None:
+        if self.pending:
             settle_svms([self])
         return self._b
 
@@ -280,22 +288,45 @@ class LinearSVM:
         return 1 if self.decision(cols, vals) >= 0 else 0
 
 
+class _SGDInput:
+    """What the SGD of a pending LinearSVM reads: its unit rows as
+    ``_unit_rows`` stores them, its labels as -1/+1, its seed and its
+    hyperparameters."""
+
+    __slots__ = ("ptr", "cols", "vals", "y", "seed", "hyper")
+
+    def __init__(self, ts: TrainingSet, seed: int, hyper: SVMHyper) -> None:
+        self.ptr, self.cols, self.vals = _unit_rows(ts)
+        self.y = ts.y.astype(np.float64) * 2.0 - 1.0
+        self.seed = seed
+        self.hyper = hyper
+
+
 def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
-    """Seeded stochastic subgradient descent with step 1 / (reg * t).
+    """Seeded stochastic subgradient descent with step 1 / (reg * t), after
+    Pegasos (Shalev-Shwartz et al., ICML 2007).
 
     The bias is trained as an augmented always-on feature: under 1/(reg*t)
     steps a free bias keeps its first (huge) updates forever, while the
     multiplicative decay lets every regularized coordinate forget them.
     Single-class sets yield a constant classifier.
 
+    Training is pending on the returned model, which holds its unit rows,
+    labels and seed. ``train_svms`` runs the SGD of many pending models in
+    lock step, and a pending model trains by itself when first read
+    (``w``, ``b``, ``decision``, ``predict``). Either way the result is
+    that of the per-model loop (``_sgd_loop``): each epoch visits the rows
+    in a fresh permutation drawn from ``generator(seed, "svm")``; at step
+    t the margin ``y * (w[c] @ v + b)`` of row (c, v) is taken, (w, b)
+    decay by ``1 - eta * reg``, and a margin below 1 adds ``eta * y`` times
+    the row to (w, b).
+
     Predictions are invariant under positive scaling of (w, b) but the
     objective is not, and short runs end with the right direction at the
-    wrong norm. The model is returned with its scale pending: ``settle_svms``
-    moves it to the objective-minimizing scale of the final iterate, for
-    many models in one search, and a pending model settles by itself when
-    first read (``w``, ``b``, ``decision``, ``predict``). Scale 0 is the
-    zero solution, so the objective never exceeds its value at the zero
-    vector.
+    wrong norm. After training, the scale is pending: ``settle_svms``
+    moves the model to the objective-minimizing scale of the final
+    iterate, for many models in one search. Scale 0 is the zero solution,
+    so the objective never exceeds its value at the zero vector.
 
     Summation order is part of the contract. The settled (w, b) are
     bit-identical to the plain scipy formulation (normalize with
@@ -314,42 +345,18 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
     classes = ts.classes()
     if len(classes) == 1:
         return ConstantClassifier(int(classes[0]), "single-class")
-    row, cols, vals, rows = _unit_rows(ts)
-    y = ts.y.astype(np.float64) * 2.0 - 1.0
-    y_list = y.tolist()
-    reg = hyper.reg
-    w = np.zeros(ts.n_features)
-    take, put = w.take, w.put  # w[c] and w[c] = ..., with less overhead
-    b = 0.0
-    rng = generator(seed, "svm")
-    t = 0
-    for _ in range(hyper.epochs):
-        for i in rng.permutation(ts.n).tolist():
-            t += 1
-            eta = 1.0 / (reg * t)
-            c, v = rows[i]
-            yi = y_list[i]
-            margin = yi * (take(c).dot(v) + b)
-            decay = 1.0 - eta * reg
-            w *= decay
-            b *= decay
-            if margin < 1.0:
-                put(c, take(c) + eta * yi * v)
-                b += eta * yi
-    margins = y * (np.bincount(row, weights=vals * w[cols], minlength=ts.n)
-                   + b)
-    return LinearSVM(w, b, ts.dictionary, margins, reg)
+    return LinearSVM(None, 0.0, ts.dictionary, sgd=_SGDInput(ts, seed, hyper))
 
 
 def _unit_rows(ts: TrainingSet):
-    """Rows of a training set scaled to unit L2 norm, flattened.
+    """Rows of a training set scaled to unit L2 norm, stored last to first.
 
-    Returns (row, cols, vals, rows): every entry's row, column and value,
-    with each row's entries in reverse column order, and each row's
-    (cols, vals) slices of the flat arrays. Norms are scipy's row sums of the
-    nonzero squares (``np.add.reduceat``, not a sequential sum), empty rows
-    keep scale 1, and entries that scale to 0 are dropped, exactly as
-    ``sparse.diags(scale) @ X`` emits them.
+    Returns CSR arrays (ptr, cols, vals) whose row j is training row
+    n - 1 - j: the entries of ``ts`` reversed end to end, so each row's
+    entries run in reverse column order, with int32 columns. Norms are
+    scipy's row sums of the nonzero squares (``np.add.reduceat``, not a
+    sequential sum), empty rows keep scale 1, and entries that scale to 0
+    are dropped, exactly as ``sparse.diags(scale) @ X`` emits them.
     """
     n = ts.n
     data = ts.data
@@ -367,14 +374,187 @@ def _unit_rows(ts: TrainingSet):
     scale[nz] = 1.0 / norms[nz]
     vals = data * scale[row]
     keep = vals != 0
-    row = row[keep][::-1]
-    cols = ts.indices[keep][::-1].astype(np.intp)  # intp: cheapest to take
+    cols = ts.indices[keep][::-1].astype(np.int32)
     vals = np.ascontiguousarray(vals[keep][::-1])
-    counts = np.bincount(row, minlength=n)
-    lo = len(vals) - np.cumsum(counts)
-    rows = [(cols[a:b], vals[a:b])
-            for a, b in zip(lo.tolist(), (lo + counts).tolist())]
-    return row, cols, vals, rows
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[keep], minlength=n)[::-1], out=ptr[1:])
+    return ptr, cols, vals
+
+
+def _sgd_loop(sgd: _SGDInput, w: np.ndarray, b: float, t: int,
+              order: np.ndarray) -> float:
+    """The per-model SGD, in place on ``w``, from step t on (t steps
+    taken), visiting the rows ``order[t:]``; returns the bias. The
+    reference that the lock-step trainer reproduces."""
+    cols = sgd.cols.astype(np.intp)  # intp: cheapest to take
+    ptr = sgd.ptr.tolist()
+    rows = [(cols[a:z], sgd.vals[a:z])
+            for a, z in zip(ptr[:-1], ptr[1:])][::-1]
+    y_list = sgd.y.tolist()
+    reg = sgd.hyper.reg
+    take, put = w.take, w.put  # w[c] and w[c] = ..., with less overhead
+    for i in order[t:].tolist():
+        t += 1
+        eta = 1.0 / (reg * t)
+        c, v = rows[i]
+        yi = y_list[i]
+        margin = yi * (take(c).dot(v) + b)
+        decay = 1.0 - eta * reg
+        w *= decay
+        b *= decay
+        if margin < 1.0:
+            put(c, take(c) + eta * yi * v)
+            b += eta * yi
+    return b
+
+
+def _exact_margin(sgd: _SGDInput, w: np.ndarray, b: float, i: int) -> float:
+    """Row i's margin as ``_sgd_loop`` takes it, with the per-model dot."""
+    j = len(sgd.y) - 1 - i
+    a, z = sgd.ptr[j], sgd.ptr[j + 1]
+    return sgd.y[i] * (w.take(sgd.cols[a:z]).dot(sgd.vals[a:z]) + b)
+
+
+_TAIL = 8  # models still stepping below which each finishes by itself
+_STEP_ENTRIES = 2**15  # row entries of lock-step steps expanded at a time
+_U = 2.0**-53  # unit roundoff of float64
+_SLACK_ABS = 16 * _U  # absolute part of the margin certificate's slack
+
+
+def train_svms(models) -> None:
+    """Run the pending SGD of every LinearSVM among ``models``; other
+    classifiers and trained models are skipped, and a model listed twice is
+    trained once. Models that share their hyperparameters train together
+    in lock step, and each ends exactly as ``_sgd_loop`` alone leaves it.
+
+    The models' weights are slices of one flat W, ordered by step count
+    (epochs * n), so the models still stepping at step t are a prefix. At
+    each step one gather takes every such model's row, and the decay of W
+    and b, the violators' updates, and the margins run once over all of
+    them, elementwise in the float operations of the per-model loop. Only
+    the margin is summed differently: per model with ``np.bincount``,
+    where the loop takes a BLAS dot whose bits depend on the kernel that
+    runs. A margin is only compared with 1, so the sum decides when
+    ``|m - 1|`` exceeds a rigorous bound on how far any evaluation order
+    of the dot can move it (``8 * gamma_(K+1) * sum |w_c v_c| + 16u``, for
+    rows of at most K entries and unit roundoff u; a floating-point
+    filter after Shewchuk, 1997); within it, the model's own dot decides,
+    as in the loop. When fewer than ``_TAIL`` models are still stepping,
+    each finishes in ``_sgd_loop`` from its current state.
+    """
+    groups: dict = {}
+    for m in {id(m): m for m in models
+              if isinstance(m, LinearSVM) and m.sgd is not None}.values():
+        groups.setdefault(m.sgd.hyper, []).append(m)
+    for hyper, group in groups.items():
+        _train_group(group, hyper.reg, hyper.epochs)
+
+
+def _train_group(models: list, reg: float, epochs: int) -> None:
+    models.sort(key=lambda m: len(m.sgd.y), reverse=True)
+    inputs = [m.sgd for m in models]
+    g = len(models)
+    n = [len(s.y) for s in inputs]
+    steps = [epochs * k for k in n]
+    row_off = np.zeros(g + 1, dtype=np.int64)
+    np.cumsum(n, out=row_off[1:])
+    w_off = np.zeros(g + 1, dtype=np.int64)
+    np.cumsum([len(m.dictionary) for m in models], out=w_off[1:])
+    w_off = w_off.tolist()
+    e_len = [len(s.vals) for s in inputs]
+    e_off = np.zeros(g + 1, dtype=np.int64)
+    np.cumsum(e_len, out=e_off[1:])
+    # every model's rows end to end, columns shifted into the flat W
+    C = np.concatenate([s.cols for s in inputs]).astype(np.intp)
+    C += np.repeat(w_off[:-1], e_len)
+    V = np.concatenate([s.vals for s in inputs])
+    Y = np.concatenate([s.y[::-1] for s in inputs])
+    ptr = np.concatenate([[0]] + [s.ptr[1:] + e
+                                  for s, e in zip(inputs, e_off[:-1])])
+    cnt = np.diff(ptr)
+    W = np.zeros(w_off[-1])
+    B = np.zeros(g)
+    orders = []
+    for s, k in zip(inputs, n):
+        rng = generator(s.seed, "svm")
+        orders.append(np.concatenate([rng.permutation(k)
+                                      for _ in range(epochs)]))
+    t_tail = steps[_TAIL - 1] if g >= _TAIL else 0
+
+    # schedule: the layout row (row j of the model's CSR is training row
+    # n - 1 - j) that each model stepping at step t takes, step by step
+    active = np.searchsorted(-np.asarray(steps), -np.arange(t_tail))
+    sptr = np.zeros(t_tail + 1, dtype=np.int64)
+    np.cumsum(active, out=sptr[1:])
+    sched = np.empty(sptr[-1], dtype=np.int64)
+    for k in range(g):
+        t = min(steps[k], t_tail)
+        sched[sptr[:t] + k] = row_off[k + 1] - 1 - orders[k][:t]
+    ecum = np.zeros(len(sched) + 1, dtype=np.int64)
+    np.cumsum(cnt[sched], out=ecum[1:])
+    estep = ecum[sptr]
+    act = active.tolist()
+    k1 = int(cnt.max(initial=0)) + 1
+    rel = 8 * k1 * _U / (1 - k1 * _U)  # 8 * gamma_(K+1)
+    t0 = 0
+    while t0 < t_tail:
+        t1 = int(np.searchsorted(estep, estep[t0] + _STEP_ENTRIES, "right"))
+        t1 = min(max(t1 - 1, t0 + 1), t_tail)
+        r = sched[sptr[t0]:sptr[t1]]
+        _, at = _gather(ptr, r)
+        counts = cnt[r]
+        Cs, Vs = C[at], V[at]
+        Yr = Y[r]
+        YV = Vs * np.repeat(Yr, counts)
+        S = np.repeat(np.arange(len(r))
+                      - np.repeat(sptr[t0:t1] - sptr[t0], active[t0:t1]),
+                      counts)
+        eptr = (estep[t0:t1 + 1] - estep[t0]).tolist()
+        rptr = (sptr[t0:t1 + 1] - sptr[t0]).tolist()
+        for t in range(t0, t1):
+            a = act[t]
+            lo, hi = eptr[t - t0], eptr[t - t0 + 1]
+            r0 = rptr[t - t0]
+            c, s = Cs[lo:hi], S[lo:hi]
+            b, y = B[:a], Yr[r0:r0 + a]
+            wc = W.take(c)
+            prod = wc * Vs[lo:hi]
+            m = np.bincount(s, prod, a) + b
+            m *= y
+            slack = np.bincount(s, np.abs(prod), a) * rel
+            slack += _SLACK_ABS
+            near = np.abs(m - 1.0) <= slack
+            if near.any():
+                for k in np.flatnonzero(near).tolist():
+                    i = int(row_off[k + 1] - 1 - r[r0 + k])
+                    m[k] = _exact_margin(inputs[k],
+                                         W[w_off[k]:w_off[k + 1]], B[k], i)
+            eta = 1.0 / (reg * (t + 1))
+            decay = 1.0 - eta * reg
+            viol = m < 1.0
+            W[:w_off[a]] *= decay
+            b *= decay
+            np.add(b, eta * y, b, where=viol)
+            wc *= decay
+            np.add(wc, eta * YV[lo:hi], wc, where=viol[s])
+            W.put(c, wc)
+        t0 = t1
+
+    for k in range(g):
+        if steps[k] <= t_tail:
+            break
+        B[k] = _sgd_loop(inputs[k], W[w_off[k]:w_off[k + 1]], float(B[k]),
+                         t_tail, orders[k])
+    # final margins, each row summed in its stored order as the loop does
+    margins = np.bincount(np.repeat(np.arange(len(cnt)), cnt),
+                          V * W.take(C), minlength=len(cnt)) + np.repeat(B, n)
+    margins *= Y
+    for k, m in enumerate(models):
+        m._w = W[w_off[k]:w_off[k + 1]].copy()
+        m._b = float(B[k])
+        m.margins = margins[row_off[k]:row_off[k + 1]][::-1]
+        m.reg = reg
+        m.sgd = None
 
 
 _SCALE_STEPS = 100
@@ -382,8 +562,9 @@ _SCALE_STEPS = 100
 
 def settle_svms(models) -> None:
     """Scale every pending LinearSVM among ``models`` to its objective-
-    minimizing scale; other classifiers and settled models are skipped,
-    and a model listed twice is settled once.
+    minimizing scale, first running in one ``train_svms`` call the SGD of
+    those whose training is still pending; other classifiers and settled
+    models are skipped, and a model listed twice is settled once.
 
     A model's objective is convex in the scale (quadratic plus hinge
     terms), so a ternary search over ``[0, hi]`` finds the optimum, with
@@ -398,6 +579,8 @@ def settle_svms(models) -> None:
     row. Padding rows to a common n or summing with ``np.add.reduceat``
     would move the last bits.
     """
+    models = list(models)
+    train_svms(models)
     todo = list({id(m): m for m in models
                  if isinstance(m, LinearSVM) and m.margins is not None
                  }.values())

@@ -28,13 +28,16 @@ from .data import AttributeMatrix, PartitionedDataset
 from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
                     bfs_neighborhood, egonet, incident_nonedges,
                     induced_pairs)
-from .learn import (CoinClassifier, ConstantClassifier, RFHyper, SVMHyper,
-                    TrainingSet, pair_features, settle_svms,
-                    single_class_label, train_classifier)
+from .learn import (CoinClassifier, ConstantClassifier, LinearSVM, RFHyper,
+                    SVMHyper, TrainingSet, pair_features, settle_svms,
+                    single_class_label, train_classifier, train_svms)
 from .similarity import NetworkModelSpec, RowBlock
 
 TASKS = ("CC", "LP")
 CLASSIFIER_KINDS = ("linear-svm", "random-forest", "coin")
+# unit-row entries that SVMs awaiting their SGD may hold before the pool
+# trains them together: bounds the memory of the material they keep
+SGD_BATCH_ENTRIES = 2**16
 
 
 class TaskError(ValueError):
@@ -187,8 +190,11 @@ class ClassifierPool:
     produce the same classifier. ``trained`` counts builds, ``hits`` the
     lookups answered from the cache, and ``single_class`` the CC builds
     answered without training because the material carries one label.
-    SVMs come out of training with their scale pending; ``settle`` scales
-    every one built since its last call in one search.
+    SVMs come out of ``train_svm`` with their SGD pending. The pool runs
+    the SGD of those it holds in one lock-step ``train_svms`` call once
+    their unit rows pass ``SGD_BATCH_ENTRIES`` entries; ``settle`` trains
+    the rest, then scales every SVM built since its last call in one
+    search.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -198,18 +204,26 @@ class ClassifierPool:
         self.hits = 0
         self.single_class = 0
         self.unsettled: list = []
+        self.sgd_entries = 0
 
     def get(self, material: str, builder):
         if material in self.cache:
             self.hits += 1
         else:
             seed = derive_seed(self.config.seed, "clf", material)
-            self.cache[material] = builder(seed)
-            self.unsettled.append(self.cache[material])
+            clf = self.cache[material] = builder(seed)
+            self.unsettled.append(clf)
             self.trained += 1
+            if isinstance(clf, LinearSVM) and clf.sgd is not None:
+                self.sgd_entries += len(clf.sgd.vals)
+                if self.sgd_entries > SGD_BATCH_ENTRIES:
+                    train_svms(self.unsettled)
+                    self.sgd_entries = 0
         return self.cache[material]
 
     def settle(self) -> None:
+        train_svms(self.unsettled)
+        self.sgd_entries = 0
         settle_svms(self.unsettled)
         self.unsettled.clear()
 

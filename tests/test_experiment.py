@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from netsel import similarity
-from netsel.cli import main
+from netsel.cli import _load_config, build_parser, main
 from netsel.data import save_label_rules
 from netsel.experiment import (
     ExperimentConfig,
@@ -193,13 +193,31 @@ class TestGrid:
         ("dataset.strict", "false"),
         ("dataset.strict", 1),
         ("dataset.strict", None),
+        ("dataset.synth.seed", 2.9),
+        ("dataset.synth.seed", "5"),
+        ("dataset.synth.seed", True),
+        ("dataset.synth.n_nodes", "60"),
+        ("dataset.synth.n_nodes", 60.5),
+        ("dataset.synth.n_nodes", 0),
+        ("dataset.synth.n_items", None),
+        ("dataset.synth.n_items", -1),
+        ("dataset.synth", 5),
     ])
     def test_config_scalars_are_not_coerced(self, key, value):
         raw = make_config("unused")
-        block, _, name = key.rpartition(".")
-        (raw[block] if block else raw)[name] = value
+        *blocks, name = key.split(".")
+        block = raw
+        for b in blocks:
+            block = block[b]
+        block[name] = value
         with pytest.raises(ExperimentError, match=f"^{key} must be"):
             ExperimentConfig.from_dict(raw)
+
+    def test_integral_synth_values_load(self):
+        raw = make_config("unused")
+        raw["dataset"]["synth"] = {"seed": -3, "n_nodes": 1, "n_items": 2.0}
+        assert ExperimentConfig.from_dict(raw).dataset["synth"] == \
+            {"seed": -3, "n_nodes": 1, "n_items": 2.0}
 
     def test_learner_hyperparameter_bounds_load(self):
         raw = make_config("unused")
@@ -291,6 +309,17 @@ class TestPipelineOutputs:
             assert trained[key] >= \
                 parts["validation"]["notes"]["classifiers_trained"]
         assert sum(trained.values()) > 0
+
+    def test_manifest_counts_fallbacks(self, pipe):
+        manifest = json.loads((pipe / "manifest.json").read_text())
+        fallback = manifest["fallback"]
+        rows = {r["config_key"].strip('"'): r
+                for r in csv_rows(pipe / "results.csv")}
+        assert fallback.keys() == manifest["wall_ms"].keys() == rows.keys()
+        for key, parts in fallback.items():
+            assert parts == {
+                "validation": int(rows[key]["fallback_validation"]),
+                "testing": int(rows[key]["fallback_testing"])}
 
     def test_manifest_surfaces_ingest_and_lp_plan_counts(self, pipe):
         manifest = json.loads((pipe / "manifest.json").read_text())
@@ -605,6 +634,26 @@ class TestCli:
         assert main(["ingest", "-c", str(path)]) == 0
         assert (tmp_path / "out" / "dataset" / "dataset.json").exists()
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("-j", "0", "workers"),
+        ("--workers", "-2", "workers"),
+    ])
+    def test_overrides_pass_the_config_checks(self, tmp_path, capsys, flag,
+                                              value, key):
+        path = cli_config(tmp_path)
+        assert main(["run", "-c", str(path), flag, value]) == 1
+        assert f"error: {key} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overrides_reach_the_config(self, tmp_path):
+        path = cli_config(tmp_path)
+        args = build_parser().parse_args(
+            ["run", "-c", str(path), "--seed", "-5", "-j", "2", "-o", "x",
+             "--strict"])
+        cfg = _load_config(args)
+        assert (cfg.seed, cfg.workers, cfg.out, cfg.dataset["strict"]) == \
+            (-5, 2, "x", True)
 
     def test_seed_override_changes_outputs(self, tmp_path):
         path = cli_config(tmp_path)

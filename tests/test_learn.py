@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from netsel import learn
+from netsel._rng import generator
 from netsel.data import AttributeMatrix, EventLog, build_matrix
 from netsel.learn import (
     CoinClassifier,
@@ -14,6 +16,7 @@ from netsel.learn import (
     SVMHyper,
     TrainingSet,
     _best_split,
+    _unit_rows,
     edge_features,
     pair_features,
     settle_svms,
@@ -21,6 +24,7 @@ from netsel.learn import (
     train_classifier,
     train_rf,
     train_svm,
+    train_svms,
 )
 from netsel.similarity import sim
 
@@ -549,15 +553,176 @@ def test_model_read_before_settling_equals_one_settled_in_a_batch():
     sets = [ts for ts in sets if len(ts.classes()) == 2]
     batch = [train_svm(ts, SVMHyper(), seed=k) for k, ts in enumerate(sets)]
     alone = train_svm(sets[0], SVMHyper(), seed=0)
-    assert alone.margins is not None
+    assert alone.sgd is not None and alone.pending  # training pending
     alone_pred = alone.predict(np.array([0, 1]), np.array([1.0, 2.0]))
-    assert alone.margins is None  # predicting settled it, by itself
+    assert not alone.pending  # predicting trained and settled it, alone
     settle_svms(batch)
     _same_model(alone, batch[0])
     assert batch[0].predict(np.array([0, 1]), np.array([1.0, 2.0])) == \
         alone_pred
     for k, ts in enumerate(sets):
         _same_model(batch[k], _reference_train_svm(ts, SVMHyper(), seed=k))
+
+
+def _frozen_sgd(ts, hyper, seed):
+    """train_svm's SGD as it ran once per model, before train_svms ran the
+    models in lock step; kept verbatim as the bit-level reference. Returns
+    the final iterate (w, b) and its signed training margins."""
+    ptr, cols, vals = _unit_rows(ts)
+    cols = cols.astype(np.intp)
+    row = np.repeat(np.arange(ts.n)[::-1], np.diff(ptr))
+    rows = [(cols[a:z], vals[a:z])
+            for a, z in zip(ptr[:-1].tolist(), ptr[1:].tolist())][::-1]
+    y = ts.y.astype(np.float64) * 2.0 - 1.0
+    y_list = y.tolist()
+    reg = hyper.reg
+    w = np.zeros(ts.n_features)
+    take, put = w.take, w.put
+    b = 0.0
+    rng = generator(seed, "svm")
+    t = 0
+    for _ in range(hyper.epochs):
+        for i in rng.permutation(ts.n).tolist():
+            t += 1
+            eta = 1.0 / (reg * t)
+            c, v = rows[i]
+            yi = y_list[i]
+            margin = yi * (take(c).dot(v) + b)
+            decay = 1.0 - eta * reg
+            w *= decay
+            b *= decay
+            if margin < 1.0:
+                put(c, take(c) + eta * yi * v)
+                b += eta * yi
+    margins = y * (np.bincount(row, weights=vals * w[cols], minlength=ts.n)
+                   + b)
+    return w, b, margins
+
+
+def _assert_trained_as_frozen(model, ts, hyper, seed):
+    assert model.sgd is None and model.margins is not None
+    w, b, margins = _frozen_sgd(ts, hyper, seed)
+    assert model._w.tobytes() == w.tobytes()
+    assert np.float64(model._b).tobytes() == np.float64(b).tobytes()
+    assert np.ascontiguousarray(model.margins).tobytes() == margins.tobytes()
+    assert model.reg == hyper.reg
+
+
+def _exact_margin_counter(monkeypatch):
+    """Count the margins the lock-step trainer takes with the per-model
+    dot."""
+    calls = []
+    real = learn._exact_margin
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(learn, "_exact_margin", count)
+    return calls
+
+
+_SGD_HYPERS = [SVMHyper(), SVMHyper(reg=1e-2, epochs=3),
+               SVMHyper(reg=0.5, epochs=4), SVMHyper(reg=2.0, epochs=2)]
+
+
+def _random_sgd_group(rng):
+    """Up to 18 two-class training sets of 2 to 60 rows over up to 60
+    columns (some rows empty, some repeated), each with a seed and a
+    hyperparameter set, mostly the group's main one; an equal-content twin
+    of one of them is appended."""
+    main = _SGD_HYPERS[int(rng.integers(len(_SGD_HYPERS)))]
+    group = []
+    for _ in range(int(rng.integers(1, 19))):
+        n, d = 2 + int(59 * rng.random() ** 2), int(rng.integers(1, 61))
+        X = rng.integers(1, 6, size=(n, d)).astype(float)
+        if rng.random() < 0.5:
+            X = rng.random((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        X[rng.random((n, d)) > rng.random()] = 0.0
+        X[rng.random(n) < 0.1] = 0.0  # empty rows
+        dup = rng.random(n) < 0.15
+        X[dup] = X[rng.integers(n, size=int(dup.sum()))]
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]
+        rows, cols = np.nonzero(X)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        ts = TrainingSet((indptr, cols, X[rows, cols]), labels, np.arange(n))
+        hyper = main if rng.random() < 0.75 else \
+            _SGD_HYPERS[int(rng.integers(len(_SGD_HYPERS)))]
+        group.append((ts, hyper, int(rng.integers(2**31))))
+    group.append(group[int(rng.integers(len(group)))])
+    return group
+
+
+def test_lockstep_sgd_matches_the_frozen_loop(monkeypatch):
+    exact = _exact_margin_counter(monkeypatch)
+    rng = np.random.default_rng(2026)
+    lockstep = 0
+    for _ in range(500):
+        group = _random_sgd_group(rng)
+        models = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
+        assert all(m.sgd is not None for m in models)
+        train_svms(models + models[:2])  # listed twice: trained once
+        for model, (ts, hyper, seed) in zip(models, group):
+            _assert_trained_as_frozen(model, ts, hyper, seed)
+        per_hyper = [sum(h == hyper for _, h, _ in group)
+                     for hyper in _SGD_HYPERS]
+        lockstep += max(per_hyper) >= learn._TAIL
+    assert lockstep > 100  # groups whose models stepped in lock step
+    assert exact  # some margins landed within the slack of 1
+
+
+def test_lockstep_sgd_with_every_margin_taken_exactly(monkeypatch):
+    exact = _exact_margin_counter(monkeypatch)
+    monkeypatch.setattr(learn, "_SLACK_ABS", np.inf)
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        group = _random_sgd_group(rng)
+        models = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
+        train_svms(models)
+        for model, (ts, hyper, seed) in zip(models, group):
+            _assert_trained_as_frozen(model, ts, hyper, seed)
+    assert len(exact) > 1000
+
+
+def test_margin_within_the_slack_takes_the_per_model_dot(monkeypatch):
+    # reg = 2: the first step sets (w, b) to (v, 1) / 2, so when the second
+    # step repeats the same positive unit row v, its margin (|v|^2 + 1) / 2
+    # is 1 up to rounding, well inside the certificate's slack
+    exact = _exact_margin_counter(monkeypatch)
+    rng = np.random.default_rng(3)
+    hyper = SVMHyper(reg=2.0, epochs=1)
+    group = []
+    for k in range(12):
+        cols = np.sort(rng.choice(40, size=int(rng.integers(3, 30)),
+                                  replace=False))
+        row = (cols, rng.random(len(cols)) * 10.0 ** int(rng.integers(-2, 3)))
+        rows = [row] * 9 + [(np.array([40 + k]), np.array([1.0]))]
+        group.append((ts_from(rows, [1] * 9 + [0]), hyper, k))
+    models = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
+    train_svms(models)
+    for model, (ts, hyper, seed) in zip(models, group):
+        _assert_trained_as_frozen(model, ts, hyper, seed)
+    # the second step of every model whose first two rows are positive
+    assert len(exact) >= 8
+
+
+def test_pending_model_trains_alone_as_in_a_group():
+    rng = np.random.default_rng(8)
+    group = _random_sgd_group(rng)
+    while len(group) < 2 * learn._TAIL:
+        group += _random_sgd_group(rng)
+    group = [(ts, SVMHyper(), seed) for ts, _, seed in group]
+    batch = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
+    train_svms(batch)
+    for model, (ts, hyper, seed) in zip(batch, group):
+        alone = train_svm(ts, hyper, seed)
+        train_svms([alone])
+        assert alone._w.tobytes() == model._w.tobytes()
+        assert alone._b == model._b
+        assert alone.margins.tobytes() == \
+            np.ascontiguousarray(model.margins).tobytes()
 
 
 # ------------------------------------------------------------ random forest

@@ -982,6 +982,57 @@ def test_run_lp_settles_each_built_svm_once(homophily, monkeypatch,
     _assert_settled_once(calls, 2, pool)
 
 
+def _train_recorder(monkeypatch):
+    """Replace the pool's train_svms with one that records, per call, the
+    ids of the SVMs whose SGD it ran."""
+    calls = []
+    real = tasks.train_svms
+
+    def record(models):
+        models = list(models)
+        calls.append([id(m) for m in models
+                      if isinstance(m, LinearSVM) and m.sgd is not None])
+        real(models)
+
+    monkeypatch.setattr(tasks, "train_svms", record)
+    return calls
+
+
+@pytest.mark.parametrize("task", ["CC", "LP"])
+def test_pool_trains_pending_svms_past_the_entry_budget(homophily,
+                                                        monkeypatch, task):
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
+    fam = prepare_family(spec, spec.build(ds.matrix("training")), 5,
+                         False, task == "LP", False)
+    config = cfg("local-adjacency", task=task, network=spec)
+    # random edges: neighborhoods mix both labels, so SVMs get trained
+    ends = np.random.default_rng(0).integers(0, 120, size=(700, 2))
+    g = mk(120, {(min(a, b), max(a, b)) for a, b in ends.tolist() if a != b})
+
+    def run(pool):
+        if task == "CC":
+            return [run_cc(config, g, ds, role, pool=pool)
+                    for role in ("validation", "testing")]
+        return [run_lp(config, fam.lp_train, plan, ds.matrix("training"),
+                       excl_keys=fam.excl_keys, pool=pool)
+                for plan in fam.lp_plans.values()]
+
+    want = run(ClassifierPool(config))
+    monkeypatch.setattr(tasks, "SGD_BATCH_ENTRIES", 200)
+    trained = _train_recorder(monkeypatch)
+    settled = _settle_recorder(monkeypatch)
+    pool = ClassifierPool(config)
+    got = run(pool)
+    built = [id(m) for m in pool.cache.values() if isinstance(m, LinearSVM)]
+    flushes = [ids for ids in trained if ids]
+    assert len(flushes) > 4  # more than the two settles
+    assert sorted(i for ids in flushes for i in ids) == sorted(built)
+    _assert_settled_once(settled, 2, pool)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.predicted, b.predicted)
+
+
 def test_lp_training_edges_may_not_touch_eval_pairs():
     full, _, matrix, plans, excl = _lp_fixture()
     with pytest.raises(TaskError):
