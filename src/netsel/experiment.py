@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import multiprocessing
+import numbers
 import os
 import platform
 import re
@@ -36,14 +37,22 @@ from .selection import (EvaluationRecord, SelectionError, cross_task,
                         records_from_batches, selection_stats)
 from .similarity import NetworkModelSpec
 from .synth import PlantSpec, synth_bundle
-from .tasks import (ClassifierPool, LeakageAudit, ModelConfig,
+from .tasks import (ClassifierPool, LeakageAudit, LPScopes, ModelConfig,
                     PredictionBatch, _fmt_density, assign_lp_eval,
                     config_key_fields, run_cc, run_lp)
 
 LP_SPLIT = (0.5, 0.25, 0.25)
 CONFIG_KEYS = ("dataset", "grid", "seed", "workers", "out", "svm", "rf")
-GRID_KEYS = ("models", "measures", "densities", "explicit", "localities",
-             "tasks", "classifiers")
+# each grid axis and its default
+GRID_DEFAULTS = {
+    "models": ["KNN", "TH"],
+    "measures": ["INT", "INT-N"],
+    "densities": [0.0025, 0.005],
+    "explicit": [],
+    "localities": ["local-adjacency", "global"],
+    "tasks": ["CC", "LP"],
+    "classifiers": ["linear-svm"],
+}
 
 
 class ExperimentError(ValueError):
@@ -55,6 +64,16 @@ def _reject_unknown(block: dict, known, path: str) -> None:
     if unknown:
         raise ExperimentError("unknown config key: "
                               + ", ".join(path + k for k in unknown))
+
+
+def _typed(block: dict, key: str, path: str, kind: type, default):
+    """``block[key]`` (``default`` when absent); a value of another JSON
+    type raises ExperimentError naming the key."""
+    value = block.get(key, default)
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ExperimentError(f"{path}{key} must be {what}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -81,16 +100,27 @@ class ExperimentConfig:
         """Parse a config; an unknown key, say a misspelled grid axis, or
         a scalar of the wrong type raises ExperimentError naming its path
         instead of leaving the default in place or coercing the value."""
+        if not isinstance(raw, dict):
+            raise ExperimentError(f"config must be an object, got {raw!r}")
         _reject_unknown(raw, CONFIG_KEYS, "")
-        grid = raw.get("grid", {})
-        _reject_unknown(grid, GRID_KEYS, "grid.")
+        grid = _typed(raw, "grid", "", dict, {})
+        _reject_unknown(grid, GRID_DEFAULTS, "grid.")
+        axes = {key: list(_typed(grid, key, "grid.", list, default))
+                for key, default in GRID_DEFAULTS.items()}
+        for d in axes["densities"]:
+            if isinstance(d, bool) or not isinstance(d, numbers.Real):
+                raise ExperimentError(f"grid.densities must hold numbers, "
+                                      f"got {d!r}")
+        hypers = {}
         for name, hyper in (("svm", SVMHyper), ("rf", RFHyper)):
-            _reject_unknown(raw.get(name) or {},
-                            [f.name for f in fields(hyper)], f"{name}.")
+            block = _typed(raw, name, "", dict, {})
+            _reject_unknown(block, [f.name for f in fields(hyper)],
+                            f"{name}.")
+            hypers[name] = hyper.from_dict(block)
         workers = _integer(raw.get("workers", 1), "workers", ExperimentError)
         if workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {workers!r}")
-        dataset = raw.get("dataset", {})
+        dataset = _typed(raw, "dataset", "", dict, {})
         if not isinstance(dataset.get("strict", False), bool):
             raise ExperimentError(f"dataset.strict must be true or false, "
                                   f"got {dataset['strict']!r}")
@@ -106,22 +136,14 @@ class ExperimentConfig:
             if least is not None and value < least:
                 raise ExperimentError(f"{name} must be >= {least}, "
                                       f"got {value!r}")
+        axes["densities"] = [float(d) for d in axes["densities"]]
         return ExperimentConfig(
             dataset=dataset,
-            models=list(grid.get("models", ["KNN", "TH"])),
-            measures=list(grid.get("measures", ["INT", "INT-N"])),
-            densities=[float(d) for d in grid.get("densities",
-                                                  [0.0025, 0.005])],
-            explicit=list(grid.get("explicit", [])),
-            localities=list(grid.get("localities",
-                                     ["local-adjacency", "global"])),
-            tasks=list(grid.get("tasks", ["CC", "LP"])),
-            classifiers=list(grid.get("classifiers", ["linear-svm"])),
+            **axes,
             seed=_integer(raw.get("seed", 0), "seed", ExperimentError),
             workers=workers,
             out=str(raw.get("out", "out")),
-            svm=SVMHyper.from_dict(raw.get("svm")),
-            rf=RFHyper.from_dict(raw.get("rf")),
+            **hypers,
         )
 
     @staticmethod
@@ -262,7 +284,9 @@ def stage_infer(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
 @dataclass
 class FamilyData:
-    """Everything one network family shares across its config cells."""
+    """Everything one network family shares across its config cells.
+    ``lp_scopes`` resolves each LP owner's local training material once
+    for every config and both partitions."""
 
     spec: NetworkModelSpec
     graph: EdgeSet
@@ -272,6 +296,7 @@ class FamilyData:
     comm_lp: object
     excl_keys: np.ndarray
     audit: LeakageAudit
+    lp_scopes: LPScopes | None = None
 
 
 def prepare_family(spec: NetworkModelSpec, g: EdgeSet, master_seed: int,
@@ -304,7 +329,9 @@ def prepare_family(spec: NetworkModelSpec, g: EdgeSet, master_seed: int,
                                           "LP"))
     return FamilyData(spec=spec, graph=g, comm_cc=comm_cc,
                       lp_train=lp_train, lp_plans=lp_plans,
-                      comm_lp=comm_lp, excl_keys=excl, audit=audit)
+                      comm_lp=comm_lp, excl_keys=excl, audit=audit,
+                      lp_scopes=LPScopes(lp_train, excl, comm_lp)
+                      if need_lp else None)
 
 
 def build_grid(cfg: ExperimentConfig) -> list[tuple[str, ModelConfig]]:
@@ -348,7 +375,7 @@ def evaluate_config(family: FamilyData, dataset: PartitionedDataset,
                                   family.lp_plans[role], matrix,
                                   excl_keys=family.excl_keys,
                                   comm=family.comm_lp, audit=audit,
-                                  pool=pool))
+                                  pool=pool, scopes=family.lp_scopes))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return {
         "config_key": config.config_key,

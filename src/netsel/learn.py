@@ -287,6 +287,61 @@ class LinearSVM:
     def predict(self, cols, vals) -> int:
         return 1 if self.decision(cols, vals) >= 0 else 0
 
+    def predict_rows(self, indptr, cols, vals) -> np.ndarray:
+        """``predict`` of every row of a CSR triple in one pass, as int8.
+
+        The pass sums each row's norm and dot with ``np.bincount``, not as
+        ``decision`` does, so its decision d may differ in the last bits;
+        only the sign of d is used, and rounding never flips the sign of
+        the final ``+ b``. The sign is taken from the pass when ``|d|``
+        exceeds a rigorous bound on how far any evaluation order of the
+        norm, the scaling and the dot can move it
+        (``4 * gamma_(2K+5) * sum |w_c v_c| / ||v|| + 16u`` for rows of at
+        most K dictionary columns), as ``train_svms`` certifies margins. A
+        row whose every term has a zero weight or a zero value has a
+        signed-zero dot in any order, so it decides on ``b >= 0`` exactly;
+        that covers rows with no dictionary column. Every other row is
+        decided by ``predict`` itself.
+        """
+        w, b = self.w, self.b
+        cols, vals = np.asarray(cols), np.asarray(vals, np.float64)
+        n_rows = len(indptr) - 1
+        row = np.repeat(np.arange(n_rows), np.diff(indptr))
+        loc = np.zeros(len(cols), dtype=np.intp)
+        hit = np.zeros(len(cols), dtype=bool)
+        if len(self.dictionary):
+            loc = np.searchsorted(self.dictionary, cols)
+            np.minimum(loc, len(self.dictionary) - 1, out=loc)
+            hit = self.dictionary[loc] == cols
+        row, loc, v = row[hit], loc[hit], vals[hit]
+        wc = w[loc]
+        norm = np.sqrt(np.bincount(row, v * v, n_rows))
+        norm[norm == 0] = 1.0
+        prod = wc * (v / norm[row])
+        d = np.bincount(row, prod, n_rows) + b
+        k2 = 2 * int(np.bincount(row, minlength=n_rows).max(initial=0)) + 5
+        rel = 4 * k2 * _U / (1 - k2 * _U)  # 4 * gamma_(2K+5)
+        slack = np.bincount(row, np.abs(prod), n_rows) * rel + _SLACK_ABS
+        zero = np.bincount(row, (wc != 0) & (v != 0), n_rows) == 0
+        out = (d >= 0).astype(np.int8)
+        out[zero] = 1 if b >= 0 else 0
+        ptr = np.asarray(indptr).tolist()
+        for r in np.flatnonzero(~zero & (np.abs(d) <= slack)).tolist():
+            a, z = ptr[r], ptr[r + 1]
+            out[r] = self.predict(cols[a:z], vals[a:z])
+        return out
+
+
+def predict_rows(clf, indptr, cols, vals) -> np.ndarray:
+    """``clf.predict`` of every row of a CSR triple, as int8: a LinearSVM
+    scores them in one pass (``LinearSVM.predict_rows``), any other
+    classifier row by row."""
+    if isinstance(clf, LinearSVM):
+        return clf.predict_rows(indptr, cols, vals)
+    ptr = np.asarray(indptr).tolist()
+    return np.array([clf.predict(cols[a:z], vals[a:z])
+                     for a, z in zip(ptr[:-1], ptr[1:])], dtype=np.int8)
+
 
 class _SGDInput:
     """What the SGD of a pending LinearSVM reads: its unit rows as

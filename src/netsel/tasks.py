@@ -17,6 +17,7 @@ of how configs are scheduled across workers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -29,8 +30,9 @@ from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
                     bfs_neighborhood, egonet, incident_nonedges,
                     induced_pairs)
 from .learn import (CoinClassifier, ConstantClassifier, LinearSVM, RFHyper,
-                    SVMHyper, TrainingSet, pair_features, settle_svms,
-                    single_class_label, train_classifier, train_svms)
+                    SVMHyper, TrainingSet, _gather, pair_features,
+                    predict_rows, settle_svms, single_class_label,
+                    train_classifier, train_svms)
 from .similarity import NetworkModelSpec, RowBlock
 
 TASKS = ("CC", "LP")
@@ -182,6 +184,20 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
+class _PendingPairs:
+    """An LP training set whose features are not assembled yet: the
+    balanced pairs (edges first), their labels and the training seed."""
+
+    __slots__ = ("matrix", "pairs", "labels", "seed")
+
+    def __init__(self, matrix: AttributeMatrix, pairs: np.ndarray,
+                 labels: np.ndarray, seed: int) -> None:
+        self.matrix = matrix
+        self.pairs = pairs
+        self.labels = labels
+        self.seed = seed
+
+
 class ClassifierPool:
     """Content-addressed classifier cache for one config.
 
@@ -190,11 +206,14 @@ class ClassifierPool:
     produce the same classifier. ``trained`` counts builds, ``hits`` the
     lookups answered from the cache, and ``single_class`` the CC builds
     answered without training because the material carries one label.
-    SVMs come out of ``train_svm`` with their SGD pending. The pool runs
-    the SGD of those it holds in one lock-step ``train_svms`` call once
-    their unit rows pass ``SGD_BATCH_ENTRIES`` entries; ``settle`` trains
-    the rest, then scales every SVM built since its last call in one
-    search.
+
+    A builder may return ``_PendingPairs``: an LP training set that waits
+    in the cache for ``settle``, which assembles all of them from one
+    ``pair_features`` pass and trains them in lookup order. SVMs come out
+    of ``train_svm`` with their SGD pending. The pool runs the SGD of
+    those it holds in one lock-step ``train_svms`` call once their unit
+    rows pass ``SGD_BATCH_ENTRIES`` entries; ``settle`` trains the rest,
+    then scales every SVM built since its last call in one search.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -205,23 +224,54 @@ class ClassifierPool:
         self.single_class = 0
         self.unsettled: list = []
         self.sgd_entries = 0
+        self.deferred: list[str] = []
 
     def get(self, material: str, builder):
         if material in self.cache:
             self.hits += 1
         else:
             seed = derive_seed(self.config.seed, "clf", material)
-            clf = self.cache[material] = builder(seed)
-            self.unsettled.append(clf)
             self.trained += 1
-            if isinstance(clf, LinearSVM) and clf.sgd is not None:
-                self.sgd_entries += len(clf.sgd.vals)
-                if self.sgd_entries > SGD_BATCH_ENTRIES:
-                    train_svms(self.unsettled)
-                    self.sgd_entries = 0
+            self._keep(material, builder(seed))
         return self.cache[material]
 
+    def _keep(self, material: str, clf) -> None:
+        self.cache[material] = clf
+        if isinstance(clf, _PendingPairs):
+            self.deferred.append(material)
+            return
+        self.unsettled.append(clf)
+        if isinstance(clf, LinearSVM) and clf.sgd is not None:
+            self.sgd_entries += len(clf.sgd.vals)
+            if self.sgd_entries > SGD_BATCH_ENTRIES:
+                train_svms(self.unsettled)
+                self.sgd_entries = 0
+
+    def _assemble(self) -> None:
+        """Train every deferred LP set: one ``pair_features`` pass over
+        all of their pairs, and each TrainingSet reads its rows out of
+        it."""
+        keys, self.deferred = self.deferred, []
+        if not keys:
+            return
+        sets = [self.cache[k] for k in keys]
+        matrix = sets[0].matrix
+        if any(s.matrix is not matrix for s in sets):
+            raise TaskError("deferred LP sets read different matrices")
+        ptr, cols, vals = pair_features(
+            matrix, np.concatenate([s.pairs for s in sets]))
+        c = self.config
+        at = 0
+        for key, s in zip(keys, sets):
+            stop = at + len(s.pairs)
+            ts = TrainingSet((ptr[at:stop + 1], cols, vals), s.labels,
+                             s.pairs)
+            self._keep(key, train_classifier(c.classifier, ts, s.seed,
+                                             c.svm, c.rf))
+            at = stop
+
     def settle(self) -> None:
+        self._assemble()
         train_svms(self.unsettled)
         self.sgd_entries = 0
         settle_svms(self.unsettled)
@@ -497,6 +547,14 @@ class LPEvalPlan:
     reserved_keys: np.ndarray
     dropped_pos: int = 0
 
+    @functools.cached_property
+    def targets(self) -> np.ndarray:
+        """Every pair's record target ``"a-b"``, positives then negatives,
+        as an object array; built once, read by every config."""
+        return np.array([f"{a}-{b}" for a, b in
+                         np.concatenate([self.pos, self.neg]).tolist()],
+                        dtype=object)
+
 
 def assign_lp_eval(full: EdgeSet, g_eval: EdgeSet, partition: str,
                    seed: int, audit: LeakageAudit | None = None
@@ -569,73 +627,115 @@ def assign_lp_eval(full: EdgeSet, g_eval: EdgeSet, partition: str,
     )
 
 
-def _lp_local_pair_sets(config: ModelConfig, g_train: EdgeSet, i: int,
-                        comm: CommunityAssignment | None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    kind = config.locality.locality
-    if kind == "local-adjacency":
-        _, edges, nonedges = egonet(g_train, i)
-        return edges, nonedges
-    if kind == "local-bfs":
-        nodes = np.append(
-            bfs_neighborhood(g_train, i, config.locality.bfs_k), i)
-        return induced_pairs(g_train, nodes)
-    if kind == "community":
-        if comm is None:
-            raise TaskError("community locality needs a CommunityAssignment")
-        return induced_pairs(g_train, comm.members(int(comm.labels[i])))
-    raise TaskError(f"no local pair scope for locality '{kind}'")
+@dataclass(frozen=True)
+class _LPMaterial:
+    """One LP training scope as pool material: its edges, the candidate
+    non-edges left after the ``excl_keys`` filter, and their digest (the
+    pool key)."""
+
+    edges: np.ndarray
+    nonedges: np.ndarray
+    key: str
 
 
-def _lp_classifier_for_pairs(config: ModelConfig, pool: ClassifierPool,
-                             audit: LeakageAudit, matrix: AttributeMatrix,
-                             edges: np.ndarray, nonedges: np.ndarray,
-                             excl_keys: np.ndarray, n: int):
-    """Balance the two pair classes, assemble features, train (cached).
-
-    Candidate non-edges that are actually held-out network edges or
-    reserved evaluation pairs are removed first. Returns None when a class
-    is empty after that (the untrainable fallback).
-    """
+def _lp_material(edges: np.ndarray, nonedges: np.ndarray,
+                 excl_keys: np.ndarray, n: int) -> _LPMaterial | None:
+    """Remove candidate non-edges that are actually held-out network edges
+    or reserved evaluation pairs, and digest what is left. None when a
+    class is empty after that (the untrainable fallback)."""
     if len(nonedges):
         k = _pair_keys(nonedges[:, 0], nonedges[:, 1], n)
-        hit = _in_sorted(k, excl_keys)
-        nonedges = nonedges[~hit]
-    m = min(len(edges), len(nonedges))
-    if m == 0:
+        nonedges = nonedges[~_in_sorted(k, excl_keys)]
+    if min(len(edges), len(nonedges)) == 0:
         return None
     ek = _pair_keys(edges[:, 0], edges[:, 1], n)
     nk = _pair_keys(nonedges[:, 0], nonedges[:, 1], n)
-    material = _digest("lp", np.sort(ek), np.sort(nk))
-    if len(edges) > m:
-        r = generator(derive_seed(config.seed, "lp-balance", material),
-                      "pos")
-        edges = edges[np.sort(r.choice(len(edges), size=m, replace=False))]
-    if len(nonedges) > m:
-        r = generator(derive_seed(config.seed, "lp-balance", material),
-                      "neg")
-        idx = np.sort(r.choice(len(nonedges), size=m, replace=False))
-        nonedges = nonedges[idx]
+    return _LPMaterial(edges, nonedges,
+                       _digest("lp", np.sort(ek), np.sort(nk)))
+
+
+_EGONET = NeighborhoodSpec("local-adjacency")
+
+
+class LPScopes:
+    """Local LP training material over one training graph, resolved on
+    first use and kept: per (locality, owner) the pair set of the owner's
+    scope, the ``excl_keys`` filter and the digest. A family holds one, so
+    every config and both partitions share it. Owners of one community
+    share one scope, and an ensemble member's egonet is its
+    local-adjacency scope."""
+
+    def __init__(self, g_train: EdgeSet, excl_keys: np.ndarray,
+                 comm: CommunityAssignment | None = None) -> None:
+        self.g_train = g_train
+        self.excl_keys = excl_keys
+        self.comm = comm
+        self._cache: dict = {}
+
+    def material(self, spec: NeighborhoodSpec, i: int
+                 ) -> _LPMaterial | None:
+        kind = spec.locality
+        if kind not in ("local-adjacency", "local-bfs", "community"):
+            raise TaskError(f"no local pair scope for locality '{kind}'")
+        if kind == "community":
+            if self.comm is None:
+                raise TaskError("community locality needs a "
+                                "CommunityAssignment")
+            scope = (kind, int(self.comm.labels[i]))
+        else:
+            scope = (spec.key(), i)
+        if scope not in self._cache:
+            g = self.g_train
+            if kind == "local-adjacency":
+                _, edges, nonedges = egonet(g, i)
+            elif kind == "local-bfs":
+                edges, nonedges = induced_pairs(
+                    g, np.append(bfs_neighborhood(g, i, spec.bfs_k), i))
+            else:
+                edges, nonedges = induced_pairs(g, self.comm.members(scope[1]))
+            self._cache[scope] = _lp_material(edges, nonedges,
+                                              self.excl_keys, g.n_nodes)
+        return self._cache[scope]
+
+
+def _lp_lookup(config: ModelConfig, pool: ClassifierPool,
+               audit: LeakageAudit, matrix: AttributeMatrix,
+               mat: _LPMaterial | None, excl_keys: np.ndarray, n: int
+               ) -> str | None:
+    """Look one scope's material up in the pool and return its key; None
+    for untrainable material. A miss draws the class-balanced sample,
+    seeded by the config and the material, and checks it; its features
+    and training wait for ``pool.settle`` (a coin needs neither)."""
+    if mat is None:
+        return None
 
     def build(seed: int):
+        edges, nonedges = mat.edges, mat.nonedges
+        m = min(len(edges), len(nonedges))
+        balance = derive_seed(config.seed, "lp-balance", mat.key)
+        if len(edges) > m:
+            r = generator(balance, "pos")
+            edges = edges[np.sort(r.choice(len(edges), size=m,
+                                           replace=False))]
+        if len(nonedges) > m:
+            r = generator(balance, "neg")
+            nonedges = nonedges[np.sort(r.choice(len(nonedges), size=m,
+                                                 replace=False))]
         audit.expect_role(matrix.role, "training", "LP pair features")
         audit.disjoint(_pair_keys(nonedges[:, 0], nonedges[:, 1], n),
                        excl_keys,
                        "LP training non-edges overlap evaluation pairs")
         if config.classifier == "coin":  # coin never reads its features
             return CoinClassifier(seed)
-        pairs = np.concatenate([edges, nonedges])
-        labels = np.repeat([1, 0], [len(edges), len(nonedges)])
-        ts = TrainingSet(pair_features(matrix, pairs), labels, pairs)
-        return train_classifier(config.classifier, ts, seed,
-                                config.svm, config.rf)
+        return _PendingPairs(matrix, np.concatenate([edges, nonedges]),
+                             np.repeat([1, 0], m), seed)
 
-    return pool.get(material, build)
+    pool.get(mat.key, build)
+    return mat.key
 
 
-def _lp_global_classifier(config: ModelConfig, pool: ClassifierPool,
-                          audit: LeakageAudit, g_train: EdgeSet,
-                          excl_keys: np.ndarray, matrix: AttributeMatrix):
+def _lp_global_material(config: ModelConfig, g_train: EdgeSet,
+                        excl_keys: np.ndarray) -> _LPMaterial | None:
     """One seeded training sample of edges and complement non-edges,
     shared by every test instance of the config."""
     n = g_train.n_nodes
@@ -650,21 +750,38 @@ def _lp_global_classifier(config: ModelConfig, pool: ClassifierPool,
     nonedges = absent_pairs(n, excl_keys if len(excl_keys)
                             else g_train.pair_keys(), n_pos,
                             derive_seed(config.seed, "lp-global-neg"))
-    return _lp_classifier_for_pairs(config, pool, audit, matrix, edges,
-                                    nonedges, excl_keys, n)
+    return _lp_material(edges, nonedges, excl_keys, n)
 
 
 def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
            matrix: AttributeMatrix, excl_keys: np.ndarray | None = None,
            comm: CommunityAssignment | None = None,
            audit: LeakageAudit | None = None,
-           pool: ClassifierPool | None = None) -> PredictionBatch:
+           pool: ClassifierPool | None = None,
+           scopes: LPScopes | None = None) -> PredictionBatch:
     """Evaluate link prediction on one edge-split partition.
 
     ``excl_keys`` holds every pair key off-limits to training non-edges:
     the full network plus all reserved evaluation pairs (both partitions).
-    Owners whose local scope lacks a pair class fall back to predicting
-    non-edge for their whole balanced batch.
+    ``scopes`` is the owners' local material when the caller shares it
+    across calls; it must be resolved over this ``g_train``, ``excl_keys``
+    and ``comm``. Owners whose local scope lacks a pair class fall back to
+    predicting non-edge for their whole balanced batch.
+
+    The call runs in three phases, each bit-identical to the per-owner,
+    per-pair loop it replaces:
+
+    - resolve: every owner's classifier material (from ``scopes``, or the
+      config's global sample or ensemble members) is looked up in the
+      pool, which defers the training sets of its misses;
+    - build: ``pool.settle`` assembles every deferred set from one
+      ``pair_features`` pass, trains them and scales the SVMs;
+    - predict: one ``pair_features`` pass gives every plan pair's row in
+      record order (owners ascending, each owner's positives then its
+      negatives), and each classifier scores all of its pairs in one
+      ``predict_rows`` call. An SVM takes each sign from a batched sum
+      only where a rigorous rounding bound certifies it, and otherwise
+      from its own per-row ``predict``.
     """
     if config.task != "LP":
         raise TaskError("run_lp called on a non-LP config")
@@ -687,90 +804,80 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
     kind = spec.locality
     if kind == "community" and comm is None:
         comm = louvain(g_train, derive_seed(config.seed, "louvain"))
+    if scopes is None:
+        scopes = LPScopes(g_train, excl_keys, comm)
+    elif (scopes.g_train is not g_train or scopes.excl_keys is not excl_keys
+          or scopes.comm is not comm):
+        raise TaskError("LP scopes were resolved over another training "
+                        "graph, exclusion set or community assignment")
 
-    shared_clf = None
+    def lookup(mat):
+        return _lp_lookup(config, pool, audit, matrix, mat, excl_keys, n)
+
+    # record order: owners ascending, each owner's plan positions
+    # ascending (its positives, then its negatives)
+    owner_all = np.concatenate([plan.pos_owner, plan.neg_owner])
+    order = np.argsort(owner_all, kind="stable")
+    owners, first = np.unique(owner_all[order], return_index=True)
+
+    # resolve: each owner's material key, None where untrainable; no keys
+    # when every owner's pairs go to the ensemble vote
     ensemble_fallback = False
-    if kind == "global":
-        shared_clf = _lp_global_classifier(config, pool, audit, g_train,
-                                           excl_keys, matrix)
-    elif kind == "ensemble":
-        member_ids = ensemble_members(config, g_train, matrix)
-        trained = []
-        for mnode in member_ids:
-            _, edges, nonedges = egonet(g_train, int(mnode))
-            clf = _lp_classifier_for_pairs(config, pool, audit, matrix,
-                                           edges, nonedges, excl_keys, n)
-            if clf is not None:
-                trained.append((int(mnode), clf))
-        if len(trained) < spec.ensemble_knn:
-            ensemble_fallback = True
-            shared_clf = _lp_global_classifier(config, pool, audit,
-                                               g_train, excl_keys, matrix)
-        else:
-            shared_clf = _EnsembleVoter(trained, config.vote_measure,
-                                        spec.ensemble_knn, matrix)
+    voters = []
+    if kind == "ensemble":
+        for mnode in ensemble_members(config, g_train, matrix).tolist():
+            key = lookup(scopes.material(_EGONET, mnode))
+            if key is not None:
+                voters.append((mnode, key))
+        ensemble_fallback = len(voters) < spec.ensemble_knn
+    keys = None
+    if kind == "global" or ensemble_fallback:
+        keys = [lookup(_lp_global_material(config, g_train, excl_keys))
+                ] * len(owners)
+    elif kind != "ensemble":
+        by_label: dict[int, str | None] = {}  # one lookup per community
+        keys = []
+        for i in owners.tolist():
+            if kind == "community":
+                label = int(comm.labels[i])
+                if label not in by_label:
+                    by_label[label] = lookup(scopes.material(spec, i))
+                keys.append(by_label[label])
+            else:
+                keys.append(lookup(scopes.material(spec, i)))
 
-    # every plan pair's features in one batch, positives first; a pair's
-    # row is sliced out for prediction (coin hashes it too)
-    pairs = np.concatenate([plan.pos, plan.neg])
-    ptr, feat_cols, feat_vals = pair_features(matrix, pairs)
-    ptr = ptr.tolist()
-    pairs = pairs.tolist()
-    n_pos = len(plan.pos)
-    community_clf: dict[int, object] = {}
-
-    def local_classifier(i: int):
-        edges, nonedges = _lp_local_pair_sets(config, g_train, i, comm)
-        return _lp_classifier_for_pairs(config, pool, audit, matrix,
-                                        edges, nonedges, excl_keys, n)
-
-    # every owner's classifier first, then the SVMs this call built
-    # settle in one search, then every pair predicts
-    owners = []
-    # an owner's positions ascend: its positives, then its negatives
-    for i, at in _group_by(np.concatenate([plan.pos_owner,
-                                           plan.neg_owner])):
-        if kind in ("global", "ensemble"):
-            clf = shared_clf
-        elif kind == "community":
-            # every owner in a community trains on the same induced pairs
-            label = int(comm.labels[i])
-            if label not in community_clf:
-                community_clf[label] = local_classifier(i)
-            clf = community_clf[label]
-        else:
-            clf = local_classifier(i)
-        owners.append((i, at, clf))
+    # build
     pool.settle()
 
-    nodes_out: list[int] = []
-    targets: list[str] = []
-    preds: list[int] = []
-    actuals: list[int] = []
-    fbs: list[bool] = []
-    for i, at, clf in owners:
-        fb = clf is None
-        for j in at.tolist():
-            a, b = pairs[j]
-            if fb:
-                pred = 0
-            else:
-                lo, hi = ptr[j], ptr[j + 1]
-                pred = int(clf.predict(feat_cols[lo:hi], feat_vals[lo:hi]))
-            nodes_out.append(i)
-            targets.append(f"{a}-{b}")
-            preds.append(pred)
-            actuals.append(1 if j < n_pos else 0)
-            fbs.append(fb)
+    # predict: each record's code indexes its classifier, -1 the fallback
+    if keys is None:
+        clfs = [_EnsembleVoter([(m, pool.cache[k]) for m, k in voters],
+                               config.vote_measure, spec.ensemble_knn,
+                               matrix)]
+        code = np.zeros(len(order), dtype=np.int64)
+    else:
+        index = {k: c for c, k in enumerate(
+            dict.fromkeys(k for k in keys if k is not None))}
+        clfs = [pool.cache[k] for k in index]
+        code = np.repeat(np.array([index.get(k, -1) for k in keys],
+                                  dtype=np.int64),
+                         np.diff(np.append(first, len(order))))
+    ptr, cols, vals = pair_features(
+        matrix, np.concatenate([plan.pos, plan.neg])[order])
+    predicted = np.zeros(len(order), dtype=np.int8)
+    for c, rows in _group_by(code):
+        if c >= 0:
+            sub, at = _gather(ptr, rows)
+            predicted[rows] = predict_rows(clfs[c], sub, cols[at], vals[at])
     return PredictionBatch(
         config_key=config.config_key,
         task="LP",
         partition=plan.partition,
-        nodes=np.array(nodes_out, dtype=np.int64),
-        targets=targets,
-        predicted=np.array(preds, dtype=np.int8),
-        actual=np.array(actuals, dtype=np.int8),
-        fallback=np.array(fbs, dtype=bool),
+        nodes=owner_all[order].astype(np.int64),
+        targets=plan.targets[order].tolist(),
+        predicted=predicted,
+        actual=(order < len(plan.pos)).astype(np.int8),
+        fallback=code < 0,
         ensemble_fallback=ensemble_fallback,
         notes={"classifiers_trained": pool.trained,
                "dropped_pos": plan.dropped_pos},

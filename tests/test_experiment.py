@@ -213,6 +213,34 @@ class TestGrid:
         with pytest.raises(ExperimentError, match=f"^{key} must be"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("key, value", [
+        ("dataset", 5),
+        ("grid", []),
+        ("svm", 3),
+        ("svm", None),
+        ("rf", "x"),
+        ("grid.models", "KNN"),
+        ("grid.densities", "ab"),
+        ("grid.densities", ["0.01"]),
+        ("grid.densities", [True]),
+        ("grid.localities", {"global": 1}),
+        ("grid.explicit", None),
+    ])
+    def test_config_blocks_and_axes_of_the_wrong_type_are_fatal(self, key,
+                                                                value):
+        raw = make_config("unused")
+        *blocks, name = key.split(".")
+        block = raw
+        for b in blocks:
+            block = block[b]
+        block[name] = value
+        with pytest.raises(ExperimentError, match=f"^{key} must "):
+            ExperimentConfig.from_dict(raw)
+
+    def test_a_config_that_is_not_an_object_is_fatal(self):
+        with pytest.raises(ExperimentError, match="^config must be"):
+            ExperimentConfig.from_dict(["grid"])
+
     def test_integral_synth_values_load(self):
         raw = make_config("unused")
         raw["dataset"]["synth"] = {"seed": -3, "n_nodes": 1, "n_items": 2.0}

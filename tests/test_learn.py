@@ -725,6 +725,127 @@ def test_pending_model_trains_alone_as_in_a_group():
             np.ascontiguousarray(model.margins).tobytes()
 
 
+# ---------------------------------------------------- batched prediction
+
+
+def _predict_rows_cases(rng):
+    """Settled SVMs of one random SGD group, each with rows to score: up
+    to 40 rows over the model's dictionary and 5 columns past it, some
+    empty, some only past it, some repeated, values of mixed
+    magnitudes."""
+    group = _random_sgd_group(rng)
+    models = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
+    settle_svms(models)
+    for model in models:
+        d = int(model.dictionary.max(initial=-1)) + 6
+        rows = []
+        for _ in range(int(rng.integers(1, 41))):
+            r = rng.random()
+            if r < 0.1:
+                cols = np.empty(0, dtype=np.int64)
+            elif r < 0.2:
+                cols = np.arange(d - 5, d)[rng.random(5) < 0.5]
+            elif r < 0.3 and rows:
+                rows.append(rows[int(rng.integers(len(rows)))])
+                continue
+            else:
+                cols = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)),
+                                          replace=False))
+            rows.append((cols, rng.random(len(cols))
+                         * 10.0 ** int(rng.integers(-3, 4))))
+        yield model, rows
+
+
+def _decision_counter(monkeypatch):
+    """Count the rows LinearSVM decides with its own per-row decision."""
+    calls = []
+    real = LinearSVM.decision
+
+    def count(self, cols, vals):
+        calls.append(len(cols))
+        return real(self, cols, vals)
+
+    monkeypatch.setattr(LinearSVM, "decision", count)
+    return calls
+
+
+def _row_by_row(clf, rows):
+    return np.array([clf.predict(c, v) for c, v in rows], dtype=np.int8)
+
+
+def test_svm_predict_rows_matches_row_by_row_predict():
+    rng = np.random.default_rng(41)
+    zero_w = 0
+    for _ in range(150):
+        for model, rows in _predict_rows_cases(rng):
+            got = model.predict_rows(*stack_rows(rows))
+            assert got.dtype == np.int8
+            np.testing.assert_array_equal(got, _row_by_row(model, rows))
+            zero_w += not model.w.any()
+    assert zero_w  # some models settled at scale 0
+
+
+@pytest.mark.parametrize("b", [0.75, -0.75, 0.0, -0.0])
+def test_svm_predict_rows_decides_on_the_bias_alone_exactly(monkeypatch, b):
+    # an all-zero w, and rows with no dictionary column (or only zero
+    # weights), have decision b: no row needs the per-row fallback
+    rows = [(np.array([0, 2]), np.array([1.0, 3.0])),
+            (np.empty(0, dtype=np.int64), np.empty(0)),
+            (np.array([7, 9]), np.array([2.0, 0.5])),
+            (np.array([1, 8]), np.array([4.0, 1.0]))]
+    models = [LinearSVM(np.zeros(3), b, np.arange(3)),
+              LinearSVM(np.array([0.0, 0.0, 5.0]), b, np.array([1, 3, 5])),
+              LinearSVM(np.empty(0), b, np.empty(0, dtype=np.int64))]
+    want = [_row_by_row(m, rows) for m in models]
+    calls = _decision_counter(monkeypatch)
+    for model, w in zip(models, want):
+        got = model.predict_rows(*stack_rows(rows))
+        np.testing.assert_array_equal(got, w)
+        np.testing.assert_array_equal(got, 1 if b >= 0 else 0)
+    assert not calls
+
+
+def test_svm_predict_rows_falls_back_inside_the_bound(monkeypatch):
+    # b cancels one row's dot, so that row's decision is 0 up to rounding:
+    # inside the bound, where only the per-row decision may decide
+    rng = np.random.default_rng(43)
+    planted = 0
+    calls = _decision_counter(monkeypatch)
+    for _ in range(60):
+        for model, rows in _predict_rows_cases(rng):
+            cols, vals = rows[int(rng.integers(len(rows)))]
+            loc, v = learn._project(model.dictionary, cols, vals)
+            if not ((model.w[loc] != 0) & (v != 0)).any():
+                continue  # no dot to cancel
+            model._b = 0.0
+            model._b = -model.decision(cols, vals)
+            rows = rows + [(cols, vals)] * 3
+            want = _row_by_row(model, rows)
+            calls.clear()
+            np.testing.assert_array_equal(
+                model.predict_rows(*stack_rows(rows)), want)
+            assert len(calls) >= 3  # the planted rows fell back
+            planted += 1
+    assert planted > 100
+
+
+def test_predict_rows_of_other_classifiers_goes_row_by_row():
+    rng = np.random.default_rng(44)
+    ts = _xor_set()[0]
+    rows = [(np.sort(rng.choice(4, size=int(rng.integers(0, 5)),
+                                replace=False)),
+             rng.integers(1, 4, size=4).astype(float)) for _ in range(30)]
+    rows = [(c, v[:len(c)]) for c, v in rows]
+    for clf in (CoinClassifier(5), ConstantClassifier(1),
+                train_rf(ts, RFHyper(trees=5), seed=2)):
+        got = learn.predict_rows(clf, *stack_rows(rows))
+        assert got.dtype == np.int8
+        np.testing.assert_array_equal(got, _row_by_row(clf, rows))
+    svm = train_svm(_separable(), SVMHyper(), seed=0)
+    np.testing.assert_array_equal(learn.predict_rows(svm, *stack_rows(rows)),
+                                  _row_by_row(svm, rows))
+
+
 # ------------------------------------------------------------ random forest
 
 

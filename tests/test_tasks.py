@@ -5,15 +5,16 @@ import pytest
 from scipy import sparse
 
 from netsel import tasks
-from netsel._rng import derive_seed
+from netsel._rng import derive_seed, generator
 from netsel.community import CommunityAssignment, louvain
 from netsel.data import (AttributeMatrix, EventLog, LabelRule,
                          build_dataset, build_matrix)
 from netsel.experiment import _write_batches, family_key, prepare_family
-from netsel.graph import (EdgeSet, NeighborhoodSpec, egonet,
-                          incident_nonedges)
-from netsel.learn import (ConstantClassifier, LearnError, LinearSVM,
-                          RFHyper, TrainingSet, edge_features,
+from netsel.graph import (EdgeSet, NeighborhoodSpec, _pair_keys,
+                          absent_pairs, bfs_neighborhood, egonet,
+                          incident_nonedges, induced_pairs)
+from netsel.learn import (CoinClassifier, ConstantClassifier, LearnError,
+                          LinearSVM, RFHyper, TrainingSet, edge_features,
                           train_classifier)
 from netsel.similarity import (NetworkModelSpec, RowBlock, SimilarityError,
                                sim)
@@ -813,6 +814,86 @@ def test_lp_community_scope():
     assert batch.precision == pytest.approx(1.0)
 
 
+def _frozen_lp_local_pair_sets(config, g_train, i, comm):
+    """run_lp's per-owner pair set as it was resolved once per owner per
+    call, before LPScopes kept it per family; kept verbatim as the
+    per-owner reference."""
+    kind = config.locality.locality
+    if kind == "local-adjacency":
+        _, edges, nonedges = egonet(g_train, i)
+        return edges, nonedges
+    if kind == "local-bfs":
+        nodes = np.append(
+            bfs_neighborhood(g_train, i, config.locality.bfs_k), i)
+        return induced_pairs(g_train, nodes)
+    if kind == "community":
+        if comm is None:
+            raise TaskError("community locality needs a CommunityAssignment")
+        return induced_pairs(g_train, comm.members(int(comm.labels[i])))
+    raise TaskError(f"no local pair scope for locality '{kind}'")
+
+
+def _frozen_lp_classifier_for_pairs(config, pool, audit, matrix, edges,
+                                    nonedges, excl_keys, n):
+    """The per-owner LP build as it was before the pool deferred LP sets:
+    filter, digest, balance and train at once, features from one
+    ``tasks.pair_features`` call per set; kept verbatim as the reference."""
+    if len(nonedges):
+        k = _pair_keys(nonedges[:, 0], nonedges[:, 1], n)
+        hit = tasks._in_sorted(k, excl_keys)
+        nonedges = nonedges[~hit]
+    m = min(len(edges), len(nonedges))
+    if m == 0:
+        return None
+    ek = _pair_keys(edges[:, 0], edges[:, 1], n)
+    nk = _pair_keys(nonedges[:, 0], nonedges[:, 1], n)
+    material = tasks._digest("lp", np.sort(ek), np.sort(nk))
+    if len(edges) > m:
+        r = generator(derive_seed(config.seed, "lp-balance", material),
+                      "pos")
+        edges = edges[np.sort(r.choice(len(edges), size=m, replace=False))]
+    if len(nonedges) > m:
+        r = generator(derive_seed(config.seed, "lp-balance", material),
+                      "neg")
+        idx = np.sort(r.choice(len(nonedges), size=m, replace=False))
+        nonedges = nonedges[idx]
+
+    def build(seed: int):
+        audit.expect_role(matrix.role, "training", "LP pair features")
+        audit.disjoint(_pair_keys(nonedges[:, 0], nonedges[:, 1], n),
+                       excl_keys,
+                       "LP training non-edges overlap evaluation pairs")
+        if config.classifier == "coin":  # coin never reads its features
+            return CoinClassifier(seed)
+        pairs = np.concatenate([edges, nonedges])
+        labels = np.repeat([1, 0], [len(edges), len(nonedges)])
+        ts = TrainingSet(tasks.pair_features(matrix, pairs), labels, pairs)
+        return train_classifier(config.classifier, ts, seed,
+                                config.svm, config.rf)
+
+    return pool.get(material, build)
+
+
+def _frozen_lp_global_classifier(config, pool, audit, g_train, excl_keys,
+                                 matrix):
+    """The config's global LP classifier as it was built before the pool
+    deferred LP sets; kept verbatim as the reference."""
+    n = g_train.n_nodes
+    n_pos = min(config.locality.global_sample, g_train.n_edges)
+    if n_pos == 0:
+        return None
+    rng = generator(config.seed, "lp-global")
+    pick = np.sort(rng.choice(g_train.n_edges, size=n_pos, replace=False))
+    lo = np.minimum(g_train.src[pick], g_train.dst[pick])
+    hi = np.maximum(g_train.src[pick], g_train.dst[pick])
+    edges = np.column_stack([lo, hi])
+    nonedges = absent_pairs(n, excl_keys if len(excl_keys)
+                            else g_train.pair_keys(), n_pos,
+                            derive_seed(config.seed, "lp-global-neg"))
+    return _frozen_lp_classifier_for_pairs(config, pool, audit, matrix,
+                                           edges, nonedges, excl_keys, n)
+
+
 def _per_owner_lp(config, g_train, plan, matrix, excl, comm):
     """run_lp's owner loop with one pair set and classifier lookup per
     owner and whole-plan masks per owner."""
@@ -821,8 +902,8 @@ def _per_owner_lp(config, g_train, plan, matrix, excl, comm):
     out = {"nodes": [], "targets": [], "pred": [], "act": [], "fb": []}
     for i in np.unique(np.concatenate([plan.pos_owner, plan.neg_owner])):
         i = int(i)
-        edges, nonedges = tasks._lp_local_pair_sets(config, g_train, i, comm)
-        clf = tasks._lp_classifier_for_pairs(config, pool, LeakageAudit(),
+        edges, nonedges = _frozen_lp_local_pair_sets(config, g_train, i, comm)
+        clf = _frozen_lp_classifier_for_pairs(config, pool, LeakageAudit(),
                                              matrix, edges, nonedges, excl, n)
         for pairs, lab in ((plan.pos[plan.pos_owner == i], 1),
                            (plan.neg[plan.neg_owner == i], 0)):
@@ -893,13 +974,13 @@ def _per_pair_lp(config, g_train, plan, matrix, excl, comm):
     spec = config.locality
     shared = None
     if spec.locality == "global":
-        shared = tasks._lp_global_classifier(config, pool, audit, g_train,
+        shared = _frozen_lp_global_classifier(config, pool, audit, g_train,
                                              excl, matrix)
     elif spec.locality == "ensemble":
         members = []
         for mnode in ensemble_members(config, g_train, matrix).tolist():
             _, edges, nonedges = egonet(g_train, mnode)
-            clf = tasks._lp_classifier_for_pairs(
+            clf = _frozen_lp_classifier_for_pairs(
                 config, pool, audit, matrix, edges, nonedges, excl, n)
             if clf is not None:
                 members.append((mnode, clf))
@@ -911,9 +992,9 @@ def _per_pair_lp(config, g_train, plan, matrix, excl, comm):
         i = int(i)
         clf = shared
         if clf is None:
-            edges, nonedges = tasks._lp_local_pair_sets(config, g_train, i,
+            edges, nonedges = _frozen_lp_local_pair_sets(config, g_train, i,
                                                         comm)
-            clf = tasks._lp_classifier_for_pairs(
+            clf = _frozen_lp_classifier_for_pairs(
                 config, pool, audit, matrix, edges, nonedges, excl, n)
         for pairs, lab in ((plan.pos[plan.pos_owner == i], 1),
                            (plan.neg[plan.neg_owner == i], 0)):
@@ -1031,6 +1112,58 @@ def test_pool_trains_pending_svms_past_the_entry_budget(homophily,
     _assert_settled_once(settled, 2, pool)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a.predicted, b.predicted)
+
+
+def _call_counter(monkeypatch, name):
+    """Count the calls run_lp's module makes to one of its names."""
+    calls = []
+    real = getattr(tasks, name)
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tasks, name, count)
+    return calls
+
+
+def test_lp_family_resolves_each_owner_scope_once(homophily, monkeypatch):
+    # two LP localities x two classifiers x both partitions read one
+    # family's scopes: one egonet per distinct local-adjacency owner, one
+    # induced_pairs per distinct local-bfs owner, and each run_lp call
+    # assembles its training sets in one pair_features pass
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
+    matrix = ds.matrix("training")
+    fam = prepare_family(spec, spec.build(matrix), 5, False, True, False)
+    egonets = _call_counter(monkeypatch, "egonet")
+    induced = _call_counter(monkeypatch, "induced_pairs")
+    features = _call_counter(monkeypatch, "pair_features")
+    owners = np.unique(np.concatenate(
+        [np.concatenate([p.pos_owner, p.neg_owner])
+         for p in fam.lp_plans.values()]))
+    builds = 0
+    for loc in ("local-adjacency", "local-bfs:3"):
+        for classifier in ("linear-svm", "coin"):
+            config = cfg(loc, task="LP", classifier=classifier,
+                         network=spec)
+            pool = ClassifierPool(config)
+            for plan in fam.lp_plans.values():
+                before, trained = len(features), pool.trained
+                run_lp(config, fam.lp_train, plan, matrix,
+                       excl_keys=fam.excl_keys, pool=pool,
+                       scopes=fam.lp_scopes)
+                # the plan's pairs, then the deferred training sets
+                built = classifier != "coin" and pool.trained > trained
+                assert len(features) - before == 1 + built
+                builds += built
+    assert builds >= 4
+    assert sorted(int(a[1]) for a in egonets) == owners.tolist()
+    assert len(induced) == len(owners)
+    with pytest.raises(TaskError, match="scopes"):
+        run_lp(cfg("local-adjacency", task="LP", network=spec),
+               fam.lp_train, fam.lp_plans["testing"], matrix,
+               scopes=fam.lp_scopes)  # excl_keys of its own: not the scopes'
 
 
 def test_lp_training_edges_may_not_touch_eval_pairs():
