@@ -184,18 +184,15 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
+@dataclass
 class _PendingPairs:
     """An LP training set whose features are not assembled yet: the
     balanced pairs (edges first), their labels and the training seed."""
 
-    __slots__ = ("matrix", "pairs", "labels", "seed")
-
-    def __init__(self, matrix: AttributeMatrix, pairs: np.ndarray,
-                 labels: np.ndarray, seed: int) -> None:
-        self.matrix = matrix
-        self.pairs = pairs
-        self.labels = labels
-        self.seed = seed
+    matrix: AttributeMatrix
+    pairs: np.ndarray
+    labels: np.ndarray
+    seed: int
 
 
 class ClassifierPool:
@@ -692,7 +689,8 @@ class LPScopes:
                 edges, nonedges = induced_pairs(
                     g, np.append(bfs_neighborhood(g, i, spec.bfs_k), i))
             else:
-                edges, nonedges = induced_pairs(g, self.comm.members(scope[1]))
+                edges, nonedges = induced_pairs(g,
+                                                self.comm.members(scope[1]))
             self._cache[scope] = _lp_material(edges, nonedges,
                                               self.excl_keys, g.n_nodes)
         return self._cache[scope]
