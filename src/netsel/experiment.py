@@ -107,10 +107,14 @@ class ExperimentConfig:
         _reject_unknown(grid, GRID_DEFAULTS, "grid.")
         axes = {key: list(_typed(grid, key, "grid.", list, default))
                 for key, default in GRID_DEFAULTS.items()}
-        for d in axes["densities"]:
-            if isinstance(d, bool) or not isinstance(d, numbers.Real):
-                raise ExperimentError(f"grid.densities must hold numbers, "
-                                      f"got {d!r}")
+        for key, axis in axes.items():
+            kind, what = {"densities": (numbers.Real, "numbers"),
+                          "explicit": (dict, "objects")
+                          }.get(key, (str, "strings"))
+            for v in axis:
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    raise ExperimentError(f"grid.{key} must hold {what}, "
+                                          f"got {v!r}")
         hypers = {}
         for name, hyper in (("svm", SVMHyper), ("rf", RFHyper)):
             block = _typed(raw, name, "", dict, {})

@@ -12,7 +12,18 @@ so a full run can report its assertion and violation counts.
 Classifier reuse: training material is digested (content-addressed), so
 two test instances with identical neighborhoods share one classifier and
 one derived seed. This keeps results independent of evaluation order and
-of how configs are scheduled across workers.
+of how configs are scheduled across workers. A runner call works in three
+phases: resolve every record's material and look it up in the config's
+ClassifierPool; build, where ``settle`` trains what the lookups missed
+(LP training sets are assembled then, all from one ``pair_features``
+pass); predict, where each LP classifier scores all of its pairs in one
+call (CC records still predict one at a time). LP owners' local material
+(pair set, exclusion filter, digest) is resolved once per family by
+LPScopes and read by every config and partition. An SVM scoring a batch
+(``LinearSVM.predict_rows``) takes each sign from a batched sum only
+where a rigorous rounding bound certifies it, and from its per-row
+``decision`` otherwise, so predictions match the per-row path bit for
+bit whatever BLAS kernel runs.
 """
 
 from __future__ import annotations
@@ -247,16 +258,14 @@ class ClassifierPool:
     def _assemble(self) -> None:
         """Train every deferred LP set: one ``pair_features`` pass over
         all of their pairs, and each TrainingSet reads its rows out of
-        it."""
+        it. The sets come from one runner call, so they share a
+        matrix."""
         keys, self.deferred = self.deferred, []
         if not keys:
             return
         sets = [self.cache[k] for k in keys]
-        matrix = sets[0].matrix
-        if any(s.matrix is not matrix for s in sets):
-            raise TaskError("deferred LP sets read different matrices")
         ptr, cols, vals = pair_features(
-            matrix, np.concatenate([s.pairs for s in sets]))
+            sets[0].matrix, np.concatenate([s.pairs for s in sets]))
         c = self.config
         at = 0
         for key, s in zip(keys, sets):

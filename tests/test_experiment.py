@@ -223,6 +223,9 @@ class TestGrid:
         ("grid.densities", "ab"),
         ("grid.densities", ["0.01"]),
         ("grid.densities", [True]),
+        ("grid.models", [5]),
+        ("grid.localities", [3]),
+        ("grid.explicit", [5]),
         ("grid.localities", {"global": 1}),
         ("grid.explicit", None),
     ])
