@@ -306,13 +306,12 @@ class LinearSVM:
         w, b = self.w, self.b
         cols, vals = np.asarray(cols), np.asarray(vals, np.float64)
         n_rows = len(indptr) - 1
+        if len(self.dictionary) == 0:  # every decision is b
+            return np.full(n_rows, 1 if b >= 0 else 0, dtype=np.int8)
         row = np.repeat(np.arange(n_rows), np.diff(indptr))
-        loc = np.zeros(len(cols), dtype=np.intp)
-        hit = np.zeros(len(cols), dtype=bool)
-        if len(self.dictionary):
-            loc = np.searchsorted(self.dictionary, cols)
-            np.minimum(loc, len(self.dictionary) - 1, out=loc)
-            hit = self.dictionary[loc] == cols
+        loc = np.minimum(np.searchsorted(self.dictionary, cols),
+                         len(self.dictionary) - 1)
+        hit = self.dictionary[loc] == cols
         row, loc, v = row[hit], loc[hit], vals[hit]
         wc = w[loc]
         norm = np.sqrt(np.bincount(row, v * v, n_rows))
