@@ -29,7 +29,7 @@ from .community import louvain
 from .data import (PartitionedDataset, build_dataset, ingest_events,
                    load_dataset, load_label_rules, save_dataset,
                    save_label_rules)
-from .graph import (EdgeSet, NeighborhoodSpec, load_edgeset,
+from .graph import (EdgeSet, GraphError, NeighborhoodSpec, load_edgeset,
                     load_explicit_edges, save_edgeset, split_edges_random)
 from .learn import RFHyper, SVMHyper, _integer
 from .selection import (EvaluationRecord, SelectionError, cross_task,
@@ -43,6 +43,9 @@ from .tasks import (ClassifierPool, LeakageAudit, LPScopes, ModelConfig,
 
 LP_SPLIT = (0.5, 0.25, 0.25)
 CONFIG_KEYS = ("dataset", "grid", "seed", "workers", "out", "svm", "rf")
+DATASET_KEYS = ("synth", "events", "rules", "boundaries", "aggregation",
+                "strict")
+SYNTH_KEYS = ("seed", "n_nodes", "n_items", "plant")
 # each grid axis and its default
 GRID_DEFAULTS = {
     "models": ["KNN", "TH"],
@@ -71,7 +74,7 @@ def _typed(block: dict, key: str, path: str, kind: type, default):
     type raises ExperimentError naming the key."""
     value = block.get(key, default)
     if not isinstance(value, kind):
-        what = "an object" if kind is dict else "a list"
+        what = {dict: "an object", list: "a list", str: "a string"}[kind]
         raise ExperimentError(f"{path}{key} must be {what}, got {value!r}")
     return value
 
@@ -115,6 +118,11 @@ class ExperimentConfig:
                 if isinstance(v, bool) or not isinstance(v, kind):
                     raise ExperimentError(f"grid.{key} must hold {what}, "
                                           f"got {v!r}")
+        for v in axes["localities"]:
+            try:
+                NeighborhoodSpec.parse(v)
+            except GraphError as exc:
+                raise ExperimentError(f"grid.localities: {exc}") from None
         hypers = {}
         for name, hyper in (("svm", SVMHyper), ("rf", RFHyper)):
             block = _typed(raw, name, "", dict, {})
@@ -125,28 +133,33 @@ class ExperimentConfig:
         if workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {workers!r}")
         dataset = _typed(raw, "dataset", "", dict, {})
+        _reject_unknown(dataset, DATASET_KEYS, "dataset.")
+        for key in ("events", "rules", "aggregation"):
+            _typed(dataset, key, "dataset.", str, "")
         if not isinstance(dataset.get("strict", False), bool):
             raise ExperimentError(f"dataset.strict must be true or false, "
                                   f"got {dataset['strict']!r}")
         synth = dataset.get("synth")
-        if synth is not None and not isinstance(synth, dict):
-            raise ExperimentError(f"dataset.synth must be an object, "
-                                  f"got {synth!r}")
+        if synth is not None:  # null: the dataset comes from events
+            _typed(dataset, "synth", "dataset.", dict, None)
+            _reject_unknown(synth, SYNTH_KEYS, "dataset.synth.")
+            _reject_unknown(
+                _typed(synth, "plant", "dataset.synth.", dict, {}),
+                [f.name for f in fields(PlantSpec)], "dataset.synth.plant.")
         for key, least in (("seed", None), ("n_nodes", 1), ("n_items", 1)):
-            if synth is None or key not in synth:
-                continue
-            name = f"dataset.synth.{key}"
-            value = _integer(synth[key], name, ExperimentError)
-            if least is not None and value < least:
-                raise ExperimentError(f"{name} must be >= {least}, "
-                                      f"got {value!r}")
+            if key in (synth or {}):
+                name = f"dataset.synth.{key}"
+                value = _integer(synth[key], name, ExperimentError)
+                if least is not None and value < least:
+                    raise ExperimentError(f"{name} must be >= {least}, "
+                                          f"got {value!r}")
         axes["densities"] = [float(d) for d in axes["densities"]]
         return ExperimentConfig(
             dataset=dataset,
             **axes,
             seed=_integer(raw.get("seed", 0), "seed", ExperimentError),
             workers=workers,
-            out=str(raw.get("out", "out")),
+            out=_typed(raw, "out", "", str, "out"),
             **hypers,
         )
 

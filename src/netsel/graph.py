@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -464,13 +465,17 @@ class NeighborhoodSpec:
 
     @staticmethod
     def parse(text: str) -> "NeighborhoodSpec":
-        """Inverse of key() for config files and CLI flags."""
-        name, _, arg = text.partition(":")
-        if name == "local-bfs" and arg:
-            return NeighborhoodSpec("local-bfs", bfs_k=int(arg))
+        """Inverse of key() for config files and CLI flags. An argument on
+        a locality that takes none, or a size that is not an integer,
+        raises GraphError."""
+        name, sep, arg = text.partition(":")
         if name == "ensemble":
             return NeighborhoodSpec(
                 "ensemble", ensemble_order=arg or "degree")
-        if name == "global" and arg:
-            return NeighborhoodSpec("global", global_sample=int(arg))
-        return NeighborhoodSpec(name)
+        if not sep or name not in LOCALITIES:
+            return NeighborhoodSpec(name)
+        size = {"local-bfs": "bfs_k", "global": "global_sample"}.get(name)
+        if size is None or not re.fullmatch(r"-?[0-9]+", arg):
+            raise GraphError(f"bad locality {text!r}: {name} takes "
+                             + ("an integer size" if size else "no argument"))
+        return NeighborhoodSpec(name, **{size: int(arg)})

@@ -240,41 +240,31 @@ class CoinClassifier:
 class LinearSVM:
     """Primal hinge-loss linear SVM with per-instance L2 normalization.
 
-    ``train_svm`` returns a model whose training is pending: ``sgd`` holds
-    the material its SGD reads. ``train_svms`` runs that SGD, leaving the
-    final iterate and its signed training ``margins`` with the scale
-    pending, and ``settle_svms`` trains what is still pending, then scales.
-    Reading ``w`` or ``b``, or predicting, settles a pending model by
-    itself first.
+    A model is pending or trained: ``train_svm`` returns it with ``sgd``
+    holding what its SGD reads, and ``train_svms`` trains it; reading
+    ``w`` or ``b``, or predicting, trains a pending model by itself first.
     """
 
     kind = "linear-svm"
 
     def __init__(self, w: np.ndarray | None, b: float,
-                 dictionary: np.ndarray, margins: np.ndarray | None = None,
-                 reg: float | None = None,
+                 dictionary: np.ndarray,
                  sgd: _SGDInput | None = None) -> None:
         self._w = w
         self._b = b
         self.dictionary = dictionary
-        self.margins = margins
-        self.reg = reg
         self.sgd = sgd
 
     @property
-    def pending(self) -> bool:
-        return self.sgd is not None or self.margins is not None
-
-    @property
     def w(self) -> np.ndarray:
-        if self.pending:
-            settle_svms([self])
+        if self.sgd is not None:
+            train_svms([self])
         return self._w
 
     @property
     def b(self) -> float:
-        if self.pending:
-            settle_svms([self])
+        if self.sgd is not None:
+            train_svms([self])
         return self._b
 
     def decision(self, cols, vals) -> float:
@@ -377,10 +367,10 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
 
     Predictions are invariant under positive scaling of (w, b) but the
     objective is not, and short runs end with the right direction at the
-    wrong norm. After training, the scale is pending: ``settle_svms``
-    moves the model to the objective-minimizing scale of the final
-    iterate, for many models in one search. Scale 0 is the zero solution,
-    so the objective never exceeds its value at the zero vector.
+    wrong norm. After the SGD, ``train_svms`` moves the model to the
+    objective-minimizing scale of the final iterate, for many models in
+    one search. Scale 0 is the zero solution, so the objective never
+    exceeds its value at the zero vector.
 
     Summation order is part of the contract. The settled (w, b) are
     bit-identical to the plain scipy formulation (normalize with
@@ -473,13 +463,39 @@ _TAIL = 8  # models still stepping below which each finishes by itself
 _STEP_ENTRIES = 2**15  # row entries of lock-step steps expanded at a time
 _U = 2.0**-53  # unit roundoff of float64
 _SLACK_ABS = 16 * _U  # absolute part of the margin certificate's slack
+SGD_BATCH_ENTRIES = 2**16  # unit-row entries that start an SGD chunk
 
 
 def train_svms(models) -> None:
-    """Run the pending SGD of every LinearSVM among ``models``; other
-    classifiers and trained models are skipped, and a model listed twice is
-    trained once. Models that share their hyperparameters train together
-    in lock step, and each ends exactly as ``_sgd_loop`` alone leaves it.
+    """Train every pending LinearSVM among ``models``, an iterable read
+    once, as ``_sgd_loop`` and a scale search of its own would; other
+    classifiers and trained models are skipped, and a model listed twice
+    is trained once. The SGD runs in lock step per hyperparameter set
+    (``_train_group``), in chunks: whenever the unit rows of the models
+    read since the last chunk pass ``SGD_BATCH_ENTRIES`` entries, and at
+    the end. A chunk drops its models' rows, so an iterable that builds
+    its models as it is read holds at most that many entries plus one
+    model's. Then one search scales every model (``_scale_svms``).
+    """
+    chunk: dict = {}  # hyperparameters -> pending models by id
+    entries = 0
+    to_scale: list = []
+    for m in itertools.chain(models, [None]):  # None: the last chunk
+        if isinstance(m, LinearSVM) and m.sgd is not None:
+            chunk.setdefault(m.sgd.hyper, {})[id(m)] = m
+            entries += len(m.sgd.vals)
+        if entries > SGD_BATCH_ENTRIES or m is None:
+            for hyper, group in chunk.items():
+                to_scale += _train_group(list(group.values()), hyper.reg,
+                                         hyper.epochs)
+            chunk, entries = {}, 0
+    _scale_svms(to_scale)
+
+
+def _train_group(models: list, reg: float, epochs: int) -> list:
+    """Lock-step SGD of distinct pending models sharing ``reg`` and
+    ``epochs``; returns per model ``(model, margins, reg)``, with the
+    final iterate's signed training margins.
 
     The models' weights are slices of one flat W, ordered by step count
     (epochs * n), so the models still stepping at step t are a prefix. At
@@ -496,15 +512,6 @@ def train_svms(models) -> None:
     as in the loop. When fewer than ``_TAIL`` models are still stepping,
     each finishes in ``_sgd_loop`` from its current state.
     """
-    groups: dict = {}
-    for m in {id(m): m for m in models
-              if isinstance(m, LinearSVM) and m.sgd is not None}.values():
-        groups.setdefault(m.sgd.hyper, []).append(m)
-    for hyper, group in groups.items():
-        _train_group(group, hyper.reg, hyper.epochs)
-
-
-def _train_group(models: list, reg: float, epochs: int) -> None:
     models.sort(key=lambda m: len(m.sgd.y), reverse=True)
     inputs = [m.sgd for m in models]
     g = len(models)
@@ -606,19 +613,17 @@ def _train_group(models: list, reg: float, epochs: int) -> None:
     for k, m in enumerate(models):
         m._w = W[w_off[k]:w_off[k + 1]].copy()
         m._b = float(B[k])
-        m.margins = margins[row_off[k]:row_off[k + 1]][::-1]
-        m.reg = reg
         m.sgd = None
+    return [(m, margins[row_off[k]:row_off[k + 1]][::-1], reg)
+            for k, m in enumerate(models)]
 
 
 _SCALE_STEPS = 100
 
 
-def settle_svms(models) -> None:
-    """Scale every pending LinearSVM among ``models`` to its objective-
-    minimizing scale, first running in one ``train_svms`` call the SGD of
-    those whose training is still pending; other classifiers and settled
-    models are skipped, and a model listed twice is settled once.
+def _scale_svms(to_scale: list) -> None:
+    """Scale the model of every ``(model, margins, reg)`` triple that
+    ``_train_group`` returned to its objective-minimizing scale.
 
     A model's objective is convex in the scale (quadratic plus hinge
     terms), so a ternary search over ``[0, hi]`` finds the optimum, with
@@ -633,14 +638,9 @@ def settle_svms(models) -> None:
     row. Padding rows to a common n or summing with ``np.add.reduceat``
     would move the last bits.
     """
-    models = list(models)
-    train_svms(models)
-    todo = list({id(m): m for m in models
-                 if isinstance(m, LinearSVM) and m.margins is not None
-                 }.values())
-    if not todo:
+    if not to_scale:
         return
-    todo.sort(key=lambda m: len(m.margins))
+    todo = sorted(to_scale, key=lambda t: len(t[1]))
     g = len(todo)
     lh = np.zeros((2, g))  # lo over hi
     quad = np.empty((2, g))
@@ -652,8 +652,8 @@ def settle_svms(models) -> None:
     take = np.empty((2, g), dtype=bool)
     blocks = []  # per row count n: margins, buffer, probes, sums
     start = 0
-    for n, group in itertools.groupby(todo, key=lambda m: len(m.margins)):
-        margins = np.stack([m.margins for m in group])
+    for n, group in itertools.groupby(todo, key=lambda t: len(t[1])):
+        margins = np.stack([t[1] for t in group])
         stop = start + len(margins)
         inv = np.zeros_like(margins)
         np.divide(1.0, margins, out=inv, where=margins > 0)
@@ -662,7 +662,7 @@ def settle_svms(models) -> None:
         blocks.append((margins, np.empty((2, stop - start, n)),
                        probe[:, start:stop, None], sums[:, start:stop]))
         start = stop
-    quad[:] = [0.5 * m.reg * float(m._w @ m._w) for m in todo]
+    quad[:] = [0.5 * reg * float(m._w @ m._w) for m, _, reg in todo]
     lo, hi, o1, o2 = lh[0], lh[1], objective[0], objective[1]
     best, zero, take_lo, take_hi = probe[0], probe[1], take[0], take[1]
     swapped = lh[::-1]
@@ -696,10 +696,9 @@ def settle_svms(models) -> None:
     zero[:] = 0.0
     evaluate()
     scales = np.where(o1 < o2, best, 0.0).tolist()
-    for m, c in zip(todo, scales):
+    for (m, _, _), c in zip(todo, scales):
         m._w = c * m._w
         m._b = c * m._b
-        m.margins = m.reg = None
 
 
 class _Tree:

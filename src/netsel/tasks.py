@@ -13,17 +13,17 @@ Classifier reuse: training material is digested (content-addressed), so
 two test instances with identical neighborhoods share one classifier and
 one derived seed. This keeps results independent of evaluation order and
 of how configs are scheduled across workers. A runner call works in three
-phases: resolve every record's material and look it up in the config's
-ClassifierPool; build, where ``settle`` trains what the lookups missed
-(LP training sets are assembled then, all from one ``pair_features``
-pass); predict, where each LP classifier scores all of its pairs in one
-call (CC records still predict one at a time). LP owners' local material
-(pair set, exclusion filter, digest) is resolved once per family by
-LPScopes and read by every config and partition. An SVM scoring a batch
-(``LinearSVM.predict_rows``) takes each sign from a batched sum only
-where a rigorous rounding bound certifies it, and from its per-row
-``decision`` otherwise, so predictions match the per-row path bit for
-bit whatever BLAS kernel runs.
+phases: resolve every record's material key in the config's
+ClassifierPool, which queues each miss untrained (node ids for CC, pairs
+for LP); build, where ``settle`` trains the queue; predict, where each
+record reads its classifier by key, and each LP classifier scores all of
+its pairs in one call (CC records still predict one at a time). LP
+owners' local material (pair set, exclusion filter, digest) is resolved
+once per family by LPScopes and read by every config and partition. An
+SVM scoring a batch (``LinearSVM.predict_rows``) takes each sign from a
+batched sum only where a rigorous rounding bound certifies it, and from
+its per-row ``decision`` otherwise, so predictions match the per-row
+path bit for bit whatever BLAS kernel runs.
 """
 
 from __future__ import annotations
@@ -40,17 +40,13 @@ from .data import AttributeMatrix, PartitionedDataset
 from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
                     bfs_neighborhood, egonet, incident_nonedges,
                     induced_pairs)
-from .learn import (CoinClassifier, ConstantClassifier, LinearSVM, RFHyper,
-                    SVMHyper, TrainingSet, _gather, pair_features,
-                    predict_rows, settle_svms, single_class_label,
-                    train_classifier, train_svms)
+from .learn import (CoinClassifier, ConstantClassifier, RFHyper, SVMHyper,
+                    TrainingSet, _gather, pair_features, predict_rows,
+                    single_class_label, train_classifier, train_svms)
 from .similarity import NetworkModelSpec, RowBlock
 
 TASKS = ("CC", "LP")
 CLASSIFIER_KINDS = ("linear-svm", "random-forest", "coin")
-# unit-row entries that SVMs awaiting their SGD may hold before the pool
-# trains them together: bounds the memory of the material they keep
-SGD_BATCH_ENTRIES = 2**16
 
 
 class TaskError(ValueError):
@@ -196,12 +192,13 @@ def _digest(*parts) -> str:
 
 
 @dataclass
-class _PendingPairs:
-    """An LP training set whose features are not assembled yet: the
-    balanced pairs (edges first), their labels and the training seed."""
+class _Pending:
+    """Training material queued in a ClassifierPool until ``settle``: the
+    matrix, the instance ids (node ids for CC, an ``(m, 2)`` pair array for
+    LP), their labels and the training seed."""
 
     matrix: AttributeMatrix
-    pairs: np.ndarray
+    ids: np.ndarray
     labels: np.ndarray
     seed: int
 
@@ -215,13 +212,10 @@ class ClassifierPool:
     lookups answered from the cache, and ``single_class`` the CC builds
     answered without training because the material carries one label.
 
-    A builder may return ``_PendingPairs``: an LP training set that waits
-    in the cache for ``settle``, which assembles all of them from one
-    ``pair_features`` pass and trains them in lookup order. SVMs come out
-    of ``train_svm`` with their SGD pending. The pool runs the SGD of
-    those it holds in one lock-step ``train_svms`` call once their unit
-    rows pass ``SGD_BATCH_ENTRIES`` entries; ``settle`` trains the rest,
-    then scales every SVM built since its last call in one search.
+    ``get`` never trains. A builder returns a finished classifier (a coin,
+    or the constant of single-class material) or ``_Pending`` material,
+    which waits in the cache until ``settle`` replaces it with its
+    classifier.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -230,9 +224,6 @@ class ClassifierPool:
         self.trained = 0
         self.hits = 0
         self.single_class = 0
-        self.unsettled: list = []
-        self.sgd_entries = 0
-        self.deferred: list[str] = []
 
     def get(self, material: str, builder):
         if material in self.cache:
@@ -240,48 +231,35 @@ class ClassifierPool:
         else:
             seed = derive_seed(self.config.seed, "clf", material)
             self.trained += 1
-            self._keep(material, builder(seed))
+            self.cache[material] = builder(seed)
         return self.cache[material]
 
-    def _keep(self, material: str, clf) -> None:
-        self.cache[material] = clf
-        if isinstance(clf, _PendingPairs):
-            self.deferred.append(material)
-            return
-        self.unsettled.append(clf)
-        if isinstance(clf, LinearSVM) and clf.sgd is not None:
-            self.sgd_entries += len(clf.sgd.vals)
-            if self.sgd_entries > SGD_BATCH_ENTRIES:
-                train_svms(self.unsettled)
-                self.sgd_entries = 0
-
-    def _assemble(self) -> None:
-        """Train every deferred LP set: one ``pair_features`` pass over
-        all of their pairs, and each TrainingSet reads its rows out of
-        it. The sets come from one runner call, so they share a
-        matrix."""
-        keys, self.deferred = self.deferred, []
-        if not keys:
-            return
-        sets = [self.cache[k] for k in keys]
-        ptr, cols, vals = pair_features(
-            sets[0].matrix, np.concatenate([s.pairs for s in sets]))
-        c = self.config
-        at = 0
-        for key, s in zip(keys, sets):
-            stop = at + len(s.pairs)
-            ts = TrainingSet((ptr[at:stop + 1], cols, vals), s.labels,
-                             s.pairs)
-            self._keep(key, train_classifier(c.classifier, ts, s.seed,
-                                             c.svm, c.rf))
-            at = stop
-
     def settle(self) -> None:
-        self._assemble()
-        train_svms(self.unsettled)
-        self.sgd_entries = 0
-        settle_svms(self.unsettled)
-        self.unsettled.clear()
+        """Train every pending material, in lookup order. LP sets read
+        their rows out of one ``pair_features`` pass (they come from one
+        runner call, so they share a matrix). Each TrainingSet is built as
+        ``train_svms`` reads the classifiers, which bounds what it holds."""
+        queued = {k: v for k, v in self.cache.items()
+                  if isinstance(v, _Pending)}
+        lp = [p for p in queued.values() if p.ids.ndim == 2]
+        if lp:
+            ptr, cols, vals = pair_features(
+                lp[0].matrix, np.concatenate([p.ids for p in lp]))
+        c = self.config
+
+        def classifiers():
+            at = 0
+            for key, p in queued.items():
+                rows = p.matrix  # CC: the ids name the matrix rows
+                if p.ids.ndim == 2:
+                    rows = (ptr[at:at + len(p.ids) + 1], cols, vals)
+                    at += len(p.ids)
+                self.cache[key] = train_classifier(
+                    c.classifier, TrainingSet(rows, p.labels, p.ids),
+                    p.seed, c.svm, c.rf)
+                yield self.cache[key]
+
+        train_svms(classifiers())
 
 
 def _group_by(keys: np.ndarray):
@@ -402,13 +380,13 @@ class _EnsembleVoter:
 
 # --- collective classification ----------------------------------------------
 
-def _cc_classifier(config: ModelConfig, pool: ClassifierPool,
-                   audit: LeakageAudit, train_m: AttributeMatrix,
-                   name: str, y_train: np.ndarray, nodes: np.ndarray):
-    """Train (or fetch) the classifier for one labelset and one training
-    node set; None when the set is empty. Material with one label gets the
-    constant classifier both learners would train from it, with no
-    training set."""
+def _cc_lookup(config: ModelConfig, pool: ClassifierPool,
+               audit: LeakageAudit, train_m: AttributeMatrix, name: str,
+               y_train: np.ndarray, nodes: np.ndarray) -> str | None:
+    """Look one labelset's material on one training node set up in the
+    pool and return its key; None when the set is empty. Material with one
+    label gets the constant classifier both learners would train from it,
+    with no training set; other material waits for ``pool.settle``."""
     if len(nodes) == 0:
         return None
 
@@ -422,11 +400,11 @@ def _cc_classifier(config: ModelConfig, pool: ClassifierPool,
         if label is not None:
             pool.single_class += 1
             return ConstantClassifier(label, "single-class")
-        ts = TrainingSet(train_m, labels, nodes)
-        return train_classifier(config.classifier, ts, seed,
-                                config.svm, config.rf)
+        return _Pending(train_m, nodes, labels, seed)
 
-    return pool.get(_digest("cc", name, np.sort(nodes)), build)
+    key = _digest("cc", name, np.sort(nodes))
+    pool.get(key, build)
+    return key
 
 
 def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
@@ -460,7 +438,7 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
         global_nodes = global_training_nodes(config, g.n_nodes)
 
     ensemble_fallback = False
-    members_by_label: dict[str, list] = {}
+    member_keys: dict[str, list] = {}
     if kind == "ensemble":
         # a member is trainable iff it has neighbors, whatever the
         # labelset, so every labelset votes over the same member rows
@@ -468,43 +446,45 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
                       if len(g.neighbors(int(m)))]
         for name in sorted(eval_l.names):
             y_tr = train_l.array(name)
-            members_by_label[name] = [
-                (m, _cc_classifier(config, pool, audit, train_m, name, y_tr,
-                                   g.neighbors(m)))
+            member_keys[name] = [
+                (m, _cc_lookup(config, pool, audit, train_m, name, y_tr,
+                               g.neighbors(m)))
                 for m in member_ids]
-        if members_by_label and len(member_ids) < spec.ensemble_knn:
+        if member_keys and len(member_ids) < spec.ensemble_knn:
             ensemble_fallback = True
             global_nodes = global_training_nodes(config, g.n_nodes)
         else:
             block = RowBlock(member_ids, train_m)
     voting = kind == "ensemble" and not ensemble_fallback
-    # every record's classifier first (a vote needs none), then the SVMs
-    # this call built settle in one search, then every record predicts
+    # every record's material key first (a vote needs none), then the
+    # pool trains what the lookups queued, then every record predicts
     nodes_out: list[int] = []
     targets: list[str] = []
-    clfs: list = []
+    keys: list = []
     for name in sorted(eval_l.names):
         y_tr = train_l.array(name)
         for i in eval_l.positives(name).tolist():
-            clf = None
+            key = None
             if not voting:
                 if kind == "ensemble":
                     tn = global_nodes
                 else:
                     tn = resolve_neighborhood(g, spec, i, comm, global_nodes)
-                clf = _cc_classifier(config, pool, audit, train_m, name,
-                                     y_tr, tn)
+                key = _cc_lookup(config, pool, audit, train_m, name, y_tr,
+                                 tn)
             nodes_out.append(i)
             targets.append(name)
-            clfs.append(clf)
+            keys.append(key)
     pool.settle()
+    members_by_label = {name: [(m, pool.cache[k]) for m, k in members]
+                        for name, members in member_keys.items()}
 
     # a test node's vector, hence its member ranking, is the same for
     # every labelset
     tops: dict[int, np.ndarray] = {}
     preds: list[int] = []
     fbs: list[bool] = []
-    for i, name, clf in zip(nodes_out, targets, clfs):
+    for i, name, key in zip(nodes_out, targets, keys):
         cols, vals = eval_m.row(i)
         if voting:
             if i not in tops:
@@ -515,8 +495,8 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
                                  train_m, tops[i])
             fb = False
         else:
-            fb = clf is None
-            pred = 0 if fb else int(clf.predict(cols, vals))
+            fb = key is None
+            pred = 0 if fb else int(pool.cache[key].predict(cols, vals))
         preds.append(pred)
         fbs.append(fb)
     m = len(preds)
@@ -734,8 +714,8 @@ def _lp_lookup(config: ModelConfig, pool: ClassifierPool,
                        "LP training non-edges overlap evaluation pairs")
         if config.classifier == "coin":  # coin never reads its features
             return CoinClassifier(seed)
-        return _PendingPairs(matrix, np.concatenate([edges, nonedges]),
-                             np.repeat([1, 0], m), seed)
+        return _Pending(matrix, np.concatenate([edges, nonedges]),
+                        np.repeat([1, 0], m), seed)
 
     pool.get(mat.key, build)
     return mat.key
@@ -780,9 +760,9 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
 
     - resolve: every owner's classifier material (from ``scopes``, or the
       config's global sample or ensemble members) is looked up in the
-      pool, which defers the training sets of its misses;
-    - build: ``pool.settle`` assembles every deferred set from one
-      ``pair_features`` pass, trains them and scales the SVMs;
+      pool, which queues the pairs of its misses;
+    - build: ``pool.settle`` trains the queue, every set's rows from one
+      ``pair_features`` pass;
     - predict: one ``pair_features`` pass gives every plan pair's row in
       record order (owners ascending, each owner's positives then its
       negatives), and each classifier scores all of its pairs in one

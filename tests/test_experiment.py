@@ -105,13 +105,31 @@ class TestGrid:
         (None, "seeed", "seeed"),
         ("svm", "regularization", "svm.regularization"),
         ("rf", "tree", "rf.tree"),
+        ("dataset", "agregation", "dataset.agregation"),
+        ("dataset.synth", "seeed", "dataset.synth.seeed"),
+        ("dataset.synth.plant", "n_group", "dataset.synth.plant.n_group"),
     ])
     def test_unknown_config_keys_are_fatal(self, block, key, path):
         raw = make_config("unused")
         raw.setdefault("svm", {})
         raw.setdefault("rf", {})
-        (raw[block] if block else raw)[key] = ["community"]
+        raw["dataset"]["synth"]["plant"] = {"n_groups": 2}
+        target = raw
+        for b in block.split(".") if block else ():
+            target = target[b]
+        target[key] = ["community"]
         with pytest.raises(ExperimentError, match=path):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("locality", [
+        "local-adjacency:5", "community:3", "local-bfs:x", "global:2.5",
+        "local-bfs:",
+    ])
+    def test_bad_locality_strings_fail_at_load(self, locality):
+        raw = make_config("unused")
+        raw["grid"]["localities"] = ["global", locality]
+        with pytest.raises(ExperimentError,
+                           match=f"^grid.localities: .*'{locality}'"):
             ExperimentConfig.from_dict(raw)
 
 
@@ -228,6 +246,12 @@ class TestGrid:
         ("grid.explicit", [5]),
         ("grid.localities", {"global": 1}),
         ("grid.explicit", None),
+        ("dataset.synth.plant", 5),
+        ("dataset.synth.plant", None),
+        ("dataset.events", 5),
+        ("dataset.rules", ["r.json"]),
+        ("dataset.aggregation", None),
+        ("out", 5),
     ])
     def test_config_blocks_and_axes_of_the_wrong_type_are_fatal(self, key,
                                                                 value):

@@ -456,6 +456,11 @@ def test_neighborhood_key_roundtrip():
     assert NeighborhoodSpec.parse("local-bfs:50").bfs_k == 50
     assert NeighborhoodSpec.parse("global:100").global_sample == 100
     assert NeighborhoodSpec.parse("ensemble").ensemble_order == "degree"
+    # an argument where none is taken, or a size that is not an integer
+    for text in ("local-adjacency:5", "community:3", "local-bfs:x",
+                 "global:2.5", "global:", "local-bfs:"):
+        with pytest.raises(GraphError, match="argument|integer"):
+            NeighborhoodSpec.parse(text)
     # defaults are omitted from the key
     assert NeighborhoodSpec("local-bfs").key() == "local-bfs"
     assert NeighborhoodSpec("global").key() == "global"

@@ -19,7 +19,6 @@ from netsel.learn import (
     _unit_rows,
     edge_features,
     pair_features,
-    settle_svms,
     single_class_label,
     train_classifier,
     train_rf,
@@ -515,23 +514,22 @@ def _random_pending(rng):
     return w, b, margins, reg
 
 
-def test_settle_svms_matches_the_frozen_search():
+def test_svm_scale_search_matches_the_frozen_search():
     rng = np.random.default_rng(2024)
     seen = {"zero": 0, "scaled": 0, "shared_n": 0}
     for _ in range(500):
         drawn = [_random_pending(rng) for _ in range(int(rng.integers(1, 9)))]
-        models = [LinearSVM(w, b, np.arange(len(w)), m, reg)
-                  for w, b, m, reg in drawn]
+        models = [LinearSVM(w, b, np.arange(len(w))) for w, b, _, _ in drawn]
         twin = int(rng.integers(len(drawn)))  # equal content, own object
         w, b, m, reg = drawn[twin]
-        models.append(LinearSVM(w.copy(), b, np.arange(len(w)), m.copy(),
-                                reg))
-        drawn.append(drawn[twin])
+        models.append(LinearSVM(w.copy(), b, np.arange(len(w))))
+        drawn.append((w, b, m.copy(), reg))
         ns = [len(m) for _, _, m, _ in drawn]
         seen["shared_n"] += len(ns) - len(set(ns))
-        settle_svms(models + models[:2])  # listed twice: settled once
+        # the search train_svms runs on what its SGD step returns
+        learn._scale_svms([(model, m, reg) for model, (_, _, m, reg)
+                           in zip(models, drawn)])
         for model, (w, b, m, reg) in zip(models, drawn):
-            assert model.margins is None
             c = _frozen_best_scale(w, m, reg)
             seen["zero" if c == 0.0 else "scaled"] += 1
             assert model.w.tobytes() == (c * w).tobytes()
@@ -540,11 +538,11 @@ def test_settle_svms_matches_the_frozen_search():
     assert min(seen.values()) > 100
 
 
-def test_settle_svms_skips_other_and_settled_models():
-    settled = LinearSVM(np.ones(2), 0.5, COLS2)
+def test_train_svms_skips_other_and_trained_models():
+    trained = LinearSVM(np.ones(2), 0.5, COLS2)
     const = ConstantClassifier(1)
-    settle_svms([settled, const, None])
-    assert settled.w.tolist() == [1.0, 1.0] and settled.b == 0.5
+    train_svms([trained, const, None])
+    assert trained.w.tolist() == [1.0, 1.0] and trained.b == 0.5
 
 
 def test_model_read_before_settling_equals_one_settled_in_a_batch():
@@ -553,10 +551,10 @@ def test_model_read_before_settling_equals_one_settled_in_a_batch():
     sets = [ts for ts in sets if len(ts.classes()) == 2]
     batch = [train_svm(ts, SVMHyper(), seed=k) for k, ts in enumerate(sets)]
     alone = train_svm(sets[0], SVMHyper(), seed=0)
-    assert alone.sgd is not None and alone.pending  # training pending
+    assert alone.sgd is not None  # training pending
     alone_pred = alone.predict(np.array([0, 1]), np.array([1.0, 2.0]))
-    assert not alone.pending  # predicting trained and settled it, alone
-    settle_svms(batch)
+    assert alone.sgd is None  # predicting trained it, alone
+    train_svms(iter(batch + batch[:2]))  # listed twice: trained once
     _same_model(alone, batch[0])
     assert batch[0].predict(np.array([0, 1]), np.array([1.0, 2.0])) == \
         alone_pred
@@ -599,13 +597,27 @@ def _frozen_sgd(ts, hyper, seed):
     return w, b, margins
 
 
-def _assert_trained_as_frozen(model, ts, hyper, seed):
-    assert model.sgd is None and model.margins is not None
+def _sgd_step(models):
+    """The SGD step of ``train_svms`` on distinct pending models, one
+    lock-step group per hyperparameter set: each model's final training
+    margins and regularization, by model id."""
+    groups = {}
+    for m in models:
+        groups.setdefault(m.sgd.hyper, []).append(m)
+    return {id(m): (margins, reg) for hyper, group in groups.items()
+            for m, margins, reg in learn._train_group(group, hyper.reg,
+                                                      hyper.epochs)}
+
+
+def _assert_trained_as_frozen(model, after, ts, hyper, seed):
+    """``after`` is what ``_sgd_step`` returned for the model."""
+    model_margins, reg = after
+    assert model.sgd is None
     w, b, margins = _frozen_sgd(ts, hyper, seed)
     assert model._w.tobytes() == w.tobytes()
     assert np.float64(model._b).tobytes() == np.float64(b).tobytes()
-    assert np.ascontiguousarray(model.margins).tobytes() == margins.tobytes()
-    assert model.reg == hyper.reg
+    assert np.ascontiguousarray(model_margins).tobytes() == margins.tobytes()
+    assert reg == hyper.reg
 
 
 def _exact_margin_counter(monkeypatch):
@@ -663,9 +675,11 @@ def test_lockstep_sgd_matches_the_frozen_loop(monkeypatch):
         group = _random_sgd_group(rng)
         models = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
         assert all(m.sgd is not None for m in models)
-        train_svms(models + models[:2])  # listed twice: trained once
+        after = _sgd_step(models)
+        assert len(after) == len(models)
         for model, (ts, hyper, seed) in zip(models, group):
-            _assert_trained_as_frozen(model, ts, hyper, seed)
+            _assert_trained_as_frozen(model, after[id(model)], ts, hyper,
+                                      seed)
         per_hyper = [sum(h == hyper for _, h, _ in group)
                      for hyper in _SGD_HYPERS]
         lockstep += max(per_hyper) >= learn._TAIL
@@ -680,9 +694,10 @@ def test_lockstep_sgd_with_every_margin_taken_exactly(monkeypatch):
     for _ in range(40):
         group = _random_sgd_group(rng)
         models = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
-        train_svms(models)
+        after = _sgd_step(models)
         for model, (ts, hyper, seed) in zip(models, group):
-            _assert_trained_as_frozen(model, ts, hyper, seed)
+            _assert_trained_as_frozen(model, after[id(model)], ts, hyper,
+                                      seed)
     assert len(exact) > 1000
 
 
@@ -701,9 +716,9 @@ def test_margin_within_the_slack_takes_the_per_model_dot(monkeypatch):
         rows = [row] * 9 + [(np.array([40 + k]), np.array([1.0]))]
         group.append((ts_from(rows, [1] * 9 + [0]), hyper, k))
     models = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
-    train_svms(models)
+    after = _sgd_step(models)
     for model, (ts, hyper, seed) in zip(models, group):
-        _assert_trained_as_frozen(model, ts, hyper, seed)
+        _assert_trained_as_frozen(model, after[id(model)], ts, hyper, seed)
     # the second step of every model whose first two rows are positive
     assert len(exact) >= 8
 
@@ -715,14 +730,14 @@ def test_pending_model_trains_alone_as_in_a_group():
         group += _random_sgd_group(rng)
     group = [(ts, SVMHyper(), seed) for ts, _, seed in group]
     batch = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
-    train_svms(batch)
+    after = _sgd_step(batch)
     for model, (ts, hyper, seed) in zip(batch, group):
         alone = train_svm(ts, hyper, seed)
-        train_svms([alone])
+        (alone_margins, _), = _sgd_step([alone]).values()
         assert alone._w.tobytes() == model._w.tobytes()
         assert alone._b == model._b
-        assert alone.margins.tobytes() == \
-            np.ascontiguousarray(model.margins).tobytes()
+        assert alone_margins.tobytes() == \
+            np.ascontiguousarray(after[id(model)][0]).tobytes()
 
 
 # ---------------------------------------------------- batched prediction
@@ -735,7 +750,7 @@ def _predict_rows_cases(rng):
     magnitudes."""
     group = _random_sgd_group(rng)
     models = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
-    settle_svms(models)
+    train_svms(models)
     for model in models:
         d = int(model.dictionary.max(initial=-1)) + 6
         rows = []

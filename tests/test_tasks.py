@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from netsel import tasks
+from netsel import learn, tasks
 from netsel._rng import derive_seed, generator
 from netsel.community import CommunityAssignment, louvain
 from netsel.data import (AttributeMatrix, EventLog, LabelRule,
@@ -450,21 +450,23 @@ def test_cc_global_trains_once_per_labelset():
     assert batch.n_fallback == 0
 
 
-def _always_assembled_cc_classifier(config, pool, audit, train_m, name,
-                                    y_train, nodes):
-    """``_cc_classifier`` with no shortcut: every build assembles a
-    TrainingSet and hands it to ``train_classifier``."""
+def _always_assembled_cc_lookup(config, pool, audit, train_m, name,
+                                y_train, nodes):
+    """``_cc_lookup`` with no shortcut: every build queues its material,
+    which ``settle`` assembles into a TrainingSet and hands to
+    ``train_classifier``."""
     if len(nodes) == 0:
         return None
 
     def build(seed):
         audit.expect_role(train_m.role, "training",
                           f"CC features for labelset '{name}'")
-        ts = TrainingSet(train_m, y_train[nodes].astype(int), nodes)
-        return train_classifier(config.classifier, ts, seed, config.svm,
-                                config.rf)
+        return tasks._Pending(train_m, nodes, y_train[nodes].astype(int),
+                              seed)
 
-    return pool.get(tasks._digest("cc", name, np.sort(nodes)), build)
+    key = tasks._digest("cc", name, np.sort(nodes))
+    pool.get(key, build)
+    return key
 
 
 @pytest.mark.parametrize("classifier",
@@ -490,8 +492,7 @@ def test_cc_single_class_shortcut_matches_always_assembled(
 
         got, pool, got_asserts = run()
         with monkeypatch.context() as mp:
-            mp.setattr(tasks, "_cc_classifier",
-                       _always_assembled_cc_classifier)
+            mp.setattr(tasks, "_cc_lookup", _always_assembled_cc_lookup)
             want, ref_pool, want_asserts = run()
         dirs = (tmp_path / loc / "got", tmp_path / loc / "want")
         for batches, d in zip((got, want), dirs):
@@ -525,10 +526,11 @@ def test_cc_single_class_material_is_still_checked():
         for y, nodes, what in (([1, 1, 1], [0, 1], "negative"),
                                ([2, 2, 2], [1, 2], "0/1")):
             with pytest.raises(LearnError, match=what):
-                tasks._cc_classifier(config, pool, LeakageAudit(), m, "a",
-                                     np.array(y), np.array(nodes))
-        clf = tasks._cc_classifier(config, pool, LeakageAudit(), m, "a",
-                                   np.array([1, 1, 1]), np.array([1, 2]))
+                tasks._cc_lookup(config, pool, LeakageAudit(), m, "a",
+                                 np.array(y), np.array(nodes))
+        clf = pool.cache[tasks._cc_lookup(config, pool, LeakageAudit(), m,
+                                          "a", np.array([1, 1, 1]),
+                                          np.array([1, 2]))]
         assert isinstance(clf, ConstantClassifier)
         assert (clf.label, clf.reason) == (1, "single-class")
         assert pool.single_class == 1
@@ -609,28 +611,28 @@ def test_cc_community_locality_self_excluded():
 
 
 def _settle_recorder(monkeypatch):
-    """Replace the runners' settle_svms with one that records, per call,
-    the ids of the pending SVMs it was given."""
+    """Replace train_svms' scale search with one that records, per call,
+    the ids of the SVMs it scaled."""
     calls = []
-    real = tasks.settle_svms
+    real = learn._scale_svms
 
-    def record(models):
-        models = list(models)
-        calls.append([id(m) for m in models
-                      if isinstance(m, LinearSVM) and m.margins is not None])
-        real(models)
+    def record(to_scale):
+        calls.append([id(m) for m, _, _ in to_scale])
+        real(to_scale)
 
-    monkeypatch.setattr(tasks, "settle_svms", record)
+    monkeypatch.setattr(learn, "_scale_svms", record)
     return calls
 
 
 def _assert_settled_once(calls, n_runs, pool):
     built = [id(m) for m in pool.cache.values() if isinstance(m, LinearSVM)]
     settled = [k for call in calls for k in call]
-    assert len(calls) == n_runs  # one settle per runner call
+    assert len(calls) == n_runs  # one scale search per runner call
     assert built and sorted(settled) == sorted(built)
-    assert all(m.margins is None for m in pool.cache.values()
+    assert all(m.sgd is None for m in pool.cache.values()
                if isinstance(m, LinearSVM))
+    assert not any(isinstance(v, tasks._Pending)
+                   for v in pool.cache.values())
 
 
 @pytest.mark.parametrize("locality", ["local-adjacency", "global",
@@ -1063,19 +1065,21 @@ def test_run_lp_settles_each_built_svm_once(homophily, monkeypatch,
     _assert_settled_once(calls, 2, pool)
 
 
-def _train_recorder(monkeypatch):
-    """Replace the pool's train_svms with one that records, per call, the
-    ids of the SVMs whose SGD it ran."""
+def _train_recorder(monkeypatch, pool):
+    """Replace train_svms' lock-step SGD with one that records, per group
+    (one per chunk, as the pool's SVMs share their hyperparameters), the
+    id and unit-row entries of each SVM it ran, in the order read, and the
+    unit-row entries of every SVM the pool then holds pending."""
     calls = []
-    real = tasks.train_svms
+    real = learn._train_group
 
-    def record(models):
-        models = list(models)
-        calls.append([id(m) for m in models
-                      if isinstance(m, LinearSVM) and m.sgd is not None])
-        real(models)
+    def record(models, reg, epochs):
+        held = sum(len(m.sgd.vals) for m in pool.cache.values()
+                   if isinstance(m, LinearSVM) and m.sgd is not None)
+        calls.append(([(id(m), len(m.sgd.vals)) for m in models], held))
+        return real(models, reg, epochs)
 
-    monkeypatch.setattr(tasks, "train_svms", record)
+    monkeypatch.setattr(learn, "_train_group", record)
     return calls
 
 
@@ -1100,15 +1104,21 @@ def test_pool_trains_pending_svms_past_the_entry_budget(homophily,
                 for plan in fam.lp_plans.values()]
 
     want = run(ClassifierPool(config))
-    monkeypatch.setattr(tasks, "SGD_BATCH_ENTRIES", 200)
-    trained = _train_recorder(monkeypatch)
-    settled = _settle_recorder(monkeypatch)
+    monkeypatch.setattr(learn, "SGD_BATCH_ENTRIES", 200)
     pool = ClassifierPool(config)
+    trained = _train_recorder(monkeypatch, pool)
+    settled = _settle_recorder(monkeypatch)
     got = run(pool)
     built = [id(m) for m in pool.cache.values() if isinstance(m, LinearSVM)]
-    flushes = [ids for ids in trained if ids]
-    assert len(flushes) > 4  # more than the two settles
-    assert sorted(i for ids in flushes for i in ids) == sorted(built)
+    chunks = [chunk for chunk, _ in trained]
+    assert len(chunks) > 4  # more than the two settles
+    assert sorted(i for chunk in chunks for i, _ in chunk) == sorted(built)
+    # a chunk runs as soon as its entries pass the budget, and the pool
+    # builds no SVM ahead of it: what it holds pending, without the
+    # chunk's last model, stays within the budget
+    for chunk, held in trained:
+        assert sum(e for _, e in chunk[:-1]) <= 200
+        assert held - chunk[-1][1] <= 200
     _assert_settled_once(settled, 2, pool)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a.predicted, b.predicted)
@@ -1153,7 +1163,7 @@ def test_lp_family_resolves_each_owner_scope_once(homophily, monkeypatch):
                 run_lp(config, fam.lp_train, plan, matrix,
                        excl_keys=fam.excl_keys, pool=pool,
                        scopes=fam.lp_scopes)
-                # the plan's pairs, then the deferred training sets
+                # the plan's pairs, then the queued training sets
                 built = classifier != "coin" and pool.trained > trained
                 assert len(features) - before == 1 + built
                 builds += built
