@@ -205,6 +205,7 @@ class AttributeMatrix:
     aggregation: str = "sum"
     _item_index: dict | None = field(default=None, repr=False)
     _row_sums: np.ndarray | None = field(default=None, repr=False)
+    _nonnegative: bool | None = field(default=None, repr=False)
     # (i, j, inter) of similarity.pairwise_intersections, set on first use
     _pairs: tuple | None = field(default=None, repr=False)
 
@@ -227,6 +228,13 @@ class AttributeMatrix:
         if self._row_sums is None:
             self._row_sums = np.asarray(self.data.sum(axis=1)).ravel()
         return self._row_sums
+
+    @property
+    def nonnegative(self) -> bool:
+        """No stored value is negative."""
+        if self._nonnegative is None:
+            self._nonnegative = not (self.data.data < 0).any()
+        return self._nonnegative
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Column indices and values of node i's attribute vector."""

@@ -79,6 +79,28 @@ def _typed(block: dict, key: str, path: str, kind: type, default):
     return value
 
 
+def _plant_values(plant: dict) -> dict:
+    """``dataset.synth.plant`` with each value checked against the type of
+    its PlantSpec field, integral numbers of integer fields as ints; a
+    value of another type raises ExperimentError naming the key."""
+    out = {}
+    kinds = {f.name: f.type for f in fields(PlantSpec)}
+    for key, v in plant.items():
+        name = f"dataset.synth.plant.{key}"
+        kind = kinds[key]
+        if kind == "bool":
+            if not isinstance(v, bool):
+                raise ExperimentError(f"{name} must be true or false, "
+                                      f"got {v!r}")
+        elif kind == "float":
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ExperimentError(f"{name} must be a number, got {v!r}")
+        elif not (v is None and kind == "int | None"):
+            v = _integer(v, name, ExperimentError)
+        out[key] = v
+    return out
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment file; every field has a working default so a
@@ -140,12 +162,27 @@ class ExperimentConfig:
             raise ExperimentError(f"dataset.strict must be true or false, "
                                   f"got {dataset['strict']!r}")
         synth = dataset.get("synth")
+        bounds = dataset.get("boundaries")
         if synth is not None:  # null: the dataset comes from events
             _typed(dataset, "synth", "dataset.", dict, None)
             _reject_unknown(synth, SYNTH_KEYS, "dataset.synth.")
-            _reject_unknown(
-                _typed(synth, "plant", "dataset.synth.", dict, {}),
-                [f.name for f in fields(PlantSpec)], "dataset.synth.plant.")
+            plant = _typed(synth, "plant", "dataset.synth.", dict, {})
+            _reject_unknown(plant, [f.name for f in fields(PlantSpec)],
+                            "dataset.synth.plant.")
+            if bounds is not None:
+                raise ExperimentError(
+                    "dataset.boundaries must be left out next to "
+                    "dataset.synth: the planted segments set them")
+            if "plant" in synth:
+                dataset = {**dataset, "synth": {
+                    **synth, "plant": _plant_values(plant)}}
+        elif bounds is not None:
+            if not isinstance(bounds, list) or len(bounds) != 2:
+                raise ExperimentError(f"dataset.boundaries must be a list of "
+                                      f"two integers, got {bounds!r}")
+            dataset = {**dataset, "boundaries": [
+                _integer(t, f"dataset.boundaries[{i}]", ExperimentError)
+                for i, t in enumerate(bounds)]}
         for key, least in (("seed", None), ("n_nodes", 1), ("n_items", 1)):
             if key in (synth or {}):
                 name = f"dataset.synth.{key}"

@@ -12,11 +12,13 @@ nor sums within a row.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,56 +106,92 @@ class TrainingSet:
 
     ``dictionary`` maps local columns back to global item columns. ``ids``
     are the canonical instance keys (node ids, or pairs as ``(m, 2)``
-    rows); instances are sorted by id at construction.
+    rows); instances are sorted by id.
 
     ``rows`` holds the instances as an AttributeMatrix (``ids`` are node
     ids and the instances are those nodes' rows) or as a CSR triple
     ``(indptr, cols, vals)`` whose row t is instance t, as
-    ``pair_features`` returns it. Both go through one row gather in id
-    order. Rows must be canonical (columns ascending and distinct); the
-    local columns keep that order, so the set is canonical too.
+    ``pair_features`` returns it. Rows must be canonical (columns ascending
+    and distinct); the local columns keep that order, so the set is
+    canonical too.
+
+    Construction records the material and makes its checks (aligned,
+    non-empty, 0/1 labels, no negative value); the arrays above are built
+    by one row gather in id order when first read. ``train_svms`` reads
+    none of them: it gathers the rows of many sets at once (``_assemble``).
     """
 
+    _BUILT = ("ids", "indptr", "indices", "data", "y", "dictionary")
+
     def __init__(self, rows, labels, ids) -> None:
+        keys = np.asarray(ids)
         if isinstance(rows, AttributeMatrix):
             csr = rows.data
-            indptr, cols, vals = csr.indptr, csr.indices, csr.data
-            n_rows = None  # ids name the rows
+            self._src = (csr.indptr, csr.indices, csr.data)
+            self._at = keys  # ids name the rows
         else:
-            indptr, cols, vals = rows
-            n_rows = len(indptr) - 1
-        if len(labels) != len(ids) or n_rows not in (None, len(ids)):
+            self._src = rows
+            self._at = None  # row t is instance t
+            if len(rows[0]) - 1 != len(keys):
+                raise LearnError("rows, labels and ids must align")
+        if len(labels) != len(keys):
             raise LearnError("rows, labels and ids must align")
-        if len(ids) == 0:
+        if len(keys) == 0:
             raise LearnError("empty training set")
-        keys = np.asarray(ids)
+        self._keys = keys
+        self._labels = np.asarray(labels).astype(np.int64)
+        indptr, _, vals = self._src
+        if self._at is None:
+            vals = vals[indptr[0]:indptr[-1]]
+        elif rows.nonnegative:
+            vals = vals[:0]
+        else:
+            vals = vals[_gather(indptr, keys)[1]]
+        _check_material(self._labels, vals)
+
+    def __getattr__(self, name: str):
+        if name not in TrainingSet._BUILT:
+            raise AttributeError(name)
+        indptr, cols, vals = self._src
+        order = self._order
+        keys = self._keys[order]
         if keys.ndim == 1:
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
             self.ids = tuple(keys.tolist())
-        else:  # tuple ids sort lexicographically
-            order = np.lexsort(keys.T[::-1])
-            keys = keys[order]
+        else:
             self.ids = tuple(map(tuple, keys.tolist()))
         self.indptr, at = _gather(indptr,
-                                  keys if n_rows is None else order)
+                                  order if self._at is None else keys)
         self.data = vals[at].astype(np.float64, copy=False)
-        y = np.asarray(labels)[order].astype(np.int64)
-        _check_material(y, self.data)
-        self.y = y.astype(np.int8)
+        self.y = self._labels[order].astype(np.int8)
         self.dictionary, self.indices = np.unique(
             cols[at].astype(np.int64), return_inverse=True)
+        return getattr(self, name)
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray:
+        """The instances in id order; tuple ids sort lexicographically."""
+        if self._keys.ndim == 1:
+            return np.argsort(self._keys, kind="stable")
+        return np.lexsort(self._keys.T[::-1])
 
     @property
     def n(self) -> int:
-        return len(self.indptr) - 1
+        return len(self._keys)
 
     @property
     def n_features(self) -> int:
         return len(self.dictionary)
 
+    @property
+    def nnz(self) -> int:
+        """Stored entries of the instances' rows."""
+        indptr = self._src[0]
+        if self._at is None:
+            return int(indptr[-1] - indptr[0])
+        return int(indptr[self._at + 1].sum() - indptr[self._at].sum())
+
     def classes(self) -> np.ndarray:
-        return np.unique(self.y)
+        return np.unique(self._labels)
 
 
 def _check_material(y: np.ndarray, vals: np.ndarray) -> None:
@@ -172,15 +210,15 @@ def single_class_label(matrix: AttributeMatrix, labels, ids) -> int | None:
     Both learners return ``ConstantClassifier(label, "single-class")`` for
     such material without reading the seed or the features, so a caller
     may return that itself and skip assembly and training. The material
-    still passes the TrainingSet checks, on one gather of the selected
-    rows' values: no sort, dictionary or CSR build.
+    still passes the TrainingSet checks: no sort, dictionary or CSR build.
     """
     y = np.asarray(labels)
     if len(y) == 0 or y.min() != y.max():
         return None
     csr = matrix.data
-    _, at = _gather(csr.indptr, np.asarray(ids))
-    _check_material(y, csr.data[at])
+    vals = csr.data[:0] if matrix.nonnegative else \
+        csr.data[_gather(csr.indptr, np.asarray(ids))[1]]
+    _check_material(y, vals)
     return int(y[0])
 
 
@@ -188,8 +226,13 @@ def _gather(indptr: np.ndarray, rows: np.ndarray):
     """CSR row selection: the selected rows' indptr and the positions of
     their entries in the source's indices and data, row after row."""
     starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    return _expand(starts, indptr[rows + 1] - starts)
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray):
+    """The indptr of runs of ``counts`` entries from ``starts`` laid end to
+    end, and the source positions of their entries, run after run."""
+    out = np.zeros(len(starts) + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
     at = np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
     return out, at
@@ -241,15 +284,16 @@ class LinearSVM:
     """Primal hinge-loss linear SVM with per-instance L2 normalization.
 
     A model is pending or trained: ``train_svm`` returns it with ``sgd``
-    holding what its SGD reads, and ``train_svms`` trains it; reading
-    ``w`` or ``b``, or predicting, trains a pending model by itself first.
+    holding its material, and ``train_svms`` trains it and sets its
+    ``dictionary``; reading ``w`` or ``b``, or predicting, trains a pending
+    model by itself first.
     """
 
     kind = "linear-svm"
 
     def __init__(self, w: np.ndarray | None, b: float,
-                 dictionary: np.ndarray,
-                 sgd: _SGDInput | None = None) -> None:
+                 dictionary: np.ndarray | None,
+                 sgd: _SGDMaterial | None = None) -> None:
         self._w = w
         self._b = b
         self.dictionary = dictionary
@@ -268,11 +312,12 @@ class LinearSVM:
         return self._b
 
     def decision(self, cols, vals) -> float:
+        w, b = self.w, self.b
         loc, v = _project(self.dictionary, np.asarray(cols), vals)
         norm = np.sqrt((v * v).sum())
         if norm > 0:
             v = v / norm
-        return float(self.w[loc] @ v + self.b)
+        return float(w[loc] @ v + b)
 
     def predict(self, cols, vals) -> int:
         return 1 if self.decision(cols, vals) >= 0 else 0
@@ -332,18 +377,12 @@ def predict_rows(clf, indptr, cols, vals) -> np.ndarray:
                      for a, z in zip(ptr[:-1], ptr[1:])], dtype=np.int8)
 
 
-class _SGDInput:
-    """What the SGD of a pending LinearSVM reads: its unit rows as
-    ``_unit_rows`` stores them, its labels as -1/+1, its seed and its
-    hyperparameters."""
+class _SGDMaterial(NamedTuple):
+    """What a pending LinearSVM trains from."""
 
-    __slots__ = ("ptr", "cols", "vals", "y", "seed", "hyper")
-
-    def __init__(self, ts: TrainingSet, seed: int, hyper: SVMHyper) -> None:
-        self.ptr, self.cols, self.vals = _unit_rows(ts)
-        self.y = ts.y.astype(np.float64) * 2.0 - 1.0
-        self.seed = seed
-        self.hyper = hyper
+    ts: TrainingSet
+    seed: int
+    hyper: SVMHyper
 
 
 def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
@@ -355,15 +394,16 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
     multiplicative decay lets every regularized coordinate forget them.
     Single-class sets yield a constant classifier.
 
-    Training is pending on the returned model, which holds its unit rows,
-    labels and seed. ``train_svms`` runs the SGD of many pending models in
-    lock step, and a pending model trains by itself when first read
-    (``w``, ``b``, ``decision``, ``predict``). Either way the result is
-    that of the per-model loop (``_sgd_loop``): each epoch visits the rows
-    in a fresh permutation drawn from ``generator(seed, "svm")``; at step
-    t the margin ``y * (w[c] @ v + b)`` of row (c, v) is taken, (w, b)
-    decay by ``1 - eta * reg``, and a margin below 1 adds ``eta * y`` times
-    the row to (w, b).
+    Training is pending on the returned model, which records the set, the
+    seed and the hyperparameters. ``train_svms`` assembles and trains many
+    pending models together, and a pending model trains by itself when
+    first read (``w``, ``b``, ``decision``, ``predict``). Either way the
+    result is that of the per-model loop (``_sgd_loop``) on the set's rows
+    scaled to unit L2 norm: each epoch visits the rows in a fresh
+    permutation drawn from ``generator(seed, "svm")``; at step t the margin
+    ``y * (w[c] @ v + b)`` of row (c, v) is taken, (w, b) decay by
+    ``1 - eta * reg``, and a margin below 1 adds ``eta * y`` times the row
+    to (w, b).
 
     Predictions are invariant under positive scaling of (w, b) but the
     objective is not, and short runs end with the right direction at the
@@ -376,106 +416,200 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
     bit-identical to the plain scipy formulation (normalize with
     ``(sparse.diags(1 / norms) @ X).tocsr()``, take means with
     ``ndarray.mean``; tests/test_learn.py keeps it as the reference), so
-    pinned outputs never move. That product stores each row's entries in
-    reverse column order, so ``_unit_rows`` does too and every per-row dot
-    product (the SGD margins and the final ``X @ w``) sums in that order.
-    Each hinge mean of the scale search is ``np.add.reduce`` over one
-    contiguous row of a ``(2, G, n)`` buffer, whose 2G rows are both
-    probes of the G pending models with n training rows, divided by n,
-    which is how ``ndarray.mean`` computes it. Floating-point addition is not
+    pinned outputs never move. Norms are scipy's row sums of the nonzero
+    squares (``np.add.reduceat``, not a sequential sum), empty rows keep
+    scale 1, and entries that scale to 0 are dropped, as that product
+    emits them. It also stores each row's entries in reverse column order,
+    so ``_assemble`` does too and every per-row dot product (the SGD
+    margins and the final ``X @ w``) sums in that order. Each hinge mean of
+    the scale search is ``np.add.reduce`` over one contiguous row of a
+    ``(2, G, n)`` buffer, whose 2G rows are both probes of the G pending
+    models with n training rows, divided by n, which is how
+    ``ndarray.mean`` computes it. Floating-point addition is not
     associative: another order moves the last bits of (w, b) and, on
     degenerate sets, a few predictions.
     """
     classes = ts.classes()
     if len(classes) == 1:
         return ConstantClassifier(int(classes[0]), "single-class")
-    return LinearSVM(None, 0.0, ts.dictionary, sgd=_SGDInput(ts, seed, hyper))
+    return LinearSVM(None, 0.0, None, sgd=_SGDMaterial(ts, seed, hyper))
 
 
-def _unit_rows(ts: TrainingSet):
-    """Rows of a training set scaled to unit L2 norm, stored last to first.
+def _assemble(models: list):
+    """The unit rows of pending models, in one gather and one normalizing
+    pass, laid out for their lock-step SGD.
 
-    Returns CSR arrays (ptr, cols, vals) whose row j is training row
-    n - 1 - j: the entries of ``ts`` reversed end to end, so each row's
-    entries run in reverse column order, with int32 columns. Norms are
-    scipy's row sums of the nonzero squares (``np.add.reduceat``, not a
-    sequential sum), empty rows keep scale 1, and entries that scale to 0
-    are dropped, exactly as ``sparse.diags(scale) @ X`` emits them.
+    Returns ``(C, YV, ptr, row_off, w_off, dicts)``. Model k's training
+    row t (in id order) is row ``row_off[k] + t`` of the CSR arrays
+    ``(ptr, C, YV)``; its weights are ``W[w_off[k]:w_off[k + 1]]`` of one
+    flat W, the bias in the last slot, and ``dicts[k]`` is its dictionary.
+    A row holds its unit entries in reverse column order, then one bias
+    entry. ``C`` holds flat-W positions and ``YV`` the values times the
+    row's label y = -1/+1, so a margin ``y * (w[c] @ v + b)`` is the sum of
+    a row's ``W[C] * YV``, bias last (negation commutes with rounding).
+
+    Sets whose rows live in the same arrays (a training matrix, or one
+    ``pair_features`` pass) are gathered together. Normalization is per
+    row, so a row scales as it would in a set of its own; each model's
+    dictionary comes from one ``np.unique`` over (model, column) keys of
+    every gathered entry, zeros included, as the TrainingSet's would.
     """
-    n = ts.n
-    data = ts.data
-    row = np.repeat(np.arange(n), np.diff(ts.indptr))
-    sq = data * data
+    g = len(models)
+    sets = [m.sgd.ts for m in models]
+    by_src: dict = {}
+    for k, ts in enumerate(sets):
+        by_src.setdefault(id(ts._src[2]), []).append(k)
+    laid = [k for ks in by_src.values() for k in ks]  # models in row order
+    n = np.array([sets[k].n for k in laid])
+    row_off = np.zeros(g, dtype=np.int64)
+    row_off[laid] = np.cumsum(n) - n
+    cols, vals, counts, y = [], [], [], []
+    for ks in by_src.values():
+        starts, stops = [], []
+        for k in ks:
+            ts = sets[k]
+            order = ts._order
+            at = order if ts._at is None else ts._at[order]
+            indptr = ts._src[0]
+            starts.append(indptr[at])
+            stops.append(indptr[at + 1])
+            y.append(ts._labels[order])
+        starts = np.concatenate(starts)
+        counts.append(np.concatenate(stops) - starts)
+        _, at = _expand(starts, counts[-1])
+        _, src_cols, src_vals = sets[ks[0]]._src
+        cols.append(src_cols[at])
+        vals.append(src_vals[at].astype(np.float64, copy=False))
+        del at
+    cols, vals, counts = _cat(cols), _cat(vals), _cat(counts)
+    y = _cat(y) * 2.0 - 1.0
+    n_rows = len(counts)
+    row = np.repeat(np.arange(n_rows), counts)
+    model = np.repeat(np.asarray(laid), n)  # model of each row
+
+    # dictionaries: one sorted pass over (model, column) keys
+    span = int(cols.max()) + 1 if len(cols) else 1
+    key = model[row] * span + cols
+    del cols
+    uniq, pos = np.unique(key, return_inverse=True)
+    del key
+    umodel = uniq // span
+    w_off = np.zeros(g + 1, dtype=np.int64)
+    np.cumsum(np.bincount(umodel, minlength=g) + 1, out=w_off[1:])
+    uniq -= umodel * span
+    d_off = (w_off - np.arange(g + 1)).tolist()
+    dicts = [uniq[d_off[k]:d_off[k + 1]] for k in range(g)]
+    pos += model[row]  # flat-W position of each entry
+
+    # unit rows, as _frozen_unit_rows in tests/test_learn.py scales them
+    sq = vals * vals
     keep = sq != 0
     sq_row = row[keep]
-    norms = np.zeros(n)
+    norms = np.zeros(n_rows)
     if len(sq_row):
-        starts = np.flatnonzero(np.diff(sq_row, prepend=-1))
-        norms[sq_row[starts]] = np.add.reduceat(sq[keep], starts)
+        firsts = np.flatnonzero(np.diff(sq_row, prepend=-1))
+        norms[sq_row[firsts]] = np.add.reduceat(sq[keep], firsts)
+    del sq, keep, sq_row
     norms = np.sqrt(norms)
-    scale = np.ones(n)
+    scale = np.ones(n_rows)
     nz = norms > 0
     scale[nz] = 1.0 / norms[nz]
-    vals = data * scale[row]
+    vals *= scale[row]
     keep = vals != 0
-    cols = ts.indices[keep][::-1].astype(np.int32)
-    vals = np.ascontiguousarray(vals[keep][::-1])
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row[keep], minlength=n)[::-1], out=ptr[1:])
-    return ptr, cols, vals
+    vals *= y[row]
+    row = row[keep]
+
+    # each row's kept entries reversed, then its bias entry
+    ptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows) + 1, out=ptr[1:])
+    last = ptr[1:] - 1
+    dest = (last - 1 + ptr[:-1] - np.arange(n_rows))[row]
+    dest -= np.arange(len(row))
+    C = np.empty(ptr[-1], dtype=np.intp)
+    YV = np.empty(ptr[-1])
+    C[dest] = pos[keep]
+    YV[dest] = vals[keep]
+    C[last] = w_off[1:][model] - 1
+    YV[last] = y
+    return C, YV, ptr, row_off, w_off.tolist(), dicts
 
 
-def _sgd_loop(sgd: _SGDInput, w: np.ndarray, b: float, t: int,
-              order: np.ndarray) -> float:
-    """The per-model SGD, in place on ``w``, from step t on (t steps
-    taken), visiting the rows ``order[t:]``; returns the bias. The
-    reference that the lock-step trainer reproduces."""
-    cols = sgd.cols.astype(np.intp)  # intp: cheapest to take
-    ptr = sgd.ptr.tolist()
-    rows = [(cols[a:z], sgd.vals[a:z])
-            for a, z in zip(ptr[:-1], ptr[1:])][::-1]
-    y_list = sgd.y.tolist()
-    reg = sgd.hyper.reg
-    take, put = w.take, w.put  # w[c] and w[c] = ..., with less overhead
+def _cat(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _sgd_loop(W: np.ndarray, rows: list, lo: int, hi: int, reg: float,
+              t: int, order: np.ndarray) -> None:
+    """The per-model SGD of the model with weights ``W[lo:hi]`` (bias
+    last) and training rows ``rows`` (as ``_rows_of`` gives them), in
+    place, from step t on (t steps taken), visiting the rows ``order[t:]``.
+    The reference that the lock-step trainer reproduces."""
+    w = W[lo:hi - 1]
+    b = float(W[hi - 1])
+    take = W.take  # W[c], with less overhead
     for i in order[t:].tolist():
         t += 1
         eta = 1.0 / (reg * t)
-        c, v = rows[i]
-        yi = y_list[i]
-        margin = yi * (take(c).dot(v) + b)
+        c, yv, yi = rows[i]
+        margin = take(c).dot(yv) + yi * b  # y * (w[c] @ v + b), exactly
         decay = 1.0 - eta * reg
         w *= decay
         b *= decay
         if margin < 1.0:
-            put(c, take(c) + eta * yi * v)
+            W[c] += eta * yv
             b += eta * yi
-    return b
+    W[hi - 1] = b
 
 
-def _exact_margin(sgd: _SGDInput, w: np.ndarray, b: float, i: int) -> float:
-    """Row i's margin as ``_sgd_loop`` takes it, with the per-model dot."""
-    j = len(sgd.y) - 1 - i
-    a, z = sgd.ptr[j], sgd.ptr[j + 1]
-    return sgd.y[i] * (w.take(sgd.cols[a:z]).dot(sgd.vals[a:z]) + b)
+def _rows_of(C: np.ndarray, YV: np.ndarray, ptr: np.ndarray) -> list:
+    """``(c, yv, y)`` of each row of ``ptr``, one model's rows: flat-W
+    positions and signed values of its unit entries, and its label.
+
+    The entries are copied into fresh arrays laid out as the per-model
+    loop stores them, rows last to first, so that each ``yv`` has that
+    loop's 16-byte alignment: OpenBLAS's SSE2 ``ddot`` (the Prescott
+    kernel) sums in an order that depends on the alignment of its second
+    operand."""
+    n = len(ptr) - 1
+    p = np.asarray(ptr)
+    starts = p[-2::-1]
+    out, at = _expand(starts, p[:0:-1] - 1 - starts)
+    cs, vs = C[at], YV[at]
+    o = out.tolist()[::-1]  # o[i]: where training row i ends
+    ys = YV[p[1:] - 1].tolist()
+    return [(cs[o[i + 1]:o[i]], vs[o[i + 1]:o[i]], ys[i]) for i in range(n)]
+
+
+def _exact_margin(W: np.ndarray, C: np.ndarray, YV: np.ndarray,
+                  ptr: np.ndarray, i: int, end: int) -> float:
+    """The margin of row i, of a model whose rows end at row ``end``, as
+    ``_sgd_loop`` takes it, with the per-model dot; the values sit at the
+    16-byte alignment that ``_rows_of`` gives them."""
+    a, z = ptr[i], ptr[i + 1] - 1  # the bias entry is z
+    odd = (ptr[end] - ptr[i + 1] - (end - i - 1)) % 2
+    v = np.empty(z - a + 1)[odd:odd + z - a]
+    v[:] = YV[a:z]
+    return W.take(C[a:z]).dot(v) + YV[z] * W[C[z]]
 
 
 _TAIL = 8  # models still stepping below which each finishes by itself
 _STEP_ENTRIES = 2**15  # row entries of lock-step steps expanded at a time
 _U = 2.0**-53  # unit roundoff of float64
 _SLACK_ABS = 16 * _U  # absolute part of the margin certificate's slack
-SGD_BATCH_ENTRIES = 2**16  # unit-row entries that start an SGD chunk
+SGD_BATCH_ENTRIES = 2**16  # stored row entries that start an SGD chunk
 
 
 def train_svms(models) -> None:
     """Train every pending LinearSVM among ``models``, an iterable read
     once, as ``_sgd_loop`` and a scale search of its own would; other
     classifiers and trained models are skipped, and a model listed twice
-    is trained once. The SGD runs in lock step per hyperparameter set
-    (``_train_group``), in chunks: whenever the unit rows of the models
-    read since the last chunk pass ``SGD_BATCH_ENTRIES`` entries, and at
-    the end. A chunk drops its models' rows, so an iterable that builds
-    its models as it is read holds at most that many entries plus one
-    model's. Then one search scales every model (``_scale_svms``).
+    is trained once. The SGD runs in chunks: whenever the stored row
+    entries of the sets read since the last chunk pass
+    ``SGD_BATCH_ENTRIES``, and at the end. A chunk trains its models in
+    lock step per hyperparameter set (``_train_group``), each group's rows
+    gathered and normalized in one pass (``_assemble``), so what it holds
+    is bounded by the budget plus one set. Then one search scales every
+    model (``_scale_svms``).
     """
     chunk: dict = {}  # hyperparameters -> pending models by id
     entries = 0
@@ -483,7 +617,7 @@ def train_svms(models) -> None:
     for m in itertools.chain(models, [None]):  # None: the last chunk
         if isinstance(m, LinearSVM) and m.sgd is not None:
             chunk.setdefault(m.sgd.hyper, {})[id(m)] = m
-            entries += len(m.sgd.vals)
+            entries += m.sgd.ts.nnz
         if entries > SGD_BATCH_ENTRIES or m is None:
             for hyper, group in chunk.items():
                 to_scale += _train_group(list(group.values()), hyper.reg,
@@ -492,129 +626,138 @@ def train_svms(models) -> None:
     _scale_svms(to_scale)
 
 
+def _weight_bound(reg: float, steps: int, k: int) -> float:
+    """An upper bound on ``sum |w_c v_c| + |b|`` over every step of SGD
+    runs of at most ``steps`` steps on unit rows of at most ``k`` entries.
+
+    In exact arithmetic, Pegasos' step 1 / (reg * t) makes the iterate
+    after t steps ``(1 / (reg * t)) * sum_s g_s`` for subgradients g_s of
+    norm at most 1 in w and in b, so ``||w|| <= 1 / reg`` and
+    ``|b| <= 1 / reg``, and by Cauchy-Schwarz the sum is at most
+    ``2 / reg``. In floating point, with eta and decay rounded and each
+    coordinate's decay and update rounded once, a step gives
+    ``||w'|| <= (1 + u)^2 (|decay| ||w|| + eta ||v||)`` with
+    ``|decay| <= (1 + u)(t - 1 + 4u) / t`` and
+    ``eta <= (1 + u) / ((1 - u) reg t)``. So ``a_t = reg * t * ||w_(t+1)||``
+    obeys ``a_t <= (1 + 8u)(a_(t-1) + N)`` with N the largest row norm,
+    giving ``||w|| <= N (1 + 8u)^T / reg`` after T steps, and the same for
+    |b| with N = 1. A unit row of k entries has ``N <= 1 + 2(k + 3)u``, and
+    ``(1 + 8u)^T <= 1 + 16uT``, so the sum is at most
+    ``(2 + 5(k + 3)u)(1 + 16uT) / reg < 2 (1 + 16u (T + k + 8)) / reg``.
+    The last form exceeds the one before by ``160u / reg`` at least, far
+    more than the four roundings of computing it; the result is never
+    below ``2 / reg``.
+    """
+    return 2.0 / reg * (1.0 + 16 * _U * (steps + k + 8))
+
+
 def _train_group(models: list, reg: float, epochs: int) -> list:
     """Lock-step SGD of distinct pending models sharing ``reg`` and
     ``epochs``; returns per model ``(model, margins, reg)``, with the
     final iterate's signed training margins.
 
-    The models' weights are slices of one flat W, ordered by step count
-    (epochs * n), so the models still stepping at step t are a prefix. At
-    each step one gather takes every such model's row, and the decay of W
-    and b, the violators' updates, and the margins run once over all of
-    them, elementwise in the float operations of the per-model loop. Only
-    the margin is summed differently: per model with ``np.bincount``,
-    where the loop takes a BLAS dot whose bits depend on the kernel that
-    runs. A margin is only compared with 1, so the sum decides when
-    ``|m - 1|`` exceeds a rigorous bound on how far any evaluation order
-    of the dot can move it (``8 * gamma_(K+1) * sum |w_c v_c| + 16u``, for
-    rows of at most K entries and unit roundoff u; a floating-point
-    filter after Shewchuk, 1997); within it, the model's own dot decides,
-    as in the loop. When fewer than ``_TAIL`` models are still stepping,
-    each finishes in ``_sgd_loop`` from its current state.
+    ``_assemble`` lays out every model's rows, and their weights as slices
+    of one flat W ordered by step count (epochs * n), so the models still
+    stepping at step t are a prefix of W. At each step one gather takes
+    every such model's row, and the margins, the decay of W (bias slots
+    included), and the violators' updates run once over all of them,
+    elementwise in the float operations of the per-model loop; the bias
+    rides as one more entry of each row. Only the margin is summed
+    differently: per model with ``np.bincount``, where the loop takes a
+    BLAS dot whose bits depend on the kernel that runs. A margin is only
+    compared with 1, so the sum decides when ``|m - 1|`` exceeds a rigorous
+    bound on how far any evaluation order of the dot can move it
+    (``8 * gamma_(K+1) * sum |w_c v_c| + 16u``, for rows of at most K
+    entries and unit roundoff u; a floating-point filter after Shewchuk,
+    1997). The bound uses ``_weight_bound`` for the sum, one constant per
+    group; within it, the model's own dot decides, as in the loop. When
+    fewer than ``_TAIL`` models are still stepping, each finishes in
+    ``_sgd_loop`` from its current state.
     """
-    models.sort(key=lambda m: len(m.sgd.y), reverse=True)
-    inputs = [m.sgd for m in models]
+    models.sort(key=lambda m: m.sgd.ts.n, reverse=True)
     g = len(models)
-    n = [len(s.y) for s in inputs]
+    n = [m.sgd.ts.n for m in models]
     steps = [epochs * k for k in n]
-    row_off = np.zeros(g + 1, dtype=np.int64)
-    np.cumsum(n, out=row_off[1:])
-    w_off = np.zeros(g + 1, dtype=np.int64)
-    np.cumsum([len(m.dictionary) for m in models], out=w_off[1:])
-    w_off = w_off.tolist()
-    e_len = [len(s.vals) for s in inputs]
-    e_off = np.zeros(g + 1, dtype=np.int64)
-    np.cumsum(e_len, out=e_off[1:])
-    # every model's rows end to end, columns shifted into the flat W
-    C = np.concatenate([s.cols for s in inputs]).astype(np.intp)
-    C += np.repeat(w_off[:-1], e_len)
-    V = np.concatenate([s.vals for s in inputs])
-    Y = np.concatenate([s.y[::-1] for s in inputs])
-    ptr = np.concatenate([[0]] + [s.ptr[1:] + e
-                                  for s, e in zip(inputs, e_off[:-1])])
+    C, YV, ptr, row_off, w_off, dicts = _assemble(models)
     cnt = np.diff(ptr)
     W = np.zeros(w_off[-1])
-    B = np.zeros(g)
-    orders = []
-    for s, k in zip(inputs, n):
-        rng = generator(s.seed, "svm")
-        orders.append(np.concatenate([rng.permutation(k)
-                                      for _ in range(epochs)]))
+    # each model's epoch orders in one call: the same draws as ``epochs``
+    # successive ``permutation(n)`` calls
+    orders = [generator(m.sgd.seed, "svm").permuted(
+        np.tile(np.arange(k), (epochs, 1)), axis=1).ravel()
+        for m, k in zip(models, n)]
     t_tail = steps[_TAIL - 1] if g >= _TAIL else 0
 
-    # schedule: the layout row (row j of the model's CSR is training row
-    # n - 1 - j) that each model stepping at step t takes, step by step
+    # schedule: the row that each model stepping at step t takes, step by
+    # step, and the model each scheduled row belongs to
     active = np.searchsorted(-np.asarray(steps), -np.arange(t_tail))
     sptr = np.zeros(t_tail + 1, dtype=np.int64)
     np.cumsum(active, out=sptr[1:])
     sched = np.empty(sptr[-1], dtype=np.int64)
     for k in range(g):
         t = min(steps[k], t_tail)
-        sched[sptr[:t] + k] = row_off[k + 1] - 1 - orders[k][:t]
+        sched[sptr[:t] + k] = row_off[k] + orders[k][:t]
+    slot = np.arange(len(sched)) - np.repeat(sptr[:-1], active)
     ecum = np.zeros(len(sched) + 1, dtype=np.int64)
     np.cumsum(cnt[sched], out=ecum[1:])
     estep = ecum[sptr]
     act = active.tolist()
-    k1 = int(cnt.max(initial=0)) + 1
+    ends = (row_off + n).tolist()  # each model's rows end here
+    k1 = int(cnt.max(initial=1))  # K + 1: a row's entries and its bias
     rel = 8 * k1 * _U / (1 - k1 * _U)  # 8 * gamma_(K+1)
+    slack = _weight_bound(reg, max(steps), k1) * rel + _SLACK_ABS
     t0 = 0
     while t0 < t_tail:
         t1 = int(np.searchsorted(estep, estep[t0] + _STEP_ENTRIES, "right"))
         t1 = min(max(t1 - 1, t0 + 1), t_tail)
         r = sched[sptr[t0]:sptr[t1]]
-        _, at = _gather(ptr, r)
         counts = cnt[r]
-        Cs, Vs = C[at], V[at]
-        Yr = Y[r]
-        YV = Vs * np.repeat(Yr, counts)
-        S = np.repeat(np.arange(len(r))
-                      - np.repeat(sptr[t0:t1] - sptr[t0], active[t0:t1]),
-                      counts)
+        _, at = _expand(ptr[r], counts)
+        Cs, YVs = C[at], YV[at]
+        eta = 1.0 / (reg * np.arange(t0 + 1, t1 + 1))
+        step_yv = YVs * np.repeat(eta, np.diff(estep[t0:t1 + 1]))
+        decays = (1.0 - eta * reg).tolist()
+        S = np.repeat(slot[sptr[t0]:sptr[t1]], counts)
         eptr = (estep[t0:t1 + 1] - estep[t0]).tolist()
         rptr = (sptr[t0:t1 + 1] - sptr[t0]).tolist()
         for t in range(t0, t1):
+            j = t - t0
             a = act[t]
-            lo, hi = eptr[t - t0], eptr[t - t0 + 1]
-            r0 = rptr[t - t0]
+            lo, hi = eptr[j], eptr[j + 1]
             c, s = Cs[lo:hi], S[lo:hi]
-            b, y = B[:a], Yr[r0:r0 + a]
             wc = W.take(c)
-            prod = wc * Vs[lo:hi]
-            m = np.bincount(s, prod, a) + b
-            m *= y
-            slack = np.bincount(s, np.abs(prod), a) * rel
-            slack += _SLACK_ABS
-            near = np.abs(m - 1.0) <= slack
-            if near.any():
-                for k in np.flatnonzero(near).tolist():
-                    i = int(row_off[k + 1] - 1 - r[r0 + k])
-                    m[k] = _exact_margin(inputs[k],
-                                         W[w_off[k]:w_off[k + 1]], B[k], i)
-            eta = 1.0 / (reg * (t + 1))
-            decay = 1.0 - eta * reg
+            m = np.bincount(s, wc * YVs[lo:hi], a)
+            if np.abs(m - 1.0).min() <= slack:
+                for k in np.flatnonzero(np.abs(m - 1.0) <= slack).tolist():
+                    m[k] = _exact_margin(W, C, YV, ptr, int(r[rptr[j] + k]),
+                                         ends[k])
             viol = m < 1.0
-            W[:w_off[a]] *= decay
-            b *= decay
-            np.add(b, eta * y, b, where=viol)
-            wc *= decay
-            np.add(wc, eta * YV[lo:hi], wc, where=viol[s])
-            W.put(c, wc)
+            W[:w_off[a]] *= decays[j]
+            wc *= decays[j]
+            np.add(wc, step_yv[lo:hi], wc, where=viol[s])
+            W[c] = wc
         t0 = t1
 
     for k in range(g):
         if steps[k] <= t_tail:
             break
-        B[k] = _sgd_loop(inputs[k], W[w_off[k]:w_off[k + 1]], float(B[k]),
-                         t_tail, orders[k])
-    # final margins, each row summed in its stored order as the loop does
-    margins = np.bincount(np.repeat(np.arange(len(cnt)), cnt),
-                          V * W.take(C), minlength=len(cnt)) + np.repeat(B, n)
-    margins *= Y
+        rows = _rows_of(C, YV, ptr[row_off[k]:ends[k] + 1])
+        _sgd_loop(W, rows, w_off[k], w_off[k + 1], reg, t_tail, orders[k])
+    # final margins, each row summed in its stored order as the loop does;
+    # its sum starts at +0, so only a zero can differ from y * (sum + b),
+    # which is then y * +0
+    prod = W.take(C)
+    prod *= YV
+    margins = np.bincount(np.repeat(np.arange(len(cnt)), cnt), prod,
+                          len(cnt))
+    zero = margins == 0.0
+    margins[zero] *= YV[ptr[1:] - 1][zero]
     for k, m in enumerate(models):
-        m._w = W[w_off[k]:w_off[k + 1]].copy()
-        m._b = float(B[k])
+        m._w = W[w_off[k]:w_off[k + 1] - 1].copy()
+        m._b = float(W[w_off[k + 1] - 1])
+        m.dictionary = dicts[k]
         m.sgd = None
-    return [(m, margins[row_off[k]:row_off[k + 1]][::-1], reg)
+    return [(m, margins[row_off[k]:row_off[k] + n[k]], reg)
             for k, m in enumerate(models)]
 
 

@@ -220,13 +220,26 @@ class TestGrid:
         ("dataset.synth.n_items", None),
         ("dataset.synth.n_items", -1),
         ("dataset.synth", 5),
+        ("dataset.synth.plant.n_groups", "3"),
+        ("dataset.synth.plant.n_groups", True),
+        ("dataset.synth.plant.weight_lo", 6.5),
+        ("dataset.synth.plant.segments", None),
+        ("dataset.synth.plant.noise_high_prob", "0.5"),
+        ("dataset.synth.plant.noise_high_prob", True),
+        ("dataset.synth.plant.label_min_value", None),
+        ("dataset.synth.plant.emit_items", 2.5),
+        ("dataset.synth.plant.doppel_emit", "4"),
+        ("dataset.synth.plant.refresh_per_segment", 1),
+        ("dataset.synth.plant.refresh_per_segment", None),
+        ("dataset.boundaries", 5),
+        ("dataset.boundaries", [10, 20]),
     ])
     def test_config_scalars_are_not_coerced(self, key, value):
         raw = make_config("unused")
         *blocks, name = key.split(".")
         block = raw
         for b in blocks:
-            block = block[b]
+            block = block.setdefault(b, {})
         block[name] = value
         with pytest.raises(ExperimentError, match=f"^{key} must be"):
             ExperimentConfig.from_dict(raw)
@@ -273,6 +286,44 @@ class TestGrid:
         raw["dataset"]["synth"] = {"seed": -3, "n_nodes": 1, "n_items": 2.0}
         assert ExperimentConfig.from_dict(raw).dataset["synth"] == \
             {"seed": -3, "n_nodes": 1, "n_items": 2.0}
+
+    def test_plant_values_load_by_their_field_types(self):
+        raw = make_config("unused")
+        raw["dataset"]["synth"]["plant"] = {
+            "n_groups": 2.0, "emit_items": None, "doppel_emit": 3.0,
+            "noise_high_prob": 1, "label_min_value": 4.5,
+            "refresh_per_segment": True}
+        plant = ExperimentConfig.from_dict(raw).dataset["synth"]["plant"]
+        assert plant == {"n_groups": 2, "emit_items": None,
+                         "doppel_emit": 3, "noise_high_prob": 1,
+                         "label_min_value": 4.5,
+                         "refresh_per_segment": True}
+        assert type(plant["n_groups"]) is int
+        assert type(plant["doppel_emit"]) is int
+
+    @pytest.mark.parametrize("value, error", [
+        (5, "dataset.boundaries must be a list of two integers"),
+        ("10,20", "dataset.boundaries must be a list of two integers"),
+        ([10], "dataset.boundaries must be a list of two integers"),
+        ([10, 20, 30], "dataset.boundaries must be a list of two integers"),
+        ([10, 20.5], r"dataset.boundaries\[1\] must be an integer"),
+        (["10", 20], r"dataset.boundaries\[0\] must be an integer"),
+        ([True, 20], r"dataset.boundaries\[0\] must be an integer"),
+    ])
+    def test_event_boundaries_must_be_two_integers(self, value, error):
+        raw = make_config("unused")
+        raw["dataset"] = {"events": "e.tsv", "rules": "r.json",
+                          "boundaries": value}
+        with pytest.raises(ExperimentError, match=f"^{error}"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_event_boundaries_load(self):
+        raw = make_config("unused")
+        raw["dataset"] = {"events": "e.tsv", "rules": "r.json"}
+        for value, want in (([10.0, 20], [10, 20]), (None, None)):
+            raw["dataset"]["boundaries"] = value
+            got = ExperimentConfig.from_dict(raw).dataset["boundaries"]
+            assert got == want and all(type(t) is int for t in got or [])
 
     def test_learner_hyperparameter_bounds_load(self):
         raw = make_config("unused")

@@ -16,7 +16,6 @@ from netsel.learn import (
     SVMHyper,
     TrainingSet,
     _best_split,
-    _unit_rows,
     edge_features,
     pair_features,
     single_class_label,
@@ -562,6 +561,42 @@ def test_model_read_before_settling_equals_one_settled_in_a_batch():
         _same_model(batch[k], _reference_train_svm(ts, SVMHyper(), seed=k))
 
 
+def _unit_rows(ts: TrainingSet):
+    """Rows of a training set scaled to unit L2 norm, stored last to first.
+
+    Returns CSR arrays (ptr, cols, vals) whose row j is training row
+    n - 1 - j: the entries of ``ts`` reversed end to end, so each row's
+    entries run in reverse column order, with int32 columns. Norms are
+    scipy's row sums of the nonzero squares (``np.add.reduceat``, not a
+    sequential sum), empty rows keep scale 1, and entries that scale to 0
+    are dropped, exactly as ``sparse.diags(scale) @ X`` emits them.
+
+    The per-set normalization as train_svm ran it before train_svms
+    gathered many sets in one pass; kept verbatim as the reference.
+    """
+    n = ts.n
+    data = ts.data
+    row = np.repeat(np.arange(n), np.diff(ts.indptr))
+    sq = data * data
+    keep = sq != 0
+    sq_row = row[keep]
+    norms = np.zeros(n)
+    if len(sq_row):
+        starts = np.flatnonzero(np.diff(sq_row, prepend=-1))
+        norms[sq_row[starts]] = np.add.reduceat(sq[keep], starts)
+    norms = np.sqrt(norms)
+    scale = np.ones(n)
+    nz = norms > 0
+    scale[nz] = 1.0 / norms[nz]
+    vals = data * scale[row]
+    keep = vals != 0
+    cols = ts.indices[keep][::-1].astype(np.int32)
+    vals = np.ascontiguousarray(vals[keep][::-1])
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[keep], minlength=n)[::-1], out=ptr[1:])
+    return ptr, cols, vals
+
+
 def _frozen_sgd(ts, hyper, seed):
     """train_svm's SGD as it ran once per model, before train_svms ran the
     models in lock step; kept verbatim as the bit-level reference. Returns
@@ -738,6 +773,79 @@ def test_pending_model_trains_alone_as_in_a_group():
         assert alone._b == model._b
         assert alone_margins.tobytes() == \
             np.ascontiguousarray(after[id(model)][0]).tobytes()
+
+
+def test_sgd_epoch_orders_equal_successive_permutations():
+    # the trainer draws a model's epoch orders in one ``permuted`` call;
+    # they must be the orders, and leave the stream in the state, of one
+    # ``permutation`` call per epoch, as the per-model loop draws them
+    for seed in range(4):
+        for n in range(1, 61):
+            epochs = 1 + (seed + n) % 5
+            one, many = generator(seed, "svm"), generator(seed, "svm")
+            got = one.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
+            assert got.tolist() == [many.permutation(n).tolist()
+                                    for _ in range(epochs)]
+            assert one.bit_generator.state == many.bit_generator.state
+
+
+def _weight_sums(ts, hyper, seed):
+    """``_frozen_sgd``'s loop, instrumented: ``sum |w_c v_c| + |b|`` over
+    the row of each step, before the step."""
+    ptr, cols, vals = _unit_rows(ts)
+    cols = cols.astype(np.intp)
+    rows = [(cols[a:z], vals[a:z])
+            for a, z in zip(ptr[:-1].tolist(), ptr[1:].tolist())][::-1]
+    y_list = (ts.y.astype(np.float64) * 2.0 - 1.0).tolist()
+    reg = hyper.reg
+    w = np.zeros(ts.n_features)
+    take, put = w.take, w.put
+    b = 0.0
+    sums = []
+    rng = generator(seed, "svm")
+    t = 0
+    for _ in range(hyper.epochs):
+        for i in rng.permutation(ts.n).tolist():
+            t += 1
+            eta = 1.0 / (reg * t)
+            c, v = rows[i]
+            yi = y_list[i]
+            sums.append(float(np.abs(take(c) * v).sum()) + abs(b))
+            margin = yi * (take(c).dot(v) + b)
+            decay = 1.0 - eta * reg
+            w *= decay
+            b *= decay
+            if margin < 1.0:
+                put(c, take(c) + eta * yi * v)
+                b += eta * yi
+    return sums, int(np.diff(ptr).max(initial=0))
+
+
+def test_sgd_weight_bound_holds_at_every_step():
+    # the lock-step trainer's margin slack takes sum |w_c v_c| + |b| as
+    # the constant _weight_bound; at every step of the per-model loop the
+    # sum must stay within it, on the group's sets and on sets whose
+    # values span 7 decades, at every hyperparameter set and reg = 1e-8
+    rng = np.random.default_rng(17)
+    hypers = _SGD_HYPERS + [SVMHyper(reg=1e-8, epochs=3)]
+    worst = 0.0
+    for trial in range(60):
+        sets = [ts for ts, _, _ in _random_sgd_group(rng)][:4]
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 30))
+        X = rng.random((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+        X[rng.random((n, d)) < 0.4] = 0.0
+        sets.append(ts_from(dense_rows(X), [0, 1] * (n // 2) + [1] * (n % 2)))
+        for k, ts in enumerate(sets):
+            hyper = hypers[(trial + k) % len(hypers)]
+            sums, width = _weight_sums(ts, hyper, seed=trial + k)
+            bound = learn._weight_bound(hyper.reg, hyper.epochs * ts.n,
+                                        width + 1)
+            assert bound >= 2.0 / hyper.reg
+            assert max(sums) <= bound
+            worst = max(worst, max(sums) * hyper.reg)
+    # the sums reach 2 / reg itself (a repeated row at step 2 does), so a
+    # constant of exactly 2 / reg would be no bound in floating point
+    assert worst > 1.99
 
 
 # ---------------------------------------------------- batched prediction

@@ -1068,15 +1068,15 @@ def test_run_lp_settles_each_built_svm_once(homophily, monkeypatch,
 def _train_recorder(monkeypatch, pool):
     """Replace train_svms' lock-step SGD with one that records, per group
     (one per chunk, as the pool's SVMs share their hyperparameters), the
-    id and unit-row entries of each SVM it ran, in the order read, and the
-    unit-row entries of every SVM the pool then holds pending."""
+    id and stored row entries of each SVM it ran, in the order read, and
+    the stored row entries of every SVM the pool then holds pending."""
     calls = []
     real = learn._train_group
 
     def record(models, reg, epochs):
-        held = sum(len(m.sgd.vals) for m in pool.cache.values()
+        held = sum(m.sgd.ts.nnz for m in pool.cache.values()
                    if isinstance(m, LinearSVM) and m.sgd is not None)
-        calls.append(([(id(m), len(m.sgd.vals)) for m in models], held))
+        calls.append(([(id(m), m.sgd.ts.nnz) for m in models], held))
         return real(models, reg, epochs)
 
     monkeypatch.setattr(learn, "_train_group", record)
