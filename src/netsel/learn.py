@@ -191,7 +191,7 @@ class TrainingSet:
         return int(indptr[self._at + 1].sum() - indptr[self._at].sum())
 
     def classes(self) -> np.ndarray:
-        return np.unique(self._labels)
+        return np.flatnonzero(np.bincount(self._labels))  # labels are 0/1
 
 
 def _check_material(y: np.ndarray, vals: np.ndarray) -> None:
@@ -458,7 +458,7 @@ def _assemble(models: list):
     sets = [m.sgd.ts for m in models]
     by_src: dict = {}
     for k, ts in enumerate(sets):
-        by_src.setdefault(id(ts._src[2]), []).append(k)
+        by_src.setdefault((id(ts._src[1]), id(ts._src[2])), []).append(k)
     laid = [k for ks in by_src.values() for k in ks]  # models in row order
     n = np.array([sets[k].n for k in laid])
     row_off = np.zeros(g, dtype=np.int64)
@@ -501,7 +501,8 @@ def _assemble(models: list):
     dicts = [uniq[d_off[k]:d_off[k + 1]] for k in range(g)]
     pos += model[row]  # flat-W position of each entry
 
-    # unit rows, as _frozen_unit_rows in tests/test_learn.py scales them
+    # unit rows, as the per-set reference (``_unit_rows`` in
+    # tests/test_learn.py) scales them
     sq = vals * vals
     keep = sq != 0
     sq_row = row[keep]

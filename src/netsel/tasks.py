@@ -17,7 +17,10 @@ phases: resolve every record's material key in the config's
 ClassifierPool, which queues each miss untrained (node ids for CC, pairs
 for LP); build, where ``settle`` trains the queue; predict, where each
 record reads its classifier by key, and each LP classifier scores all of
-its pairs in one call (CC records still predict one at a time). LP
+its pairs in one call (CC records still predict one at a time). In the
+build phase a TrainingSet only records its material; ``train_svms``
+gathers and normalizes the rows of a whole SGD chunk in one pass and
+trains the chunk's SVMs in lock step. LP
 owners' local material (pair set, exclusion filter, digest) is resolved
 once per family by LPScopes and read by every config and partition. An
 SVM scoring a batch (``LinearSVM.predict_rows``) takes each sign from a
@@ -237,8 +240,10 @@ class ClassifierPool:
     def settle(self) -> None:
         """Train every pending material, in lookup order. LP sets read
         their rows out of one ``pair_features`` pass (they come from one
-        runner call, so they share a matrix). Each TrainingSet is built as
-        ``train_svms`` reads the classifiers, which bounds what it holds."""
+        runner call, so they share a matrix). Each TrainingSet records its
+        material as ``train_svms`` reads the classifiers; the SVMs' rows
+        are gathered a chunk at a time, from the training matrix or that
+        pass, which bounds what training holds."""
         queued = {k: v for k, v in self.cache.items()
                   if isinstance(v, _Pending)}
         lp = [p for p in queued.values() if p.ids.ndim == 2]
