@@ -20,9 +20,9 @@ record reads its classifier by key, and each LP classifier scores all of
 its pairs in one call (CC records still predict one at a time). In the
 build phase a TrainingSet only records its material; ``train_svms``
 gathers and normalizes the rows of a whole SGD chunk in one pass and
-trains the chunk's SVMs in lock step. LP
-owners' local material (pair set, exclusion filter, digest) is resolved
-once per family by LPScopes and read by every config and partition. An
+trains the chunk's SVMs in lock step. LP owners' local material (pair
+set, exclusion filter, digest) is resolved once per family by LPScopes
+and read by every config and partition. An
 SVM scoring a batch (``LinearSVM.predict_rows``) takes each sign from a
 batched sum only where a rigorous rounding bound certifies it, and from
 its per-row ``decision`` otherwise, so predictions match the per-row
