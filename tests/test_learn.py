@@ -459,6 +459,36 @@ def test_svm_matches_reference_at_scale_zero():
     _same_model(train_svm(ts, SVMHyper(), seed=4), want)
 
 
+def test_svm_with_zero_and_underflowing_values_matches_reference():
+    # explicit zeros and values whose squares underflow: the dictionary
+    # keeps their columns, the unit rows drop what scales to 0, and rows
+    # whose norm underflows keep scale 1, in lock step as in the reference
+    rng = np.random.default_rng(1)
+    for trial in range(40):
+        n, d = int(rng.integers(2, 20)), int(rng.integers(1, 15))
+        rows = []
+        for _ in range(n):
+            cols = np.sort(rng.choice(d, size=int(rng.integers(0, d + 1)),
+                                      replace=False))
+            vals = rng.random(len(cols)) * 10.0 ** rng.choice(
+                [-170, 0, 3], size=len(cols))
+            vals[rng.random(len(cols)) < 0.2] = 0.0
+            rows.append((cols, vals))
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]
+        hyper = SVMHyper(reg=float(rng.choice([1e-4, 1e-2, 0.5])),
+                         epochs=int(rng.integers(1, 4)))
+        models = [train_svm(ts_from(rows, labels.tolist()), hyper, seed=k)
+                  for k in range(2 * learn._TAIL)]
+        # tiny margins put the scale search's probes near 1e170, where its
+        # objective overflows to inf, as the reference's floats do
+        with np.errstate(over="ignore"):
+            train_svms(models)
+            for k, model in enumerate(models):
+                _same_model(model, _reference_train_svm(
+                    ts_from(rows, labels.tolist()), hyper, seed=k))
+
+
 def _frozen_best_scale(w, margins, reg):
     """The scale search as it ran once per model, before settle_svms ran
     them in lock step; kept verbatim as the bit-level reference."""
