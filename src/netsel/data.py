@@ -417,8 +417,10 @@ def build_dataset(
     )
 
 
-def save_dataset(ds: PartitionedDataset, out_dir: str | Path) -> None:
-    """Cache a dataset as npz blocks plus a JSON meta file."""
+def save_dataset(ds: PartitionedDataset, out_dir: str | Path,
+                 extra_meta: dict | None = None) -> None:
+    """Cache a dataset as npz blocks plus a JSON meta file, which also
+    holds the keys of ``extra_meta``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {
@@ -432,6 +434,7 @@ def save_dataset(ds: PartitionedDataset, out_dir: str | Path) -> None:
         "label_names": ds.labels["training"].names,
         "aggregation": ds.matrices["training"].aggregation,
         "skipped_lines": ds.skipped_lines,
+        **(extra_meta or {}),
     }
     for role in PARTITION_ROLES:
         m = ds.matrices[role].data

@@ -1,15 +1,17 @@
 """Experiment pipeline: dataset -> networks -> task grid -> selection.
 
 Each stage reads the previous stage's files and writes its own, so the
-stages are independently invocable; run_experiment chains them and is
-byte-identical to running the stages one at a time. All randomness is
-derived from one master seed plus content tags, never from scheduling, so
-the worker count cannot change any output file.
+stages are independently invocable; infer and evaluate refuse files built
+from another dataset config (``dataset_digest``). run_experiment chains
+them and is byte-identical to running the stages one at a time. All
+randomness is derived from one master seed plus content tags, never from
+scheduling, so the worker count cannot change any output file.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import multiprocessing
 import numbers
@@ -17,7 +19,7 @@ import os
 import platform
 import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -216,26 +218,66 @@ def _safe_name(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text)
 
 
+# --- stage fingerprints ----------------------------------------------------------
+
+def _synth_params(cfg: ExperimentConfig) -> dict:
+    """``synth_bundle``'s arguments from ``dataset.synth``, defaults filled
+    in; the seed falls back to the master seed."""
+    s = cfg.dataset["synth"]
+    return {"seed": int(s.get("seed", cfg.seed)),
+            "n_nodes": int(s.get("n_nodes", 500)),
+            "n_items": int(s.get("n_items", 1000)),
+            "plant": PlantSpec(**s.get("plant", {}))}
+
+
+def dataset_digest(cfg: ExperimentConfig) -> str:
+    """sha256 of the effective dataset config: the ``dataset`` block with
+    the aggregation and synth defaults filled in. Ingest records it in
+    ``dataset.json`` and infer in ``networks/networks.json``, so that a
+    later stage never reads outputs built from another dataset config."""
+    eff = {"aggregation": "sum", **cfg.dataset}
+    if eff.get("synth") is not None:
+        synth = _synth_params(cfg)
+        eff["synth"] = {**synth, "plant": asdict(synth["plant"])}
+    return hashlib.sha256(
+        json.dumps(eff, sort_keys=True).encode()).hexdigest()
+
+
+def _check_digest(path: Path, key: str, want: str, output: str,
+                  stage: str) -> None:
+    """Refuse a missing ``output`` stage output, or one whose recorded
+    ``key`` is not ``want``; ``stage`` is the stage that writes it."""
+    if not path.exists():
+        raise ExperimentError(f"missing {output} stage output: {path}")
+    if json.loads(path.read_text()).get(key) != want:
+        raise ExperimentError(
+            f"{path} does not match this config's dataset block (stale "
+            f"output); rerun the {stage} stage")
+
+
+def _check_dataset(cfg: ExperimentConfig, ds_dir: Path) -> str:
+    """The dataset digest, once ``dataset/`` is known to match it."""
+    digest = dataset_digest(cfg)
+    _check_digest(ds_dir / "dataset.json", "config_digest", digest,
+                  "dataset", "ingest")
+    return digest
+
+
 # --- stage: ingest -------------------------------------------------------------
 
 def stage_ingest(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    """Build (or generate) the partitioned dataset and persist it."""
+    """Build (or generate) the partitioned dataset and persist it, with the
+    digest of its config (``dataset_digest``)."""
     ds_dir = out_dir / "dataset"
     ds_dir.mkdir(parents=True, exist_ok=True)
     dcfg = cfg.dataset
+    meta = {"config_digest": dataset_digest(cfg)}
     if dcfg.get("synth") is not None:
-        s = dcfg["synth"]
-        plant = PlantSpec(**s.get("plant", {}))
-        bundle = synth_bundle(
-            seed=int(s.get("seed", cfg.seed)),
-            n_nodes=int(s.get("n_nodes", 500)),
-            n_items=int(s.get("n_items", 1000)),
-            plant=plant,
-        )
+        bundle = synth_bundle(**_synth_params(cfg))
         dataset = build_dataset(bundle.log, bundle.rules,
                                 boundaries=bundle.boundaries,
                                 aggregation=dcfg.get("aggregation", "sum"))
-        save_dataset(dataset, ds_dir)
+        save_dataset(dataset, ds_dir, meta)
         save_label_rules(bundle.rules, ds_dir / "rules.json")
         save_edgeset(bundle.label_graph, ds_dir / "truth_label.tsv")
         save_edgeset(bundle.structure_graph, ds_dir / "truth_structure.tsv")
@@ -256,7 +298,7 @@ def stage_ingest(cfg: ExperimentConfig, out_dir: Path) -> Path:
         boundaries=tuple(bounds) if bounds else None,
         aggregation=dcfg.get("aggregation", "sum"),
     )
-    save_dataset(dataset, ds_dir)
+    save_dataset(dataset, ds_dir, meta)
     save_label_rules(rules, ds_dir / "rules.json")
     return ds_dir
 
@@ -311,10 +353,10 @@ def _resolve_explicit(entry: dict, factor: float, ds_dir: Path,
 
 def stage_infer(cfg: ExperimentConfig, out_dir: Path) -> Path:
     """Build every network in the grid from the training partition (or
-    load explicit ones) and write one edge file per family."""
+    load explicit ones) and write one edge file per family, plus
+    ``networks.json`` with the digest of the dataset they came from."""
     ds_dir = out_dir / "dataset"
-    if not (ds_dir / "dataset.json").exists():
-        raise ExperimentError(f"missing dataset stage output: {ds_dir}")
+    digest = _check_dataset(cfg, ds_dir)
     dataset = load_dataset(ds_dir)
     net_dir = out_dir / "networks"
     net_dir.mkdir(parents=True, exist_ok=True)
@@ -331,6 +373,8 @@ def stage_infer(cfg: ExperimentConfig, out_dir: Path) -> Path:
         else:
             g = spec.build(train_m)
         save_edgeset(g, net_dir / f"{family_key(spec)}.tsv")
+    _atomic_write(net_dir / "networks.json",
+                  json.dumps({"dataset_digest": digest}, indent=1) + "\n")
     return net_dir
 
 
@@ -460,8 +504,8 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
     """Evaluate the whole grid and write batches.tsv plus results.csv."""
     ds_dir = out_dir / "dataset"
     net_dir = out_dir / "networks"
-    if not (ds_dir / "dataset.json").exists():
-        raise ExperimentError(f"missing dataset stage output: {ds_dir}")
+    _check_digest(net_dir / "networks.json", "dataset_digest",
+                  _check_dataset(cfg, ds_dir), "network", "infer")
     dataset = load_dataset(ds_dir)
     cells = build_grid(cfg)
     need_cc_comm = {}

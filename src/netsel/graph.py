@@ -154,24 +154,34 @@ def bfs_neighborhood(g: EdgeSet, i: int, k: int = 200) -> np.ndarray:
     """
     if k < 0:
         raise GraphError("k must be >= 0")
-    sym = g.undirected_view()
+    if not 0 <= i < g.n_nodes:
+        raise GraphError(f"node {i} out of range")
+    indptr, indices = g.undirected_view()._adjacency()
     visited = np.zeros(g.n_nodes, dtype=bool)
     visited[i] = True
-    out: list[int] = []
-    frontier = [i]
-    while frontier and len(out) < k:
-        nxt: set[int] = set()
-        for u in frontier:
-            for v in sym.neighbors(u):
-                if not visited[v]:
-                    nxt.add(int(v))
-        frontier = sorted(nxt)
-        for v in frontier:
-            visited[v] = True
-            out.append(v)
-            if len(out) == k:
-                break
-    return np.array(out[:k], dtype=np.int64)
+    levels = []
+    reached = 0
+    frontier = np.array([i], dtype=np.int64)
+    while len(frontier) and reached < k:
+        # the frontier's neighbour slices in one gather; the next level is
+        # their unvisited nodes, ascending
+        nb = indices[_slices(indptr, frontier)[0]]
+        frontier = np.unique(nb[~visited[nb]])
+        visited[frontier] = True
+        levels.append(frontier)
+        reached += len(frontier)
+    return np.concatenate([np.empty(0, np.int64), *levels])[:k]
+
+
+def _slices(indptr: np.ndarray, nodes: np.ndarray):
+    """The positions in a CSR ``indices`` array of every node's slice, in
+    one gather, slice after slice, and the index into ``nodes`` of the
+    slice each position belongs to."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    row = np.repeat(np.arange(len(nodes)), counts)
+    first = np.cumsum(counts) - counts  # each slice's start in the gather
+    return np.arange(len(row)) + (starts - first)[row], row
 
 
 def induced_pairs(
@@ -188,11 +198,8 @@ def induced_pairs(
     indptr, indices = g.undirected_view()._adjacency()
     # every scope node's neighbour slice in one gather, then one
     # membership test of those neighbours against the sorted scope
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    row = np.repeat(local, counts)
-    first = np.cumsum(counts) - counts  # each slice's start in the gather
-    nb = indices[np.arange(len(row)) + (starts - first)[row]]
+    at, row = _slices(indptr, nodes)
+    nb = indices[at]
     col = np.minimum(np.searchsorted(nodes, nb), m - 1)
     hit = nodes[col] == nb
     adj = np.zeros((m, m), dtype=bool)

@@ -105,66 +105,51 @@ class TrainingSet:
     ``indptr``, ``indices`` and ``data``: row t is instance ``ids[t]``.
 
     ``dictionary`` maps local columns back to global item columns. ``ids``
-    are the canonical instance keys (node ids, or pairs as ``(m, 2)``
-    rows); instances are sorted by id.
+    are the canonical instance keys; instances are sorted by id.
 
-    ``rows`` holds the instances as an AttributeMatrix (``ids`` are node
-    ids and the instances are those nodes' rows) or as a CSR triple
-    ``(indptr, cols, vals)`` whose row t is instance t, as
-    ``pair_features`` returns it. Rows must be canonical (columns ascending
-    and distinct); the local columns keep that order, so the set is
-    canonical too.
+    The instances are named by their ids over one AttributeMatrix
+    (``instance_rows``): node ids name matrix rows, and an ``(m, 2)`` pair
+    array names the rows that ``pair_features`` builds. Rows are canonical
+    (columns ascending and distinct); the local columns keep that order, so
+    the set is canonical too.
 
     Construction records the material and makes its checks (aligned,
     non-empty, 0/1 labels, no negative value); the arrays above are built
-    by one row gather in id order when first read. ``train_svms`` reads
-    none of them: it gathers the rows of many sets at once (``_assemble``).
+    by one row build in id order when first read. ``train_svms`` reads
+    none of them: it builds the rows of many sets at once (``_assemble``).
     """
 
     _BUILT = ("ids", "indptr", "indices", "data", "y", "dictionary")
 
-    def __init__(self, rows, labels, ids) -> None:
+    def __init__(self, matrix: AttributeMatrix, labels, ids) -> None:
         keys = np.asarray(ids)
-        if isinstance(rows, AttributeMatrix):
-            csr = rows.data
-            self._src = (csr.indptr, csr.indices, csr.data)
-            self._at = keys  # ids name the rows
-        else:
-            self._src = rows
-            self._at = None  # row t is instance t
-            if len(rows[0]) - 1 != len(keys):
-                raise LearnError("rows, labels and ids must align")
         if len(labels) != len(keys):
-            raise LearnError("rows, labels and ids must align")
+            raise LearnError("labels and ids must align")
         if len(keys) == 0:
             raise LearnError("empty training set")
+        self.matrix = matrix
         self._keys = keys
         self._labels = np.asarray(labels).astype(np.int64)
-        indptr, _, vals = self._src
-        if self._at is None:
-            vals = vals[indptr[0]:indptr[-1]]
-        elif rows.nonnegative:
-            vals = vals[:0]
-        else:
-            vals = vals[_gather(indptr, keys)[1]]
-        _check_material(self._labels, vals)
+        if ((self._labels != 0) & (self._labels != 1)).any():
+            raise LearnError("labels must be 0/1")
+        if not matrix.nonnegative and \
+                (instance_rows(matrix, keys)[2] < 0).any():
+            raise LearnError("negative feature value")
 
     def __getattr__(self, name: str):
         if name not in TrainingSet._BUILT:
             raise AttributeError(name)
-        indptr, cols, vals = self._src
         order = self._order
         keys = self._keys[order]
         if keys.ndim == 1:
             self.ids = tuple(keys.tolist())
         else:
             self.ids = tuple(map(tuple, keys.tolist()))
-        self.indptr, at = _gather(indptr,
-                                  order if self._at is None else keys)
-        self.data = vals[at].astype(np.float64, copy=False)
+        self.indptr, cols, vals = instance_rows(self.matrix, keys)
+        self.data = vals.astype(np.float64, copy=False)
         self.y = self._labels[order].astype(np.int8)
         self.dictionary, self.indices = np.unique(
-            cols[at].astype(np.int64), return_inverse=True)
+            cols.astype(np.int64), return_inverse=True)
         return getattr(self, name)
 
     @functools.cached_property
@@ -184,42 +169,27 @@ class TrainingSet:
 
     @property
     def nnz(self) -> int:
-        """Stored entries of the instances' rows."""
-        indptr = self._src[0]
-        if self._at is None:
-            return int(indptr[-1] - indptr[0])
-        return int(indptr[self._at + 1].sum() - indptr[self._at].sum())
+        """Stored entries of the instances' rows. A pair's row is not built
+        until it is read, so for pairs this is an upper bound: the entries
+        of each pair's shorter endpoint row."""
+        indptr = self.matrix.data.indptr
+        lens = indptr[self._keys + 1] - indptr[self._keys]
+        return int(lens.sum() if lens.ndim == 1 else lens.min(axis=1).sum())
 
     def classes(self) -> np.ndarray:
         return np.flatnonzero(np.bincount(self._labels))  # labels are 0/1
 
 
-def _check_material(y: np.ndarray, vals: np.ndarray) -> None:
-    """What every piece of training material must satisfy: 0/1 labels and
-    no negative feature value."""
-    if ((y != 0) & (y != 1)).any():
-        raise LearnError("labels must be 0/1")
-    if len(vals) and vals.min() < 0:
-        raise LearnError("negative feature value")
-
-
-def single_class_label(matrix: AttributeMatrix, labels, ids) -> int | None:
-    """The one label of node material whose labels are all one class;
-    None when they are not (or there are none), so a TrainingSet is due.
-
-    Both learners return ``ConstantClassifier(label, "single-class")`` for
-    such material without reading the seed or the features, so a caller
-    may return that itself and skip assembly and training. The material
-    still passes the TrainingSet checks: no sort, dictionary or CSR build.
-    """
-    y = np.asarray(labels)
-    if len(y) == 0 or y.min() != y.max():
-        return None
+def instance_rows(matrix: AttributeMatrix, ids: np.ndarray):
+    """The rows that instance ids name over ``matrix``, as a CSR triple
+    ``(indptr, cols, vals)`` whose row t is instance ``ids[t]``: node ids
+    name matrix rows, and the rows of an ``(m, 2)`` pair array are built by
+    ``pair_features``."""
+    if ids.ndim == 2:
+        return pair_features(matrix, ids)
     csr = matrix.data
-    vals = csr.data[:0] if matrix.nonnegative else \
-        csr.data[_gather(csr.indptr, np.asarray(ids))[1]]
-    _check_material(y, vals)
-    return int(y[0])
+    indptr, at = _gather(csr.indptr, ids)
+    return indptr, csr.indices[at], csr.data[at]
 
 
 def _gather(indptr: np.ndarray, rows: np.ndarray):
@@ -448,39 +418,30 @@ def _assemble(models: list):
     row's label y = -1/+1, so a margin ``y * (w[c] @ v + b)`` is the sum of
     a row's ``W[C] * YV``, bias last (negation commutes with rounding).
 
-    Sets whose rows live in the same arrays (a training matrix, or one
-    ``pair_features`` pass) are gathered together. Normalization is per
-    row, so a row scales as it would in a set of its own; each model's
-    dictionary comes from one ``np.unique`` over (model, column) keys of
-    every gathered entry, zeros included, as the TrainingSet's would.
+    The sets' rows are built per matrix and kind of id in one
+    ``instance_rows`` call over their ids laid end to end, so a chunk of LP
+    sets builds its pair rows in one ``pair_features`` pass. Normalization
+    is per row, so a row scales as it would in a set of its own; each
+    model's dictionary comes from one ``np.unique`` over (model, column)
+    keys of every built entry, zeros included, as the TrainingSet's would.
     """
     g = len(models)
     sets = [m.sgd.ts for m in models]
     by_src: dict = {}
     for k, ts in enumerate(sets):
-        by_src.setdefault((id(ts._src[1]), id(ts._src[2])), []).append(k)
+        by_src.setdefault((id(ts.matrix), ts._keys.ndim), []).append(k)
     laid = [k for ks in by_src.values() for k in ks]  # models in row order
     n = np.array([sets[k].n for k in laid])
     row_off = np.zeros(g, dtype=np.int64)
     row_off[laid] = np.cumsum(n) - n
     cols, vals, counts, y = [], [], [], []
     for ks in by_src.values():
-        starts, stops = [], []
-        for k in ks:
-            ts = sets[k]
-            order = ts._order
-            at = order if ts._at is None else ts._at[order]
-            indptr = ts._src[0]
-            starts.append(indptr[at])
-            stops.append(indptr[at + 1])
-            y.append(ts._labels[order])
-        starts = np.concatenate(starts)
-        counts.append(np.concatenate(stops) - starts)
-        _, at = _expand(starts, counts[-1])
-        _, src_cols, src_vals = sets[ks[0]]._src
-        cols.append(src_cols[at])
-        vals.append(src_vals[at].astype(np.float64, copy=False))
-        del at
+        indptr, c, v = instance_rows(sets[ks[0]].matrix, _cat(
+            [sets[k]._keys[sets[k]._order] for k in ks]))
+        counts.append(np.diff(indptr))
+        cols.append(c)
+        vals.append(v.astype(np.float64, copy=False))
+        y += [sets[k]._labels[sets[k]._order] for k in ks]
     cols, vals, counts = _cat(cols), _cat(vals), _cat(counts)
     y = _cat(y) * 2.0 - 1.0
     n_rows = len(counts)
@@ -604,13 +565,14 @@ def train_svms(models) -> None:
     """Train every pending LinearSVM among ``models``, an iterable read
     once, as ``_sgd_loop`` and a scale search of its own would; other
     classifiers and trained models are skipped, and a model listed twice
-    is trained once. The SGD runs in chunks: whenever the stored row
-    entries of the sets read since the last chunk pass
+    is trained once. The SGD runs in chunks: whenever the row entries
+    (``TrainingSet.nnz``) of the sets read since the last chunk pass
     ``SGD_BATCH_ENTRIES``, and at the end. A chunk trains its models in
     lock step per hyperparameter set (``_train_group``), each group's rows
-    gathered and normalized in one pass (``_assemble``), so what it holds
-    is bounded by the budget plus one set. Then one search scales every
-    model (``_scale_svms``).
+    built and normalized in one pass (``_assemble``). A pending model holds
+    only its set's ids, so the rows that training holds at once are
+    bounded by the budget plus one set. Then one search scales every model
+    (``_scale_svms``).
     """
     chunk: dict = {}  # hyperparameters -> pending models by id
     entries = 0
@@ -1016,9 +978,10 @@ def pair_features(matrix: AttributeMatrix, pairs):
     Row t holds the element-wise minima of the attribute rows of
     ``pairs[t]``: the columns both rows store, ascending, in the matrix's
     index dtype. Both endpoint rows of every pair are gathered at once and
-    each entry is keyed ``t * n_cols + col``, so one intersection of the
-    two key arrays finds every shared column. Matrix rows hold each column
-    at most once, as a built or loaded AttributeMatrix does.
+    each entry is keyed ``t * n_cols + col``. Matrix rows are canonical
+    (columns ascending and distinct), as a built or loaded AttributeMatrix
+    is, so each side's keys ascend strictly and one binary search of one
+    side in the other finds every shared column.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     csr = matrix.data
@@ -1029,8 +992,11 @@ def pair_features(matrix: AttributeMatrix, pairs):
         owner = np.repeat(np.arange(len(pairs)), np.diff(indptr))
         sides.append((owner * n_cols + csr.indices[at], at))
     (ku, au), (kv, av) = sides
-    common, iu, iv = np.intersect1d(ku, kv, assume_unique=True,
-                                    return_indices=True)
+    iv = np.searchsorted(kv, ku)
+    np.minimum(iv, len(kv) - 1, out=iv)
+    iu = np.flatnonzero(kv[iv] == ku) if len(kv) else iv[:0]
+    iv = iv[iu]
+    common = ku[iu]
     indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.cumsum(np.bincount(common // n_cols, minlength=len(pairs)),
               out=indptr[1:])

@@ -14,15 +14,17 @@ two test instances with identical neighborhoods share one classifier and
 one derived seed. This keeps results independent of evaluation order and
 of how configs are scheduled across workers. A runner call works in three
 phases: resolve every record's material key in the config's
-ClassifierPool, which queues each miss untrained (node ids for CC, pairs
-for LP); build, where ``settle`` trains the queue; predict, where each
-record reads its classifier by key, and each LP classifier scores all of
-its pairs in one call (CC records still predict one at a time). In the
-build phase a TrainingSet only records its material; ``train_svms``
-gathers and normalizes the rows of a whole SGD chunk in one pass and
-trains the chunk's SVMs in lock step. LP owners' local material (pair
-set, exclusion filter, digest) is resolved once per family by LPScopes
-and read by every config and partition. An
+ClassifierPool, whose builder for a miss names the training set by its
+ids over the training matrix (node ids for CC, pairs for LP) and hands it
+to ``train_classifier``; settle, where ``train_svms`` trains the pool's
+pending SVMs; predict, where each record reads its classifier by key, and
+each LP classifier scores all of its pairs in one call (CC records still
+predict one at a time). A pending SVM holds only its set's ids:
+``train_svms`` builds the rows of a whole SGD chunk in one pass (LP pair
+rows included) and trains the chunk's SVMs in lock step, so no more rows
+exist at once than one chunk's. A forest trains when it is built. LP
+owners' local material (pair set, exclusion filter, digest) is resolved
+once per family by LPScopes and read by every config and partition. An
 SVM scoring a batch (``LinearSVM.predict_rows``) takes each sign from a
 batched sum only where a rigorous rounding bound certifies it, and from
 its per-row ``decision`` otherwise, so predictions match the per-row
@@ -45,7 +47,7 @@ from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
                     induced_pairs)
 from .learn import (CoinClassifier, ConstantClassifier, RFHyper, SVMHyper,
                     TrainingSet, _gather, pair_features, predict_rows,
-                    single_class_label, train_classifier, train_svms)
+                    train_classifier, train_svms)
 from .similarity import NetworkModelSpec, RowBlock
 
 TASKS = ("CC", "LP")
@@ -194,18 +196,6 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class _Pending:
-    """Training material queued in a ClassifierPool until ``settle``: the
-    matrix, the instance ids (node ids for CC, an ``(m, 2)`` pair array for
-    LP), their labels and the training seed."""
-
-    matrix: AttributeMatrix
-    ids: np.ndarray
-    labels: np.ndarray
-    seed: int
-
-
 class ClassifierPool:
     """Content-addressed classifier cache for one config.
 
@@ -215,10 +205,8 @@ class ClassifierPool:
     lookups answered from the cache, and ``single_class`` the CC builds
     answered without training because the material carries one label.
 
-    ``get`` never trains. A builder returns a finished classifier (a coin,
-    or the constant of single-class material) or ``_Pending`` material,
-    which waits in the cache until ``settle`` replaces it with its
-    classifier.
+    A builder returns its classifier: a coin, the constant of single-class
+    material, a trained forest, or a pending SVM that ``settle`` trains.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -238,33 +226,9 @@ class ClassifierPool:
         return self.cache[material]
 
     def settle(self) -> None:
-        """Train every pending material, in lookup order. LP sets read
-        their rows out of one ``pair_features`` pass (they come from one
-        runner call, so they share a matrix). Each TrainingSet records its
-        material as ``train_svms`` reads the classifiers; the SVMs' rows
-        are gathered a chunk at a time, from the training matrix or that
-        pass, which bounds what training holds."""
-        queued = {k: v for k, v in self.cache.items()
-                  if isinstance(v, _Pending)}
-        lp = [p for p in queued.values() if p.ids.ndim == 2]
-        if lp:
-            ptr, cols, vals = pair_features(
-                lp[0].matrix, np.concatenate([p.ids for p in lp]))
-        c = self.config
-
-        def classifiers():
-            at = 0
-            for key, p in queued.items():
-                rows = p.matrix  # CC: the ids name the matrix rows
-                if p.ids.ndim == 2:
-                    rows = (ptr[at:at + len(p.ids) + 1], cols, vals)
-                    at += len(p.ids)
-                self.cache[key] = train_classifier(
-                    c.classifier, TrainingSet(rows, p.labels, p.ids),
-                    p.seed, c.svm, c.rf)
-                yield self.cache[key]
-
-        train_svms(classifiers())
+        """Train every pending SVM in the pool, in lookup order, a chunk
+        of rows at a time (``train_svms``)."""
+        train_svms(self.cache.values())
 
 
 def _group_by(keys: np.ndarray):
@@ -391,7 +355,7 @@ def _cc_lookup(config: ModelConfig, pool: ClassifierPool,
     """Look one labelset's material on one training node set up in the
     pool and return its key; None when the set is empty. Material with one
     label gets the constant classifier both learners would train from it,
-    with no training set; other material waits for ``pool.settle``."""
+    without calling them; an SVM's training waits for ``pool.settle``."""
     if len(nodes) == 0:
         return None
 
@@ -400,12 +364,13 @@ def _cc_lookup(config: ModelConfig, pool: ClassifierPool,
                           f"CC features for labelset '{name}'")
         if config.classifier == "coin":  # coin never reads its features
             return CoinClassifier(seed)
-        labels = y_train[nodes].astype(int)
-        label = single_class_label(train_m, labels, nodes)
-        if label is not None:
+        ts = TrainingSet(train_m, y_train[nodes].astype(int), nodes)
+        classes = ts.classes()
+        if len(classes) == 1:
             pool.single_class += 1
-            return ConstantClassifier(label, "single-class")
-        return _Pending(train_m, nodes, labels, seed)
+            return ConstantClassifier(int(classes[0]), "single-class")
+        return train_classifier(config.classifier, ts, seed, config.svm,
+                                config.rf)
 
     key = _digest("cc", name, np.sort(nodes))
     pool.get(key, build)
@@ -462,7 +427,7 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
             block = RowBlock(member_ids, train_m)
     voting = kind == "ensemble" and not ensemble_fallback
     # every record's material key first (a vote needs none), then the
-    # pool trains what the lookups queued, then every record predicts
+    # pool trains its pending SVMs, then every record predicts
     nodes_out: list[int] = []
     targets: list[str] = []
     keys: list = []
@@ -696,8 +661,8 @@ def _lp_lookup(config: ModelConfig, pool: ClassifierPool,
                ) -> str | None:
     """Look one scope's material up in the pool and return its key; None
     for untrainable material. A miss draws the class-balanced sample,
-    seeded by the config and the material, and checks it; its features
-    and training wait for ``pool.settle`` (a coin needs neither)."""
+    seeded by the config and the material, and checks it; an SVM's pair
+    rows and training wait for ``pool.settle`` (a coin needs neither)."""
     if mat is None:
         return None
 
@@ -719,8 +684,10 @@ def _lp_lookup(config: ModelConfig, pool: ClassifierPool,
                        "LP training non-edges overlap evaluation pairs")
         if config.classifier == "coin":  # coin never reads its features
             return CoinClassifier(seed)
-        return _Pending(matrix, np.concatenate([edges, nonedges]),
-                        np.repeat([1, 0], m), seed)
+        ts = TrainingSet(matrix, np.repeat([1, 0], m),
+                         np.concatenate([edges, nonedges]))
+        return train_classifier(config.classifier, ts, seed, config.svm,
+                                config.rf)
 
     pool.get(mat.key, build)
     return mat.key
@@ -765,9 +732,9 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
 
     - resolve: every owner's classifier material (from ``scopes``, or the
       config's global sample or ensemble members) is looked up in the
-      pool, which queues the pairs of its misses;
-    - build: ``pool.settle`` trains the queue, every set's rows from one
-      ``pair_features`` pass;
+      pool, whose misses build their classifiers from the sets' pairs;
+    - settle: ``pool.settle`` trains the pending SVMs, each SGD chunk's
+      pair rows built in one ``pair_features`` pass;
     - predict: one ``pair_features`` pass gives every plan pair's row in
       record order (owners ascending, each owner's positives then its
       negatives), and each classifier scores all of its pairs in one
@@ -838,7 +805,6 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
             else:
                 keys.append(lookup(scopes.material(spec, i)))
 
-    # build
     pool.settle()
 
     # predict: each record's code indexes its classifier, -1 the fallback

@@ -16,6 +16,7 @@ from netsel.experiment import (
     ExperimentConfig,
     ExperimentError,
     build_grid,
+    dataset_digest,
     family_key,
     family_specs,
     load_batches,
@@ -553,7 +554,10 @@ class TestInfer:
                                                  monkeypatch):
         calls = self._infer(tmp_path / "run", monkeypatch)
         assert len(calls) == 1 and calls[0].role == "training"
-        assert len(list((tmp_path / "run" / "networks").iterdir())) == 8
+        net_dir = tmp_path / "run" / "networks"
+        assert len(list(net_dir.glob("*.tsv"))) == 8  # one per family
+        assert sorted(p.name for p in net_dir.iterdir()
+                      if p.suffix != ".tsv") == ["networks.json"]
 
     def test_network_files_are_pinned(self, tmp_path, monkeypatch):
         # one-row blocks and 7-term chunks: the bytes do not depend on them
@@ -564,7 +568,7 @@ class TestInfer:
             out = tmp_path / f"run-{cells}"
             self._infer(out, monkeypatch)
             got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                   for f in (out / "networks").iterdir()}
+                   for f in (out / "networks").glob("*.tsv")}
             assert got == NETWORK_SHA256
 
 
@@ -651,6 +655,46 @@ class TestExplicitNetworks:
         cfg = ExperimentConfig.from_dict(make_config(tmp_path / "x"))
         with pytest.raises(ExperimentError, match="dataset stage"):
             stage_infer(cfg, Path(cfg.out))
+
+
+    @pytest.mark.parametrize("edit", [
+        {"synth": {"seed": 6}},
+        {"synth": {"n_items": 151}},
+        {"seed": 8},  # synth has no seed of its own: it takes this one
+        {"aggregation": "mean"},
+    ], ids=["synth-seed", "synth-items", "master-seed", "aggregation"])
+    def test_stale_stage_outputs_are_refused(self, tmp_path, edit):
+        def config(edit):
+            raw = make_config(tmp_path / "x")
+            del raw["dataset"]["synth"]["seed"]
+            raw["seed"] = edit.get("seed", raw["seed"])
+            raw["dataset"]["synth"].update(edit.get("synth", {}))
+            if "aggregation" in edit:
+                raw["dataset"]["aggregation"] = edit["aggregation"]
+            return ExperimentConfig.from_dict(raw)
+
+        cfg, new = config({}), config(edit)
+        out = Path(cfg.out)
+        stage_ingest(cfg, out)
+        stage_infer(cfg, out)
+        for stage in (stage_infer, stage_evaluate):
+            with pytest.raises(ExperimentError, match="rerun the ingest"):
+                stage(new, out)
+        # a fresh dataset under networks built from the old one
+        stage_ingest(new, out)
+        with pytest.raises(ExperimentError, match="rerun the infer"):
+            stage_evaluate(new, out)
+        stage_infer(new, out)
+        stage_evaluate(new, out)
+        assert (out / "results.csv").exists()
+        # spelling out a default is no edit: the synth seed that the
+        # master seed gives, or the sum aggregation
+        same = config({**edit, "synth": {
+            "seed": edit.get("seed", 7), **edit.get("synth", {})}})
+        if "aggregation" not in edit:
+            same.dataset["aggregation"] = "sum"
+        assert dataset_digest(same) == dataset_digest(new)
+        stage_evaluate(same, out)
 
 
 # --- CLI ------------------------------------------------------------------------

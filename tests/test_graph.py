@@ -148,6 +148,49 @@ def test_bfs_stays_in_component():
     assert len(bfs_neighborhood(g, 4, k=10)) == 0
 
 
+def _frozen_bfs_neighborhood(g, i, k=200):
+    """bfs_neighborhood as a per-neighbour loop over a Python set, before
+    each level became one gather; kept verbatim as the reference."""
+    sym = g.undirected_view()
+    visited = np.zeros(g.n_nodes, dtype=bool)
+    visited[i] = True
+    out: list[int] = []
+    frontier = [i]
+    while frontier and len(out) < k:
+        nxt: set[int] = set()
+        for u in frontier:
+            for v in sym.neighbors(u):
+                if not visited[v]:
+                    nxt.add(int(v))
+        frontier = sorted(nxt)
+        for v in frontier:
+            visited[v] = True
+            out.append(v)
+            if len(out) == k:
+                break
+    return np.array(out[:k], dtype=np.int64)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_bfs_matches_the_frozen_loop(directed):
+    rng = np.random.default_rng(5)
+    for n, m in ((1, 0), (12, 10), (40, 60), (60, 400)):
+        pairs = {(int(a), int(b)) for a, b in rng.integers(0, n - n // 6,
+                                                           (m, 2))
+                 if a != b}  # the last sixth of the nodes stay isolated
+        if not directed:
+            pairs = {(min(p), max(p)) for p in pairs}
+        g = mk(n, sorted(pairs), directed=directed)
+        for i in range(n):
+            for k in (0, 1, 3, 7, 50, n):
+                got = bfs_neighborhood(g, i, k)
+                want = _frozen_bfs_neighborhood(g, i, k)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    with pytest.raises(GraphError, match="out of range"):
+        bfs_neighborhood(g, n, 3)
+
+
 def test_egonet_triangle_with_pendant():
     g = mk(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
     nodes, edges, nonedges = egonet(g, 0)

@@ -18,7 +18,6 @@ from netsel.learn import (
     _best_split,
     edge_features,
     pair_features,
-    single_class_label,
     train_classifier,
     train_rf,
     train_svm,
@@ -39,10 +38,28 @@ def stack_rows(rows):
                                            for _, v in rows)]))
 
 
+def matrix_of(rows, ids=None):
+    """An AttributeMatrix whose row ``ids[t]`` is the canonical instance
+    ``rows[t]`` (row t when ids are left out); other rows are empty."""
+    if ids is None:
+        ids = range(len(rows))
+    ids = list(ids)
+    n = max(ids, default=-1) + 1
+    at = dict(zip(ids, rows))
+    empty = (np.empty(0, np.int64), np.empty(0))
+    indptr, cols, vals = stack_rows([at.get(i, empty) for i in range(n)])
+    n_cols = int(cols.max(initial=0)) + 1
+    return AttributeMatrix(
+        data=sparse.csr_matrix((vals, cols, indptr), shape=(n, n_cols)),
+        item_ids=np.arange(n_cols), role="training")
+
+
 def ts_from(rows, labels, ids=None):
+    """A training set whose instance ``ids[t]`` (t by default) has the row
+    ``rows[t]``."""
     if ids is None:
         ids = list(range(len(rows)))
-    return TrainingSet(stack_rows(rows), labels, ids)
+    return TrainingSet(matrix_of(rows, ids), labels, ids)
 
 
 def csr(ts):
@@ -98,19 +115,25 @@ def test_training_set_validation():
         ts_from([(np.array([0]), np.array([-1.0]))], [1])
 
 
-def test_single_class_label_makes_the_training_set_checks():
+def test_single_class_material_makes_the_training_set_checks():
     m = AttributeMatrix(
         data=sparse.csr_matrix(np.array([[1.0, -2.0], [1.0, 0.0],
                                          [0.0, 3.0]])),
         item_ids=np.arange(2), role="training")
-    assert single_class_label(m, [1, 1], [2, 1]) == 1
-    assert single_class_label(m, [0], [1]) == 0
-    assert single_class_label(m, [0, 1], [1, 2]) is None  # two classes
+    assert TrainingSet(m, [1, 1], [2, 1]).classes().tolist() == [1]
+    assert TrainingSet(m, [0], [1]).classes().tolist() == [0]
+    assert TrainingSet(m, [0, 1], [1, 2]).classes().tolist() == [0, 1]
     for labels, ids, what in (([1, 1], [2, 0], "negative"),
                               ([2, 2], [1, 2], "0/1")):
-        for check in (single_class_label, TrainingSet):
-            with pytest.raises(LearnError, match=what):
-                check(m, labels, ids)
+        with pytest.raises(LearnError, match=what):
+            TrainingSet(m, labels, ids)
+    # pair material: a negative value on a column both endpoints store
+    for labels, pairs, what in (([1], [(0, 2)], "negative"),
+                                ([2], [(1, 2)], "0/1")):
+        with pytest.raises(LearnError, match=what):
+            TrainingSet(m, labels, np.array(pairs))
+    # column 1 is negative in row 0, but row 1 does not store it
+    assert TrainingSet(m, [1], np.array([(0, 1)])).classes().tolist() == [1]
 
 
 def test_training_set_from_matrix_rows_equals_row_list():
@@ -226,9 +249,13 @@ def test_pair_features_match_per_pair_reference(aggregation):
 
 
 def test_pair_features_of_no_pairs():
-    m = _attr_matrix([{0: 1.0}, {0: 2.0}], 2)
+    m = _attr_matrix([{0: 1.0}, {0: 2.0}, {}], 2)
     indptr, cols, vals = pair_features(m, np.empty((0, 2), dtype=np.int64))
     assert indptr.tolist() == [0] and len(cols) == len(vals) == 0
+    # an endpoint with an empty row: no entry on that side at all
+    for pairs in ([(0, 2), (1, 2)], [(2, 0), (2, 1)]):
+        indptr, cols, vals = pair_features(m, pairs)
+        assert indptr.tolist() == [0, 0, 0] and len(cols) == len(vals) == 0
 
 
 def test_training_set_from_pair_features_equals_row_list():
@@ -241,11 +268,14 @@ def test_training_set_from_pair_features_equals_row_list():
                      np.arange(30), "training")
     pairs = np.array([(4, 9), (0, 6), (2, 3), (0, 5), (11, 14), (2, 1)])
     labels = np.array([1, 0, 1, 1, 0, 0])
-    got = TrainingSet(pair_features(m, pairs), labels, pairs)
+    got = TrainingSet(m, labels, pairs)
+    # the reference rows under node ids that sort as the pairs do
+    rank = np.argsort(np.lexsort(pairs.T[::-1]))
     want = ts_from([_reference_edge_features(m, a, b)
                     for a, b in pairs.tolist()], labels.tolist(),
-                   [tuple(p) for p in pairs.tolist()])
-    assert got.ids == want.ids == tuple(sorted(map(tuple, pairs.tolist())))
+                   rank.tolist())
+    assert got.ids == tuple(sorted(map(tuple, pairs.tolist())))
+    assert want.ids == tuple(range(len(pairs)))
     assert all(type(a) is int for p in got.ids for a in p)
     assert got.y.tobytes() == want.y.tobytes()
     assert got.dictionary.tobytes() == want.dictionary.tobytes()
@@ -721,10 +751,9 @@ def _random_sgd_group(rng):
         X[dup] = X[rng.integers(n, size=int(dup.sum()))]
         labels = rng.integers(0, 2, n)
         labels[:2] = [0, 1]
-        rows, cols = np.nonzero(X)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        ts = TrainingSet((indptr, cols, X[rows, cols]), labels, np.arange(n))
+        m = AttributeMatrix(data=sparse.csr_matrix(X),
+                            item_ids=np.arange(d), role="training")
+        ts = TrainingSet(m, labels, np.arange(n))
         hyper = main if rng.random() < 0.75 else \
             _SGD_HYPERS[int(rng.integers(len(_SGD_HYPERS)))]
         group.append((ts, hyper, int(rng.integers(2**31))))

@@ -452,17 +452,17 @@ def test_cc_global_trains_once_per_labelset():
 
 def _always_assembled_cc_lookup(config, pool, audit, train_m, name,
                                 y_train, nodes):
-    """``_cc_lookup`` with no shortcut: every build queues its material,
-    which ``settle`` assembles into a TrainingSet and hands to
-    ``train_classifier``."""
+    """``_cc_lookup`` with no shortcut: every build hands its TrainingSet
+    to ``train_classifier``."""
     if len(nodes) == 0:
         return None
 
     def build(seed):
         audit.expect_role(train_m.role, "training",
                           f"CC features for labelset '{name}'")
-        return tasks._Pending(train_m, nodes, y_train[nodes].astype(int),
-                              seed)
+        ts = TrainingSet(train_m, y_train[nodes].astype(int), nodes)
+        return train_classifier(config.classifier, ts, seed, config.svm,
+                                config.rf)
 
     key = tasks._digest("cc", name, np.sort(nodes))
     pool.get(key, build)
@@ -631,8 +631,8 @@ def _assert_settled_once(calls, n_runs, pool):
     assert built and sorted(settled) == sorted(built)
     assert all(m.sgd is None for m in pool.cache.values()
                if isinstance(m, LinearSVM))
-    assert not any(isinstance(v, tasks._Pending)
-                   for v in pool.cache.values())
+    assert all(callable(getattr(v, "predict", None))
+               for v in pool.cache.values())  # classifiers, nothing else
 
 
 @pytest.mark.parametrize("locality", ["local-adjacency", "global",
@@ -838,8 +838,8 @@ def _frozen_lp_local_pair_sets(config, g_train, i, comm):
 def _frozen_lp_classifier_for_pairs(config, pool, audit, matrix, edges,
                                     nonedges, excl_keys, n):
     """The per-owner LP build as it was before the pool deferred LP sets:
-    filter, digest, balance and train at once, features from one
-    ``tasks.pair_features`` call per set; kept verbatim as the reference."""
+    filter, digest, balance and train at once, each set's features built
+    by itself; kept as the reference."""
     if len(nonedges):
         k = _pair_keys(nonedges[:, 0], nonedges[:, 1], n)
         hit = tasks._in_sorted(k, excl_keys)
@@ -869,7 +869,7 @@ def _frozen_lp_classifier_for_pairs(config, pool, audit, matrix, edges,
             return CoinClassifier(seed)
         pairs = np.concatenate([edges, nonedges])
         labels = np.repeat([1, 0], [len(edges), len(nonedges)])
-        ts = TrainingSet(tasks.pair_features(matrix, pairs), labels, pairs)
+        ts = TrainingSet(matrix, labels, pairs)
         return train_classifier(config.classifier, ts, seed,
                                 config.svm, config.rf)
 
@@ -1031,8 +1031,9 @@ def test_lp_batched_pair_features_match_per_pair_loop(
         got = [run_lp(config, fam.lp_train, plan, matrix,
                       excl_keys=fam.excl_keys, comm=fam.comm_lp)
                for plan in plans]
-        with monkeypatch.context() as mp:  # per-pair training features
+        with monkeypatch.context() as mp:  # per-pair features throughout
             mp.setattr(tasks, "pair_features", _per_pair_features)
+            mp.setattr(learn, "pair_features", _per_pair_features)
             want = [_per_pair_lp(config, fam.lp_train, plan, matrix,
                                  fam.excl_keys, fam.comm_lp)
                     for plan in plans]
@@ -1065,20 +1066,28 @@ def test_run_lp_settles_each_built_svm_once(homophily, monkeypatch,
     _assert_settled_once(calls, 2, pool)
 
 
-def _train_recorder(monkeypatch, pool):
+def _train_recorder(monkeypatch):
     """Replace train_svms' lock-step SGD with one that records, per group
     (one per chunk, as the pool's SVMs share their hyperparameters), the
-    id and stored row entries of each SVM it ran, in the order read, and
-    the stored row entries of every SVM the pool then holds pending."""
+    id and row entries (``TrainingSet.nnz``) of each SVM it ran, in the
+    order read, and the row entries that the group's training built."""
     calls = []
-    real = learn._train_group
+    real, real_rows = learn._train_group, learn.instance_rows
+    built = []
+
+    def rows(matrix, ids):
+        out = real_rows(matrix, ids)
+        built.append(len(out[1]))
+        return out
 
     def record(models, reg, epochs):
-        held = sum(m.sgd.ts.nnz for m in pool.cache.values()
-                   if isinstance(m, LinearSVM) and m.sgd is not None)
-        calls.append(([(id(m), m.sgd.ts.nnz) for m in models], held))
-        return real(models, reg, epochs)
+        chunk = [(id(m), m.sgd.ts.nnz) for m in models]
+        before = len(built)
+        out = real(models, reg, epochs)
+        calls.append((chunk, sum(built[before:])))
+        return out
 
+    monkeypatch.setattr(learn, "instance_rows", rows)
     monkeypatch.setattr(learn, "_train_group", record)
     return calls
 
@@ -1106,34 +1115,91 @@ def test_pool_trains_pending_svms_past_the_entry_budget(homophily,
     want = run(ClassifierPool(config))
     monkeypatch.setattr(learn, "SGD_BATCH_ENTRIES", 200)
     pool = ClassifierPool(config)
-    trained = _train_recorder(monkeypatch, pool)
+    trained = _train_recorder(monkeypatch)
     settled = _settle_recorder(monkeypatch)
     got = run(pool)
     built = [id(m) for m in pool.cache.values() if isinstance(m, LinearSVM)]
     chunks = [chunk for chunk, _ in trained]
     assert len(chunks) > 4  # more than the two settles
     assert sorted(i for chunk in chunks for i, _ in chunk) == sorted(built)
-    # a chunk runs as soon as its entries pass the budget, and the pool
-    # builds no SVM ahead of it: what it holds pending, without the
-    # chunk's last model, stays within the budget
+    # a chunk runs as soon as its entries pass the budget, and builds the
+    # rows of its own sets only: at most their entries, so what it holds,
+    # without the chunk's last model, stays within the budget
     for chunk, held in trained:
         assert sum(e for _, e in chunk[:-1]) <= 200
+        assert held <= sum(e for _, e in chunk)
         assert held - chunk[-1][1] <= 200
     _assert_settled_once(settled, 2, pool)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a.predicted, b.predicted)
 
 
-def _call_counter(monkeypatch, name):
-    """Count the calls run_lp's module makes to one of its names."""
+def test_lp_settle_builds_pair_rows_a_chunk_at_a_time(homophily,
+                                                       monkeypatch):
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
+    matrix = ds.matrix("training")
+    fam = prepare_family(spec, spec.build(matrix), 5, False, True, False)
+    config = cfg("local-adjacency", task="LP", network=spec)
+
+    def run(pool, after=lambda: None):
+        for plan in fam.lp_plans.values():
+            run_lp(config, fam.lp_train, plan, matrix,
+                   excl_keys=fam.excl_keys, pool=pool)
+            after()
+
+    want = ClassifierPool(config)
+    run(want)
+    monkeypatch.setattr(learn, "SGD_BATCH_ENTRIES", 200)
+    real_features, real_group = learn.pair_features, learn._train_group
+    built, chunks, settles = [], [], []
+
+    def features(m, pairs):  # the training rows' builds
+        out = real_features(m, pairs)
+        built.append(len(out[1]))
+        return out
+
+    def group(models, reg, epochs):  # each set's row entries, built apart
+        chunks.append([len(real_features(m.sgd.ts.matrix, m.sgd.ts._keys)[1])
+                       for m in models])
+        return real_group(models, reg, epochs)
+
+    monkeypatch.setattr(learn, "pair_features", features)
+    monkeypatch.setattr(learn, "_train_group", group)
+    pool = ClassifierPool(config)
+    run(pool, lambda: settles.append(len(built)))
+    # each settle builds its pair rows in several passes, one per chunk,
+    # each exactly its sets' rows: no more than the budget plus one set
+    assert all(b - a > 1 for a, b in zip([0] + settles, settles))
+    assert len(built) == len(chunks) == settles[-1]
+    for entries, sizes in zip(built, chunks):
+        assert entries == sum(sizes)
+        assert entries - max(sizes) <= 200
+    assert list(pool.cache) == list(want.cache)
+    svms = 0
+    for key, clf in pool.cache.items():
+        ref = want.cache[key]
+        assert type(clf) is type(ref)
+        if isinstance(clf, LinearSVM):
+            assert clf.sgd is None and ref.sgd is None
+            assert clf._w.tobytes() == ref._w.tobytes()
+            assert np.float64(clf._b).tobytes() == \
+                np.float64(ref._b).tobytes()
+            svms += 1
+    assert svms > 4
+
+
+def _call_counter(monkeypatch, name, module=tasks):
+    """Count the calls a module (run_lp's by default) makes to one of its
+    names."""
     calls = []
-    real = getattr(tasks, name)
+    real = getattr(module, name)
 
     def count(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tasks, name, count)
+    monkeypatch.setattr(module, name, count)
     return calls
 
 
@@ -1141,7 +1207,8 @@ def test_lp_family_resolves_each_owner_scope_once(homophily, monkeypatch):
     # two LP localities x two classifiers x both partitions read one
     # family's scopes: one egonet per distinct local-adjacency owner, one
     # induced_pairs per distinct local-bfs owner, and each run_lp call
-    # assembles its training sets in one pair_features pass
+    # builds its plan's rows in one pair_features pass and its training
+    # sets' rows in another (one SGD chunk)
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     matrix = ds.matrix("training")
@@ -1149,6 +1216,7 @@ def test_lp_family_resolves_each_owner_scope_once(homophily, monkeypatch):
     egonets = _call_counter(monkeypatch, "egonet")
     induced = _call_counter(monkeypatch, "induced_pairs")
     features = _call_counter(monkeypatch, "pair_features")
+    train_features = _call_counter(monkeypatch, "pair_features", learn)
     owners = np.unique(np.concatenate(
         [np.concatenate([p.pos_owner, p.neg_owner])
          for p in fam.lp_plans.values()]))
@@ -1160,12 +1228,14 @@ def test_lp_family_resolves_each_owner_scope_once(homophily, monkeypatch):
             pool = ClassifierPool(config)
             for plan in fam.lp_plans.values():
                 before, trained = len(features), pool.trained
+                before_train = len(train_features)
                 run_lp(config, fam.lp_train, plan, matrix,
                        excl_keys=fam.excl_keys, pool=pool,
                        scopes=fam.lp_scopes)
-                # the plan's pairs, then the queued training sets
+                # the plan's pairs, and the new training sets' pairs
                 built = classifier != "coin" and pool.trained > trained
-                assert len(features) - before == 1 + built
+                assert len(features) - before == 1
+                assert len(train_features) - before_train == built
                 builds += built
     assert builds >= 4
     assert sorted(int(a[1]) for a in egonets) == owners.tolist()
