@@ -250,13 +250,22 @@ def build_matrix(
 ) -> AttributeMatrix:
     """Aggregate one partition's events into an attribute matrix.
 
+    ``item_ids`` is the item dictionary, strictly ascending (as
+    ``build_dataset`` passes it); an event on an item outside it is fatal.
     ``aggregation`` is "sum" (total value per node/item) or "mean"
     (average value, for ratings-like logs).
     """
     if aggregation not in ("sum", "mean"):
         raise DataError(f"unknown aggregation: {aggregation}")
-    index = {int(v): i for i, v in enumerate(item_ids)}
-    cols = np.array([index[int(i)] for i in part.items], dtype=np.int64)
+    item_ids = np.asarray(item_ids)
+    if np.any(item_ids[1:] <= item_ids[:-1]):
+        raise DataError("item ids must be strictly ascending")
+    cols = np.searchsorted(item_ids, part.items).astype(np.int64)
+    known = cols < len(item_ids)
+    known[known] = item_ids[cols[known]] == part.items[known]
+    if not known.all():
+        raise DataError(f"item {part.items[~known][0]} is not in the item "
+                        f"dictionary")
     n_items = len(item_ids)
     mat = sparse.coo_matrix(
         (part.values, (part.nodes, cols)), shape=(part.n_nodes, n_items)

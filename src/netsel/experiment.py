@@ -39,8 +39,8 @@ from .selection import (EvaluationRecord, SelectionError, cross_task,
                         records_from_batches, selection_stats)
 from .similarity import NetworkModelSpec
 from .synth import PlantSpec, synth_bundle
-from .tasks import (ClassifierPool, LeakageAudit, LPScopes, ModelConfig,
-                    PredictionBatch, _fmt_density, assign_lp_eval,
+from .tasks import (ClassifierPool, LeakageAudit, ModelConfig,
+                    PredictionBatch, Scopes, _fmt_density, assign_lp_eval,
                     config_key_fields, run_cc, run_lp)
 
 LP_SPLIT = (0.5, 0.25, 0.25)
@@ -232,13 +232,20 @@ def _synth_params(cfg: ExperimentConfig) -> dict:
 
 def dataset_digest(cfg: ExperimentConfig) -> str:
     """sha256 of the effective dataset config: the ``dataset`` block with
-    the aggregation and synth defaults filled in. Ingest records it in
-    ``dataset.json`` and infer in ``networks/networks.json``, so that a
-    later stage never reads outputs built from another dataset config."""
+    the aggregation and synth defaults filled in, and the sha256 of the
+    bytes of each events or rules file it names that exists (ingest
+    reports a missing one). Ingest records it in ``dataset.json`` and
+    infer in ``networks/networks.json``, so that a later stage never reads
+    outputs built from another dataset config or from edited files."""
     eff = {"aggregation": "sum", **cfg.dataset}
     if eff.get("synth") is not None:
         synth = _synth_params(cfg)
         eff["synth"] = {**synth, "plant": asdict(synth["plant"])}
+    else:
+        for key in ("events", "rules"):
+            if eff.get(key) and Path(eff[key]).is_file():
+                eff[f"{key}_sha256"] = hashlib.sha256(
+                    Path(eff[key]).read_bytes()).hexdigest()
     return hashlib.sha256(
         json.dumps(eff, sort_keys=True).encode()).hexdigest()
 
@@ -251,8 +258,8 @@ def _check_digest(path: Path, key: str, want: str, output: str,
         raise ExperimentError(f"missing {output} stage output: {path}")
     if json.loads(path.read_text()).get(key) != want:
         raise ExperimentError(
-            f"{path} does not match this config's dataset block (stale "
-            f"output); rerun the {stage} stage")
+            f"{path} does not match this config's dataset block or the "
+            f"files it names (stale output); rerun the {stage} stage")
 
 
 def _check_dataset(cfg: ExperimentConfig, ds_dir: Path) -> str:
@@ -383,8 +390,9 @@ def stage_infer(cfg: ExperimentConfig, out_dir: Path) -> Path:
 @dataclass
 class FamilyData:
     """Everything one network family shares across its config cells.
-    ``lp_scopes`` resolves each LP owner's local training material once
-    for every config and both partitions."""
+    ``cc_scopes`` over the network and ``lp_scopes`` over the LP training
+    graph resolve each (locality, node) training scope once for every
+    config, labelset and partition of their task."""
 
     spec: NetworkModelSpec
     graph: EdgeSet
@@ -394,7 +402,8 @@ class FamilyData:
     comm_lp: object
     excl_keys: np.ndarray
     audit: LeakageAudit
-    lp_scopes: LPScopes | None = None
+    cc_scopes: Scopes
+    lp_scopes: Scopes | None = None
 
 
 def prepare_family(spec: NetworkModelSpec, g: EdgeSet, master_seed: int,
@@ -428,7 +437,8 @@ def prepare_family(spec: NetworkModelSpec, g: EdgeSet, master_seed: int,
     return FamilyData(spec=spec, graph=g, comm_cc=comm_cc,
                       lp_train=lp_train, lp_plans=lp_plans,
                       comm_lp=comm_lp, excl_keys=excl, audit=audit,
-                      lp_scopes=LPScopes(lp_train, excl, comm_lp)
+                      cc_scopes=Scopes(g, comm_cc),
+                      lp_scopes=Scopes(lp_train, comm_lp, excl)
                       if need_lp else None)
 
 
@@ -465,7 +475,7 @@ def evaluate_config(family: FamilyData, dataset: PartitionedDataset,
         for role in ("validation", "testing"):
             batches.append(run_cc(config, family.graph, dataset, role,
                                   comm=family.comm_cc, audit=audit,
-                                  pool=pool))
+                                  pool=pool, scopes=family.cc_scopes))
     else:
         matrix = dataset.matrix("training")
         for role in ("validation", "testing"):

@@ -22,9 +22,11 @@ each LP classifier scores all of its pairs in one call (CC records still
 predict one at a time). A pending SVM holds only its set's ids:
 ``train_svms`` builds the rows of a whole SGD chunk in one pass (LP pair
 rows included) and trains the chunk's SVMs in lock step, so no more rows
-exist at once than one chunk's. A forest trains when it is built. LP
-owners' local material (pair set, exclusion filter, digest) is resolved
-once per family by LPScopes and read by every config and partition. An
+exist at once than one chunk's. A forest trains when it is built. A
+family's ``Scopes``, one over its network for CC and one over the LP
+training graph, resolves each (locality, node) training node set once
+through ``resolve_neighborhood``, the one dispatch on locality, and each LP
+owner's material once per distinct node set, for every config. An
 SVM scoring a batch (``LinearSVM.predict_rows``) takes each sign from a
 batched sum only where a rigorous rounding bound certifies it, and from
 its per-row ``decision`` otherwise, so predictions match the per-row
@@ -43,8 +45,7 @@ from ._rng import derive_seed, generator
 from .community import CommunityAssignment, louvain
 from .data import AttributeMatrix, PartitionedDataset
 from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
-                    bfs_neighborhood, egonet, incident_nonedges,
-                    induced_pairs)
+                    bfs_neighborhood, incident_nonedges, induced_pairs)
 from .learn import (CoinClassifier, ConstantClassifier, RFHyper, SVMHyper,
                     TrainingSet, _gather, pair_features, predict_rows,
                     train_classifier, train_svms)
@@ -203,7 +204,8 @@ class ClassifierPool:
     training sets reached through different test instances (or partitions)
     produce the same classifier. ``trained`` counts builds, ``hits`` the
     lookups answered from the cache, and ``single_class`` the CC builds
-    answered without training because the material carries one label.
+    whose material carries one label, which the learners answer with a
+    constant.
 
     A builder returns its classifier: a coin, the constant of single-class
     material, a trained forest, or a pending SVM that ``settle`` trains.
@@ -261,13 +263,11 @@ def global_training_nodes(config: ModelConfig, n: int) -> np.ndarray:
 
 
 def resolve_neighborhood(g: EdgeSet, spec: NeighborhoodSpec, i: int,
-                         comm: CommunityAssignment | None = None,
-                         global_nodes: np.ndarray | None = None
+                         comm: CommunityAssignment | None = None
                          ) -> np.ndarray:
-    """Training nodes for test node i under the given scope (CC form).
-
-    LP pair scopes are derived from the same node sets by the LP runner.
-    """
+    """Training nodes for node i under a local scope, i excluded. An LP
+    owner's pair scope is the induced pairs on these nodes and i
+    (``Scopes.material``); the global sample is the runners' own."""
     kind = spec.locality
     if kind == "local-adjacency":
         return g.neighbors(i)
@@ -278,11 +278,43 @@ def resolve_neighborhood(g: EdgeSet, spec: NeighborhoodSpec, i: int,
             raise TaskError("community locality needs a CommunityAssignment")
         members = comm.members(int(comm.labels[i]))
         return members[members != i]
-    if kind == "global":
-        if global_nodes is None:
-            raise TaskError("global locality needs the shared node sample")
-        return global_nodes
     raise TaskError(f"no single neighborhood for locality '{kind}'")
+
+
+_EGONET = NeighborhoodSpec("local-adjacency")
+
+
+class Scopes:
+    """Local training scopes over one graph, resolved on first use and
+    kept. ``nodes`` is a node's training node set under a locality;
+    ``material`` is an LP owner's pair set on those nodes and the owner,
+    filtered by ``excl_keys`` and digested, kept per distinct node set (the
+    owners of a community share one). An ensemble member's scope is its
+    local-adjacency one (``_EGONET``)."""
+
+    def __init__(self, g: EdgeSet, comm: CommunityAssignment | None = None,
+                 excl_keys: np.ndarray | None = None) -> None:
+        self.g = g
+        self.comm = comm
+        self.excl_keys = excl_keys
+        self._nodes: dict = {}
+        self._material: dict = {}
+
+    def nodes(self, spec: NeighborhoodSpec, i: int) -> np.ndarray:
+        key = (spec.key(), i)
+        if key not in self._nodes:
+            self._nodes[key] = resolve_neighborhood(self.g, spec, i,
+                                                    self.comm)
+        return self._nodes[key]
+
+    def material(self, spec: NeighborhoodSpec, i: int
+                 ) -> _LPMaterial | None:
+        scope = np.unique(np.append(self.nodes(spec, i), i))
+        key = scope.tobytes()
+        if key not in self._material:
+            self._material[key] = _lp_material(
+                *induced_pairs(self.g, scope), self.excl_keys, self.g.n_nodes)
+        return self._material[key]
 
 
 # --- ensembles ---------------------------------------------------------------
@@ -353,9 +385,9 @@ def _cc_lookup(config: ModelConfig, pool: ClassifierPool,
                audit: LeakageAudit, train_m: AttributeMatrix, name: str,
                y_train: np.ndarray, nodes: np.ndarray) -> str | None:
     """Look one labelset's material on one training node set up in the
-    pool and return its key; None when the set is empty. Material with one
-    label gets the constant classifier both learners would train from it,
-    without calling them; an SVM's training waits for ``pool.settle``."""
+    pool and return its key; None when the set is empty. An SVM's training
+    waits for ``pool.settle``; material with one label gets the learners'
+    constant classifier, which ``pool.single_class`` counts."""
     if len(nodes) == 0:
         return None
 
@@ -364,13 +396,12 @@ def _cc_lookup(config: ModelConfig, pool: ClassifierPool,
                           f"CC features for labelset '{name}'")
         if config.classifier == "coin":  # coin never reads its features
             return CoinClassifier(seed)
-        ts = TrainingSet(train_m, y_train[nodes].astype(int), nodes)
-        classes = ts.classes()
-        if len(classes) == 1:
-            pool.single_class += 1
-            return ConstantClassifier(int(classes[0]), "single-class")
-        return train_classifier(config.classifier, ts, seed, config.svm,
-                                config.rf)
+        clf = train_classifier(
+            config.classifier,
+            TrainingSet(train_m, y_train[nodes].astype(int), nodes), seed,
+            config.svm, config.rf)
+        pool.single_class += isinstance(clf, ConstantClassifier)
+        return clf
 
     key = _digest("cc", name, np.sort(nodes))
     pool.get(key, build)
@@ -380,12 +411,15 @@ def _cc_lookup(config: ModelConfig, pool: ClassifierPool,
 def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
            eval_role: str, comm: CommunityAssignment | None = None,
            audit: LeakageAudit | None = None,
-           pool: ClassifierPool | None = None) -> PredictionBatch:
+           pool: ClassifierPool | None = None,
+           scopes: Scopes | None = None) -> PredictionBatch:
     """Evaluate collective classification on one partition.
 
     Per labelset, every node positive in the evaluation partition is one
     test instance; its neighborhood supplies training-partition attribute
     vectors and labels. Empty neighborhoods predict 0 and are flagged.
+    ``scopes`` shares the training node sets across calls; it must be
+    resolved over this ``g`` and ``comm``.
     """
     if config.task != "CC":
         raise TaskError("run_cc called on a non-CC config")
@@ -403,6 +437,11 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
     kind = spec.locality
     if kind == "community" and comm is None:
         comm = louvain(g, derive_seed(config.seed, "louvain"))
+    if scopes is None:
+        scopes = Scopes(g, comm)
+    elif scopes.g is not g or scopes.comm is not comm:
+        raise TaskError("CC scopes were resolved over another graph or "
+                        "community assignment")
     global_nodes = None
     if kind == "global":
         global_nodes = global_training_nodes(config, g.n_nodes)
@@ -412,13 +451,13 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
     if kind == "ensemble":
         # a member is trainable iff it has neighbors, whatever the
         # labelset, so every labelset votes over the same member rows
-        member_ids = [int(m) for m in ensemble_members(config, g, train_m)
-                      if len(g.neighbors(int(m)))]
+        member_ids = [m for m in ensemble_members(config, g, train_m).tolist()
+                      if len(scopes.nodes(_EGONET, m))]
         for name in sorted(eval_l.names):
             y_tr = train_l.array(name)
             member_keys[name] = [
                 (m, _cc_lookup(config, pool, audit, train_m, name, y_tr,
-                               g.neighbors(m)))
+                               scopes.nodes(_EGONET, m)))
                 for m in member_ids]
         if member_keys and len(member_ids) < spec.ensemble_knn:
             ensemble_fallback = True
@@ -436,10 +475,8 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
         for i in eval_l.positives(name).tolist():
             key = None
             if not voting:
-                if kind == "ensemble":
-                    tn = global_nodes
-                else:
-                    tn = resolve_neighborhood(g, spec, i, comm, global_nodes)
+                tn = scopes.nodes(spec, i) if global_nodes is None \
+                    else global_nodes
                 key = _cc_lookup(config, pool, audit, train_m, name, y_tr,
                                  tn)
             nodes_out.append(i)
@@ -610,51 +647,6 @@ def _lp_material(edges: np.ndarray, nonedges: np.ndarray,
                        _digest("lp", np.sort(ek), np.sort(nk)))
 
 
-_EGONET = NeighborhoodSpec("local-adjacency")
-
-
-class LPScopes:
-    """Local LP training material over one training graph, resolved on
-    first use and kept: per (locality, owner) the pair set of the owner's
-    scope, the ``excl_keys`` filter and the digest. A family holds one, so
-    every config and both partitions share it. Owners of one community
-    share one scope, and an ensemble member's egonet is its
-    local-adjacency scope."""
-
-    def __init__(self, g_train: EdgeSet, excl_keys: np.ndarray,
-                 comm: CommunityAssignment | None = None) -> None:
-        self.g_train = g_train
-        self.excl_keys = excl_keys
-        self.comm = comm
-        self._cache: dict = {}
-
-    def material(self, spec: NeighborhoodSpec, i: int
-                 ) -> _LPMaterial | None:
-        kind = spec.locality
-        if kind not in ("local-adjacency", "local-bfs", "community"):
-            raise TaskError(f"no local pair scope for locality '{kind}'")
-        if kind == "community":
-            if self.comm is None:
-                raise TaskError("community locality needs a "
-                                "CommunityAssignment")
-            scope = (kind, int(self.comm.labels[i]))
-        else:
-            scope = (spec.key(), i)
-        if scope not in self._cache:
-            g = self.g_train
-            if kind == "local-adjacency":
-                _, edges, nonedges = egonet(g, i)
-            elif kind == "local-bfs":
-                edges, nonedges = induced_pairs(
-                    g, np.append(bfs_neighborhood(g, i, spec.bfs_k), i))
-            else:
-                edges, nonedges = induced_pairs(g,
-                                                self.comm.members(scope[1]))
-            self._cache[scope] = _lp_material(edges, nonedges,
-                                              self.excl_keys, g.n_nodes)
-        return self._cache[scope]
-
-
 def _lp_lookup(config: ModelConfig, pool: ClassifierPool,
                audit: LeakageAudit, matrix: AttributeMatrix,
                mat: _LPMaterial | None, excl_keys: np.ndarray, n: int
@@ -717,14 +709,15 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
            comm: CommunityAssignment | None = None,
            audit: LeakageAudit | None = None,
            pool: ClassifierPool | None = None,
-           scopes: LPScopes | None = None) -> PredictionBatch:
+           scopes: Scopes | None = None) -> PredictionBatch:
     """Evaluate link prediction on one edge-split partition.
 
     ``excl_keys`` holds every pair key off-limits to training non-edges:
     the full network plus all reserved evaluation pairs (both partitions).
     ``scopes`` is the owners' local material when the caller shares it
-    across calls; it must be resolved over this ``g_train``, ``excl_keys``
-    and ``comm``. Owners whose local scope lacks a pair class fall back to
+    across calls; it must be resolved over this ``g_train``'s undirected
+    view (the graph itself when it is undirected), ``excl_keys`` and
+    ``comm``. Owners whose local scope lacks a pair class fall back to
     predicting non-edge for their whole balanced batch.
 
     The call runs in three phases, each bit-identical to the per-owner,
@@ -763,9 +756,10 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
     kind = spec.locality
     if kind == "community" and comm is None:
         comm = louvain(g_train, derive_seed(config.seed, "louvain"))
+    und = g_train.undirected_view()
     if scopes is None:
-        scopes = LPScopes(g_train, excl_keys, comm)
-    elif (scopes.g_train is not g_train or scopes.excl_keys is not excl_keys
+        scopes = Scopes(und, comm, excl_keys)
+    elif (scopes.g is not und or scopes.excl_keys is not excl_keys
           or scopes.comm is not comm):
         raise TaskError("LP scopes were resolved over another training "
                         "graph, exclusion set or community assignment")

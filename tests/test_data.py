@@ -202,6 +202,19 @@ def test_unknown_aggregation_fatal():
         build_matrix(log, np.array([5]), "training", aggregation="max")
 
 
+def test_items_outside_the_dictionary_are_fatal():
+    log = EventLog.from_records([(0, 5, 1.0, 1), (1, 7, 1.0, 1)], n_nodes=2)
+    for ids in ([5], [7], [], [6, 7], [1, 5]):
+        with pytest.raises(DataError, match="not in the item dictionary"):
+            build_matrix(log, np.array(ids, dtype=np.int64), "training")
+    for ids in ([7, 5], [5, 5, 7]):
+        with pytest.raises(DataError, match="strictly ascending"):
+            build_matrix(log, np.array(ids), "training")
+    m = build_matrix(log, np.array([2, 5, 7, 9]), "training")
+    np.testing.assert_array_equal(m.data.toarray(),
+                                  [[0, 1, 0, 0], [0, 0, 1, 0]])
+
+
 def test_zero_value_events_leave_no_stored_entry():
     log = EventLog.from_records([(0, 5, 0.0, 1), (1, 5, 2.0, 1)], n_nodes=2)
     m = build_matrix(log, np.array([5]), "training")

@@ -595,6 +595,39 @@ class TestDeterminism:
                 (pipe / name).read_bytes(), name
 
 
+# every locality for both tasks and both learners, whose results bytes the
+# grid96 oracle does not pin for local-bfs and community cells
+ALL_LOCALITY_CONFIG = {
+    "dataset": {"synth": {"seed": 11, "n_nodes": 48, "n_items": 400,
+                          "plant": {"n_groups": 2,
+                                    "subgroups_per_group": 2}}},
+    "grid": {"models": ["KNN", "TH"], "measures": ["INT"],
+             "densities": [0.1],
+             "localities": ["local-adjacency", "local-bfs:5", "community",
+                            "ensemble:attr-sum", "global"],
+             "tasks": ["CC", "LP"],
+             "classifiers": ["linear-svm", "random-forest"]},
+    "rf": {"trees": 5},
+    "seed": 11,
+}
+ALL_LOCALITY_SHA256 = {
+    "results.csv":
+        "1ff77be6513638d09d6099021a36f6bf3e15424e136cbeb086d0209a917c2ccf",
+    "selection.csv":
+        "f117b34b9916612a76d21270931136ad03cc842e723ff23d968d86968d13f791",
+}
+
+
+def test_all_locality_grid_is_pinned(tmp_path):
+    out = tmp_path / "all"
+    run_experiment(ExperimentConfig.from_dict(
+        {**ALL_LOCALITY_CONFIG, "out": str(out)}))
+    assert len(csv_rows(out / "results.csv")) == 40
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in ALL_LOCALITY_SHA256}
+    assert got == ALL_LOCALITY_SHA256
+
+
 class TestRoundTrips:
     def test_results_match_reloaded_batches(self, pipe):
         records = load_results(pipe / "results.csv")
@@ -695,6 +728,36 @@ class TestExplicitNetworks:
             same.dataset["aggregation"] = "sum"
         assert dataset_digest(same) == dataset_digest(new)
         stage_evaluate(same, out)
+
+    @pytest.mark.parametrize("edit", ["events", "rules"])
+    def test_edited_event_files_are_refused(self, tmp_path, edit):
+        bundle = synth_bundle(3, 40, 100)
+        log = bundle.log
+        events = tmp_path / "events.txt"
+        events.write_text("".join(
+            f"{a} {b} {c!r} {d}\n" for a, b, c, d in zip(
+                log.nodes.tolist(), log.items.tolist(),
+                log.values.tolist(), log.timestamps.tolist())))
+        rules = tmp_path / "rules.json"
+        save_label_rules(bundle.rules, rules)
+        raw = json.loads(cli_config(tmp_path, events=str(events),
+                                    rules=str(rules)).read_text())
+        cfg = ExperimentConfig.from_dict(raw)
+        out = Path(cfg.out)
+        stage_ingest(cfg, out)
+        stage_infer(cfg, out)
+        if edit == "events":  # keep half of the events
+            lines = events.read_text().splitlines(keepends=True)
+            events.write_text("".join(lines[:len(lines) // 2]))
+        else:  # keep the first rule
+            save_label_rules(bundle.rules[:1], rules)
+        for stage in (stage_infer, stage_evaluate):
+            with pytest.raises(ExperimentError, match="rerun the ingest"):
+                stage(cfg, out)
+        stage_ingest(cfg, out)
+        stage_infer(cfg, out)
+        stage_evaluate(cfg, out)
+        assert (out / "results.csv").exists()
 
 
 # --- CLI ------------------------------------------------------------------------

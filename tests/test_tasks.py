@@ -232,10 +232,6 @@ def test_resolve_neighborhood_scopes():
     comm = louvain(g, seed=0)
     got = resolve_neighborhood(g, NeighborhoodSpec("community"), 7, comm=comm)
     np.testing.assert_array_equal(got, [5, 6, 8, 9])
-    sample = np.array([1, 2, 3])
-    np.testing.assert_array_equal(
-        resolve_neighborhood(g, NeighborhoodSpec("global"), 0,
-                             global_nodes=sample), sample)
     with pytest.raises(TaskError):
         resolve_neighborhood(g, NeighborhoodSpec("community"), 0)
     with pytest.raises(TaskError):
@@ -452,8 +448,8 @@ def test_cc_global_trains_once_per_labelset():
 
 def _always_assembled_cc_lookup(config, pool, audit, train_m, name,
                                 y_train, nodes):
-    """``_cc_lookup`` with no shortcut: every build hands its TrainingSet
-    to ``train_classifier``."""
+    """``_cc_lookup`` without its coin branch and its single-class count:
+    every build hands its TrainingSet to ``train_classifier``."""
     if len(nodes) == 0:
         return None
 
@@ -503,7 +499,7 @@ def test_cc_single_class_shortcut_matches_always_assembled(
                 (dirs[1] / name).read_bytes(), (loc, name)
         assert got_asserts == want_asserts
         assert not any(b.ensemble_fallback for b in got)
-        # the shortcut answers exactly the builds that trained a constant
+        # single_class counts exactly the builds that trained a constant
         assert pool.single_class == sum(
             isinstance(c, ConstantClassifier)
             for c in ref_pool.cache.values())
@@ -818,7 +814,7 @@ def test_lp_community_scope():
 
 def _frozen_lp_local_pair_sets(config, g_train, i, comm):
     """run_lp's per-owner pair set as it was resolved once per owner per
-    call, before LPScopes kept it per family; kept verbatim as the
+    call, before the family's scopes kept it; kept verbatim as the
     per-owner reference."""
     kind = config.locality.locality
     if kind == "local-adjacency":
@@ -1205,15 +1201,15 @@ def _call_counter(monkeypatch, name, module=tasks):
 
 def test_lp_family_resolves_each_owner_scope_once(homophily, monkeypatch):
     # two LP localities x two classifiers x both partitions read one
-    # family's scopes: one egonet per distinct local-adjacency owner, one
-    # induced_pairs per distinct local-bfs owner, and each run_lp call
-    # builds its plan's rows in one pair_features pass and its training
-    # sets' rows in another (one SGD chunk)
+    # family's scopes: one resolve_neighborhood per distinct (locality,
+    # owner), one induced_pairs per distinct scope node set, and each
+    # run_lp call builds its plan's rows in one pair_features pass and its
+    # training sets' rows in another (one SGD chunk)
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     matrix = ds.matrix("training")
     fam = prepare_family(spec, spec.build(matrix), 5, False, True, False)
-    egonets = _call_counter(monkeypatch, "egonet")
+    resolved = _call_counter(monkeypatch, "resolve_neighborhood")
     induced = _call_counter(monkeypatch, "induced_pairs")
     features = _call_counter(monkeypatch, "pair_features")
     train_features = _call_counter(monkeypatch, "pair_features", learn)
@@ -1238,12 +1234,90 @@ def test_lp_family_resolves_each_owner_scope_once(homophily, monkeypatch):
                 assert len(train_features) - before_train == built
                 builds += built
     assert builds >= 4
-    assert sorted(int(a[1]) for a in egonets) == owners.tolist()
-    assert len(induced) == len(owners)
+    for loc in ("local-adjacency", "local-bfs:3"):
+        assert sorted(int(a[2]) for a in resolved
+                      if a[1].key() == loc) == owners.tolist()
+    assert len(resolved) == 2 * len(owners)
+    # an owner's scope is its egonet, or its BFS nodes and itself
+    scopes = {np.unique(np.append(bfs_neighborhood(fam.lp_train, i, 3),
+                                  i)).tobytes() for i in owners.tolist()}
+    scopes |= {egonet(fam.lp_train, i)[0].tobytes() for i in owners.tolist()}
+    assert len(induced) == len(scopes)
     with pytest.raises(TaskError, match="scopes"):
         run_lp(cfg("local-adjacency", task="LP", network=spec),
                fam.lp_train, fam.lp_plans["testing"], matrix,
                scopes=fam.lp_scopes)  # excl_keys of its own: not the scopes'
+
+
+def test_cc_family_resolves_each_scope_once(homophily, monkeypatch):
+    # every CC locality x two classifiers x both partitions read one
+    # family's scopes: one resolve_neighborhood per distinct (locality,
+    # node), an ensemble member's scope being its local-adjacency one, and
+    # the same batches as runs that resolve scopes of their own
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
+    train_m = ds.matrix("training")
+    fam = prepare_family(spec, spec.build(train_m), 5, True, False, False)
+    local = ("local-adjacency", "local-bfs:3", "community")
+    configs = [cfg(loc, classifier=classifier, network=spec)
+               for loc in local + ("ensemble:degree", "global:60")
+               for classifier in ("linear-svm", "coin")]
+
+    def batches(scopes):
+        return [run_cc(c, fam.graph, ds, role, comm=fam.comm_cc,
+                       scopes=scopes)
+                for c in configs for role in ("validation", "testing")]
+
+    want = batches(None)
+    resolved = _call_counter(monkeypatch, "resolve_neighborhood")
+    got = batches(fam.cc_scopes)
+    for a, b in zip(got, want):
+        assert a.targets == b.targets
+        for name in ("nodes", "predicted", "fallback"):
+            np.testing.assert_array_equal(getattr(a, name),
+                                          getattr(b, name))
+    calls = [(a[1].key(), int(a[2])) for a in resolved]
+    positives = {int(i) for role in ("validation", "testing")
+                 for name in ds.labelset(role).names
+                 for i in ds.labelset(role).positives(name)}
+    members = ensemble_members(cfg("ensemble:degree", network=spec),
+                               fam.graph, train_m).tolist()
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(loc, i) for loc in local for i in positives} | \
+        {("local-adjacency", m) for m in members}
+    with pytest.raises(TaskError, match="scopes"):
+        run_cc(configs[0], fam.graph, ds, "testing", scopes=fam.cc_scopes)
+
+
+@pytest.mark.parametrize("locality",
+                         ["local-adjacency", "local-bfs:3", "community"])
+def test_lp_over_a_directed_training_graph(homophily, locality):
+    # a directed training graph's local scopes are its undirected view's,
+    # with the same exclusion set and community assignment
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
+    matrix = ds.matrix("training")
+    fam = prepare_family(spec, spec.build(matrix), 5, False, True, True)
+    und = fam.lp_train
+    flip = np.random.default_rng(1).random(und.n_edges) < 0.5
+    directed = EdgeSet(n_nodes=und.n_nodes,
+                       src=np.where(flip, und.dst, und.src),
+                       dst=np.where(flip, und.src, und.dst),
+                       weights=und.weights, directed=True)
+    config = cfg(locality, task="LP", network=spec)
+    for plan in fam.lp_plans.values():
+        runs = []
+        for g in (directed, und):
+            pool = ClassifierPool(config)
+            runs.append((run_lp(config, g, plan, matrix,
+                                excl_keys=fam.excl_keys, comm=fam.comm_lp,
+                                pool=pool), list(pool.cache)))
+        (a, keys_a), (b, keys_b) = runs
+        assert keys_a == keys_b
+        assert a.targets == b.targets
+        for name in ("nodes", "predicted", "actual", "fallback"):
+            np.testing.assert_array_equal(getattr(a, name),
+                                          getattr(b, name))
 
 
 def test_lp_training_edges_may_not_touch_eval_pairs():
