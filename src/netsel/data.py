@@ -206,8 +206,6 @@ class AttributeMatrix:
     _item_index: dict | None = field(default=None, repr=False)
     _row_sums: np.ndarray | None = field(default=None, repr=False)
     _nonnegative: bool | None = field(default=None, repr=False)
-    # (i, j, inter) of similarity.pairwise_intersections, set on first use
-    _pairs: tuple | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:

@@ -37,7 +37,7 @@ from .learn import RFHyper, SVMHyper, _integer
 from .selection import (EvaluationRecord, SelectionError, cross_task,
                         match_mismatch, node_difficulty,
                         records_from_batches, selection_stats)
-from .similarity import NetworkModelSpec
+from .similarity import NetworkModelSpec, build_networks
 from .synth import PlantSpec, synth_bundle
 from .tasks import (ClassifierPool, LeakageAudit, ModelConfig,
                     PredictionBatch, Scopes, _fmt_density, assign_lp_eval,
@@ -230,6 +230,15 @@ def _synth_params(cfg: ExperimentConfig) -> dict:
             "plant": PlantSpec(**s.get("plant", {}))}
 
 
+def _file_sha256(path: Path) -> str:
+    """sha256 of a file's bytes, read a megabyte at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
 def dataset_digest(cfg: ExperimentConfig) -> str:
     """sha256 of the effective dataset config: the ``dataset`` block with
     the aggregation and synth defaults filled in, and the sha256 of the
@@ -244,22 +253,53 @@ def dataset_digest(cfg: ExperimentConfig) -> str:
     else:
         for key in ("events", "rules"):
             if eff.get(key) and Path(eff[key]).is_file():
-                eff[f"{key}_sha256"] = hashlib.sha256(
-                    Path(eff[key]).read_bytes()).hexdigest()
+                eff[f"{key}_sha256"] = _file_sha256(Path(eff[key]))
+    return hashlib.sha256(
+        json.dumps(eff, sort_keys=True).encode()).hexdigest()
+
+
+def _explicit_source(entry: dict, ds_dir: Path) -> Path:
+    """The file an explicit entry's ``source`` names: a path, or
+    ``synth:<tag>`` for the dataset's ``truth_<tag>.tsv``."""
+    source = entry["source"]
+    if source.startswith("synth:"):
+        return ds_dir / f"truth_{source.split(':', 1)[1]}.tsv"
+    return Path(source)
+
+
+def network_digest(cfg: ExperimentConfig, ds_dir: Path) -> str:
+    """sha256 of the network grid slice infer builds from: the family
+    specs, and each explicit entry's source path, the sha256 of its source
+    bytes (None when the file is missing) and its factors. The master seed
+    is included only when an entry thins (factor < 1), since thinning is
+    seeded. Infer records it in ``networks/networks.json``."""
+    explicit = []
+    for entry in cfg.explicit:
+        path = _explicit_source(entry, ds_dir)
+        explicit.append({
+            "name": entry["name"], "source": entry["source"],
+            "sha256": _file_sha256(path) if path.is_file() else None,
+            "factors": [float(f) for f in entry.get("factors", [1.0])]})
+    eff = {"families": [[s.model, s.measure, s.density, s.edges]
+                        for s in family_specs(cfg)],
+           "explicit": explicit}
+    if any(f < 1.0 for e in explicit for f in e["factors"]):
+        eff["seed"] = cfg.seed
     return hashlib.sha256(
         json.dumps(eff, sort_keys=True).encode()).hexdigest()
 
 
 def _check_digest(path: Path, key: str, want: str, output: str,
-                  stage: str) -> None:
+                  stage: str, what: str = "dataset block") -> None:
     """Refuse a missing ``output`` stage output, or one whose recorded
-    ``key`` is not ``want``; ``stage`` is the stage that writes it."""
+    ``key`` is not ``want``; ``stage`` is the stage that writes it and
+    ``what`` the part of the config the digest covers."""
     if not path.exists():
         raise ExperimentError(f"missing {output} stage output: {path}")
     if json.loads(path.read_text()).get(key) != want:
         raise ExperimentError(
-            f"{path} does not match this config's dataset block or the "
-            f"files it names (stale output); rerun the {stage} stage")
+            f"{path} does not match this config's {what} or the files it "
+            f"names (stale output); rerun the {stage} stage")
 
 
 def _check_dataset(cfg: ExperimentConfig, ds_dir: Path) -> str:
@@ -336,17 +376,15 @@ def family_key(spec: NetworkModelSpec) -> str:
 
 def _resolve_explicit(entry: dict, factor: float, ds_dir: Path,
                       n_nodes: int, seed: int) -> EdgeSet:
-    source = entry["source"]
-    if source.startswith("synth:"):
-        tag = source.split(":", 1)[1]
-        g = load_edgeset(ds_dir / f"truth_{tag}.tsv")
+    path = _explicit_source(entry, ds_dir)
+    if entry["source"].startswith("synth:"):
+        g = load_edgeset(path)
     else:
-        head = Path(source).read_text().lstrip()[:2] \
-            if Path(source).exists() else ""
+        head = path.read_text().lstrip()[:2] if path.exists() else ""
         if head.startswith("#"):
-            g = load_edgeset(source)
+            g = load_edgeset(path)
         else:
-            g = load_explicit_edges(source, n_nodes)
+            g = load_explicit_edges(path, n_nodes)
     if factor < 1.0:
         keep = max(1, int(round(factor * g.n_edges)))
         rng = np.random.Generator(np.random.PCG64(
@@ -361,15 +399,20 @@ def _resolve_explicit(entry: dict, factor: float, ds_dir: Path,
 def stage_infer(cfg: ExperimentConfig, out_dir: Path) -> Path:
     """Build every network in the grid from the training partition (or
     load explicit ones) and write one edge file per family, plus
-    ``networks.json`` with the digest of the dataset they came from."""
+    ``networks.json`` with the digests of the dataset and of the network
+    grid slice (``network_digest``) they came from."""
     ds_dir = out_dir / "dataset"
     digest = _check_dataset(cfg, ds_dir)
     dataset = load_dataset(ds_dir)
     net_dir = out_dir / "networks"
     net_dir.mkdir(parents=True, exist_ok=True)
-    train_m = dataset.matrix("training")
+    specs = family_specs(cfg)
+    # one similarity pass over the training matrix builds every KNN / TH
+    # family at once
+    built = iter(build_networks(dataset.matrix("training"),
+                                [s for s in specs if s.model != "EXPLICIT"]))
     by_name = {e["name"]: e for e in cfg.explicit}
-    for spec in family_specs(cfg):
+    for spec in specs:
         if spec.model == "EXPLICIT":
             name, _, factor = spec.edges.partition("@")
             g = _resolve_explicit(by_name[name],
@@ -378,10 +421,11 @@ def stage_infer(cfg: ExperimentConfig, out_dir: Path) -> Path:
             g.provenance.setdefault("model", "EXPLICIT")
             g.provenance["edges"] = spec.edges
         else:
-            g = spec.build(train_m)
+            g = next(built)
         save_edgeset(g, net_dir / f"{family_key(spec)}.tsv")
-    _atomic_write(net_dir / "networks.json",
-                  json.dumps({"dataset_digest": digest}, indent=1) + "\n")
+    _atomic_write(net_dir / "networks.json", json.dumps(
+        {"dataset_digest": digest,
+         "network_digest": network_digest(cfg, ds_dir)}, indent=1) + "\n")
     return net_dir
 
 
@@ -516,6 +560,9 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
     net_dir = out_dir / "networks"
     _check_digest(net_dir / "networks.json", "dataset_digest",
                   _check_dataset(cfg, ds_dir), "network", "infer")
+    _check_digest(net_dir / "networks.json", "network_digest",
+                  network_digest(cfg, ds_dir), "network", "infer",
+                  "network grid")
     dataset = load_dataset(ds_dir)
     cells = build_grid(cfg)
     need_cc_comm = {}

@@ -380,14 +380,21 @@ def load_explicit_edges(path: str | Path, n_nodes: int) -> EdgeSet:
     )
 
 
+SAVE_ROWS = 2**15  # edge rows formatted at once
+
+
 def save_edgeset(g: EdgeSet, path: str | Path) -> None:
-    """TSV rows (u, v, weight) under a JSON provenance header line."""
+    """TSV rows (u, v, weight) under a JSON provenance header line, written
+    SAVE_ROWS rows at a time."""
     header = dict(g.provenance)
     header.update(n_nodes=g.n_nodes, directed=g.directed, n_edges=g.n_edges)
-    rows = "".join(map("{}\t{}\t{:.10g}\n".format, g.src.tolist(),
-                       g.dst.tolist(), g.weights.tolist()))
-    Path(path).write_text("# " + json.dumps(header, sort_keys=True) + "\n"
-                          + rows)
+    with open(path, "w") as fh:
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        for a in range(0, g.n_edges, SAVE_ROWS):
+            b = a + SAVE_ROWS
+            fh.write("".join(map("{}\t{}\t{:.10g}\n".format,
+                                 g.src[a:b].tolist(), g.dst[a:b].tolist(),
+                                 g.weights[a:b].tolist())))
 
 
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])

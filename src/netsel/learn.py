@@ -422,8 +422,9 @@ def _assemble(models: list):
     ``instance_rows`` call over their ids laid end to end, so a chunk of LP
     sets builds its pair rows in one ``pair_features`` pass. Normalization
     is per row, so a row scales as it would in a set of its own; each
-    model's dictionary comes from one ``np.unique`` over (model, column)
-    keys of every built entry, zeros included, as the TrainingSet's would.
+    model's dictionary comes from one sorted pass (``_dictionary``) over
+    (model, column) keys of every built entry, zeros included, as the
+    TrainingSet's would.
     """
     g = len(models)
     sets = [m.sgd.ts for m in models]
@@ -452,7 +453,7 @@ def _assemble(models: list):
     span = int(cols.max()) + 1 if len(cols) else 1
     key = model[row] * span + cols
     del cols
-    uniq, pos = np.unique(key, return_inverse=True)
+    uniq, pos = _dictionary(key)
     del key
     umodel = uniq // span
     w_off = np.zeros(g + 1, dtype=np.int64)
@@ -494,6 +495,20 @@ def _assemble(models: list):
     C[last] = w_off[1:][model] - 1
     YV[last] = y
     return C, YV, ptr, row_off, w_off.tolist(), dicts
+
+
+def _dictionary(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(key, return_inverse=True)`` of a 1-D array, from one
+    argsort, a neighbour compare and a cumsum, without np.unique's copy of
+    the keys."""
+    order = np.argsort(key)
+    ordered = key[order]
+    first = np.empty(len(key), dtype=bool)  # the first of a run of equals
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def _cat(parts: list) -> np.ndarray:

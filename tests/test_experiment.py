@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netsel import similarity
+from netsel import graph, similarity
 from netsel.cli import _load_config, build_parser, main
 from netsel.data import save_label_rules
 from netsel.experiment import (
@@ -533,16 +533,16 @@ NETWORK_SHA256 = {
 
 class TestInfer:
     def _infer(self, out, monkeypatch):
-        """Ingest and infer the 2 x 2 x 2 grid; returns the matrices
-        pairwise_intersections was called on."""
+        """Ingest and infer the 2 x 2 x 2 grid; returns the matrices the
+        intersection pass ran over, one entry per pass."""
         calls = []
-        real = similarity.pairwise_intersections
+        real = similarity._row_blocks
 
         def counting(matrix):
             calls.append(matrix)
             return real(matrix)
 
-        monkeypatch.setattr(similarity, "pairwise_intersections", counting)
+        monkeypatch.setattr(similarity, "_row_blocks", counting)
         raw = make_config(out)
         raw["grid"] = dict(INFER_GRID)
         cfg = ExperimentConfig.from_dict(raw)
@@ -552,6 +552,7 @@ class TestInfer:
 
     def test_one_intersection_pass_for_the_grid(self, tmp_path,
                                                  monkeypatch):
+        # one pass over the training matrix builds all 8 families
         calls = self._infer(tmp_path / "run", monkeypatch)
         assert len(calls) == 1 and calls[0].role == "training"
         net_dir = tmp_path / "run" / "networks"
@@ -570,6 +571,15 @@ class TestInfer:
             got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in (out / "networks").glob("*.tsv")}
             assert got == NETWORK_SHA256
+
+    def test_network_files_are_pinned_in_one_row_chunks(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(graph, "SAVE_ROWS", 1)
+        out = tmp_path / "run"
+        self._infer(out, monkeypatch)
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in (out / "networks").glob("*.tsv")}
+        assert got == NETWORK_SHA256
 
 
 class TestDeterminism:
@@ -728,6 +738,47 @@ class TestExplicitNetworks:
             same.dataset["aggregation"] = "sum"
         assert dataset_digest(same) == dataset_digest(new)
         stage_evaluate(same, out)
+
+    @pytest.mark.parametrize("edit", ["bytes", "path", "seed"])
+    def test_stale_network_outputs_are_refused(self, tmp_path, edit):
+        """Networks built from an explicit source file, then one edit: its
+        bytes in place, its path (same bytes), or the master seed of a
+        thinned entry. The dataset block names a synth seed, so the master
+        seed reaches only the thinning."""
+        source = tmp_path / "edges.txt"
+        source.write_text("".join(f"{u} {u + 1}\n" for u in range(0, 58, 2)))
+
+        def config(source, seed=7, factors=(0.5, 1.0)):
+            raw = make_config(tmp_path / "x")
+            raw["seed"] = seed
+            raw["grid"].update(explicit=[{
+                "name": "ext", "source": str(source),
+                "factors": list(factors)}])
+            return ExperimentConfig.from_dict(raw)
+
+        cfg = config(source)
+        out = Path(cfg.out)
+        stage_ingest(cfg, out)
+        stage_infer(cfg, out)
+        stage_evaluate(cfg, out)  # an unchanged rerun goes through
+        if edit == "bytes":
+            source.write_text(source.read_text() + "1 3\n")
+            new = cfg
+        elif edit == "path":
+            moved = tmp_path / "moved.txt"
+            moved.write_bytes(source.read_bytes())
+            new = config(moved)
+        else:
+            new = config(source, seed=8)
+        with pytest.raises(ExperimentError, match="network grid.*rerun the "
+                                                  "infer stage"):
+            stage_evaluate(new, out)
+        stage_infer(new, out)
+        stage_evaluate(new, out)
+        assert (out / "results.csv").exists()
+        if edit == "seed":  # unthinned, the seed reaches no network
+            stage_infer(config(source, factors=(1.0,)), out)
+            stage_evaluate(config(source, seed=9, factors=(1.0,)), out)
 
     @pytest.mark.parametrize("edit", ["events", "rules"])
     def test_edited_event_files_are_refused(self, tmp_path, edit):

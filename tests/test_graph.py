@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from netsel import graph as graph_mod
 from netsel.graph import (
     EdgeSet,
     GraphError,
@@ -439,6 +440,18 @@ def test_save_edgeset_bytes_are_pinned(tmp_path, name):
         [float(f"{w:.10g}") for w in g.weights.tolist()]).tobytes()
     assert back.directed == g.directed and back.n_nodes == g.n_nodes
     assert back.provenance == g.provenance
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_save_edgeset_writes_the_pinned_bytes_in_chunks(tmp_path,
+                                                        monkeypatch, rows):
+    """A chunk of one row, or of 7 (60 edges: 8 full chunks and a short
+    one), writes the same bytes as the pinned whole-file writer."""
+    monkeypatch.setattr(graph_mod, "SAVE_ROWS", rows)
+    for name, g in _pinned_edgesets().items():
+        save_edgeset(g, tmp_path / f"{name}.tsv")
+        data = (tmp_path / f"{name}.tsv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == _PINNED_EDGE_FILES[name]
 
 
 def test_load_edgeset_rejects_a_truncated_file(tmp_path):

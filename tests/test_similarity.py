@@ -1,5 +1,7 @@
 """Similarity measures and candidate-network construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -466,28 +468,35 @@ def _small_budgets(monkeypatch, seed):
 def test_pass_matches_frozen_reference(block, monkeypatch):
     """300 seeded matrices, 30 per block: pairs, KNN at every k up to the
     pair count and TH at four budgets, including above the pair count,
-    byte for byte with provenance, under default and forced budgets."""
+    byte for byte with provenance, under default and forced budgets, and
+    again in one-row blocks."""
     for seed in range(30 * block, 30 * block + 30):
         mat, _ = _pass_case(seed)
-        with monkeypatch.context() as mp:
-            _small_budgets(mp, seed)
-            _same_arrays(similarity.pairwise_intersections(mat),
-                         _ref_pairwise_intersections(mat))
-            n = mat.n_nodes
-            n_pairs = len(_ref_similarities(mat, "INT")[0])
-            rng = np.random.default_rng([10, seed])
-            for measure in MEASURES:
-                fresh, _ = _pass_case(seed)
-                ks = sorted({1, 2, n - 1, n, n_pairs, n_pairs + 1,
-                             int(rng.integers(1, n_pairs + 2))} - {0})
-                for k in ks:
-                    lam = k * n + int(rng.integers(n))
-                    _same_edges(knn_graph(fresh, measure, lam),
-                                _ref_knn(mat, measure, lam))
-                for lam in sorted({1, max(1, n_pairs // 2),
-                                   max(1, n_pairs), n_pairs + 3}):
-                    _same_edges(threshold_graph(fresh, measure, lam),
-                                _ref_threshold(mat, measure, lam))
+        n = mat.n_nodes
+        n_pairs = len(_ref_similarities(mat, "INT")[0])
+        rng = np.random.default_rng([10, seed])
+        cases = []  # (builder, measure, lam, reference)
+        for measure in MEASURES:
+            ks = sorted({1, 2, n - 1, n, n_pairs, n_pairs + 1,
+                         int(rng.integers(1, n_pairs + 2))} - {0})
+            for k in ks:
+                lam = k * n + int(rng.integers(n))
+                cases.append((knn_graph, measure, lam,
+                              _ref_knn(mat, measure, lam)))
+            for lam in sorted({1, max(1, n_pairs // 2),
+                               max(1, n_pairs), n_pairs + 3}):
+                cases.append((threshold_graph, measure, lam,
+                              _ref_threshold(mat, measure, lam)))
+        for cells in ("seeded", 1):
+            with monkeypatch.context() as mp:
+                if cells == "seeded":
+                    _small_budgets(mp, seed)
+                else:
+                    mp.setattr(similarity, "BLOCK_CELLS", cells)
+                _same_arrays(similarity.pairwise_intersections(mat),
+                             _ref_pairwise_intersections(mat))
+                for build, measure, lam, ref in cases:
+                    _same_edges(build(mat, measure, lam), ref)
 
 
 def test_pass_sums_in_column_order(monkeypatch):
@@ -508,22 +517,94 @@ def test_pass_sums_in_column_order(monkeypatch):
         [1.0 + 1.0 + 1e16]
 
 
-def test_pairs_computed_once_per_matrix(monkeypatch):
+def _count_passes(monkeypatch):
+    """Matrices the intersection pass runs over, one entry per pass."""
     calls = []
-    real = similarity.pairwise_intersections
+    real = similarity._row_blocks
 
     def counting(matrix):
         calls.append(matrix)
         return real(matrix)
 
-    monkeypatch.setattr(similarity, "pairwise_intersections", counting)
+    monkeypatch.setattr(similarity, "_row_blocks", counting)
+    return calls
+
+
+def _all_specs(densities=(0.1, 0.2)):
+    return [NetworkModelSpec(model, measure, density) for model in MODELS
+            for measure in MEASURES for density in densities]
+
+
+def test_pairs_computed_once_per_matrix(monkeypatch):
+    """build_networks makes one pass per matrix for all families; each
+    one-family call makes a pass of its own."""
+    calls = _count_passes(monkeypatch)
     mat, _ = random_matrix(11, 20, 8, density=0.5)
-    graphs = [NetworkModelSpec(model, measure, density).build(mat)
-              for model in MODELS for measure in MEASURES
-              for density in (0.1, 0.2)]
-    assert len(calls) == 1 and len(graphs) == 8
-    ii, jj, inter = pairwise_similarities(mat, "INT")
-    assert not inter.flags.writeable
+    specs = _all_specs()
+    graphs = similarity.build_networks(mat, specs)
+    assert calls == [mat] and len(graphs) == 8
+    for spec, g in zip(specs, graphs):
+        _same_edges(g, spec.build(mat))
+    assert len(calls) == 9
     other, _ = random_matrix(11, 20, 8, density=0.5)
     knn_graph(other, "INT", lam=20)
-    assert len(calls) == 2
+    assert len(calls) == 10 and calls[-1] is other
+    assert similarity.build_networks(other, []) == []
+    assert len(calls) == 10
+    explicit = NetworkModelSpec(model="EXPLICIT", edges="some.tsv")
+    with pytest.raises(SimilarityError, match="EXPLICIT"):
+        similarity.build_networks(mat, specs + [explicit])
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_pass_for_every_family_matches_the_references(seed,
+                                                          monkeypatch):
+    """One multi-family call over all 8 (model x measure x density) specs
+    equals 8 one-family calls and the frozen references, byte for byte,
+    under default and forced budgets."""
+    mat, _ = _pass_case(seed)
+    n = mat.n_nodes
+    if n < 3:
+        return
+    densities = (2.0 / (n - 1), 0.5)  # KNN k = 2 and (n - 1) // 2
+    specs = _all_specs(densities)
+    with monkeypatch.context() as mp:
+        _small_budgets(mp, seed)
+        graphs = similarity.build_networks(mat, specs)
+        singles = [spec.build(mat) for spec in specs]
+    for spec, g, one in zip(specs, graphs, singles):
+        lam = spec.lam(n)
+        ref = _ref_knn(mat, spec.measure, lam) if spec.model == "KNN" \
+            else _ref_threshold(mat, spec.measure, lam)
+        ref.provenance["density"] = spec.density
+        _same_edges(g, one)
+        _same_edges(g, ref)
+
+
+def test_pass_memory_is_bounded_by_its_blocks(monkeypatch):
+    """All 8 families over a matrix of about 3.1 M co-supported pairs,
+    whose pair list (i, j, inter) would take 75 MB: the pass's traced peak
+    stays within a few blocks, plus the selections' O(n k + lam) and the
+    matrix's O(nnz)."""
+    cells = 2**15
+    monkeypatch.setattr(similarity, "BLOCK_CELLS", cells)
+    rng = np.random.default_rng(4)
+    n, m = 2500, 24
+    dense = rng.integers(1, 50, size=(n, m)).astype(float)
+    dense[rng.random((n, m)) >= 0.5] = 0.0
+    mat = _csr_matrix(dense)
+    mat.row_sums  # cached on the matrix, as after ingest
+    specs = _all_specs((1.0 / (n - 1), 3.0 / (n - 1)))  # KNN k = 1 and 3
+    held = sum(spec.lam(n) for spec in specs)  # n k per KNN, lam per TH
+    bound = 16 * cells * 8 + 100 * held + 40 * mat.data.nnz
+    pair_list = 24 * n * (n - 1) // 2 * 0.99
+    assert pair_list > 8 * bound
+    tracemalloc.start()
+    try:
+        graphs = similarity.build_networks(mat, specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+    assert [g.n_edges for g in graphs] == [spec.lam(n) for spec in specs]
