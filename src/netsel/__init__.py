@@ -23,7 +23,7 @@ from .similarity import (MEASURES, NetworkModelSpec, knn_graph, sim,  # noqa: E4
                          threshold_graph)
 from .synth import PlantSpec, synth_bundle, synth_generate  # noqa: E402
 from .tasks import (LeakageAudit, ModelConfig, PredictionBatch,  # noqa: E402
-                    run_cc, run_lp)
+                    Scopes, run_cc, run_lp)
 from .experiment import ExperimentConfig, run_experiment  # noqa: E402
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "match_mismatch", "node_difficulty", "selection_stats",
     "MEASURES", "NetworkModelSpec", "knn_graph", "sim", "threshold_graph",
     "PlantSpec", "synth_bundle", "synth_generate",
-    "LeakageAudit", "ModelConfig", "PredictionBatch", "run_cc", "run_lp",
+    "LeakageAudit", "ModelConfig", "PredictionBatch", "Scopes", "run_cc",
+    "run_lp",
     "ExperimentConfig", "run_experiment",
 ]

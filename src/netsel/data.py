@@ -10,6 +10,7 @@ Label sets are derived per window from threshold rules over item groups.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,23 @@ PARTITION_ROLES = ("validation", "training", "testing")
 
 class DataError(ValueError):
     """Fatal problem with input data."""
+
+
+def _integer(v, name: str, error: type = DataError) -> int:
+    """A config or input value as an int; a bool, a non-number or a
+    fractional value raises ``error`` naming the key."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+            or not float(v).is_integer():
+        raise error(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass
@@ -84,8 +102,9 @@ class EventLog:
 def ingest_events(path: str | Path, strict: bool = False) -> EventLog:
     """Read a whitespace- or comma-separated event file.
 
-    Each data line is (node, item, value, timestamp). A single leading
-    non-numeric line is treated as a header. Malformed lines are fatal in
+    Each data line is (node, item, value, timestamp). A first line holding
+    a token that is not a number is a header; a numeric first line that
+    fails a check is malformed like any other. Malformed lines are fatal in
     strict mode, otherwise skipped and counted. Node ids are remapped to
     dense integers by first appearance.
     """
@@ -114,7 +133,7 @@ def ingest_events(path: str | Path, strict: bool = False) -> EventLog:
                 if value < 0:
                     raise ValueError("negative value")
             except ValueError as exc:
-                if lineno == 0 and not nodes:
+                if lineno == 0 and not all(map(_is_number, tok)):
                     continue  # header line
                 if strict:
                     raise DataError(f"{path}:{lineno + 1}: {exc}") from None
@@ -345,16 +364,37 @@ def derive_labels(matrix: AttributeMatrix, rules) -> LabelSetCollection:
 
 
 def load_label_rules(path: str | Path) -> list[LabelRule]:
+    """Read a JSON list of rule objects, as ``save_label_rules`` writes it.
+    A wrong shape, a missing or unknown key, or a value of the wrong type
+    (a bool included) raises DataError naming the rule's position and key."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise DataError(f"{path}: label rules must be a list, got {raw!r}")
     rules = []
-    for r in raw:
-        rules.append(LabelRule(
-            name=str(r["name"]),
-            items=tuple(r["items"]),
-            min_count=int(r.get("min_count", 5)),
-            min_value=float(r.get("min_value", 1.0)),
-        ))
+    for pos, r in enumerate(raw):
+        at = f"{path}: rules[{pos}]"
+        if not isinstance(r, dict):
+            raise DataError(f"{at} must be an object, got {r!r}")
+        unknown = sorted(set(r) - {"name", "items", "min_count", "min_value"})
+        if unknown:
+            raise DataError(f"{at}: unknown key {unknown[0]!r}")
+        for key, kind in (("name", str), ("items", list)):
+            if key not in r:
+                raise DataError(f"{at}: missing key {key!r}")
+            if not isinstance(r[key], kind):
+                raise DataError(f"{at}.{key} must be a {kind.__name__}, "
+                                f"got {r[key]!r}")
+        value = r.get("min_value", 1.0)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DataError(f"{at}.min_value must be a number, got {value!r}")
+        items = tuple(_integer(v, f"{at}.items[{k}]")
+                      for k, v in enumerate(r["items"]))
+        count = _integer(r.get("min_count", 5), f"{at}.min_count")
+        try:  # the rule's own range checks
+            rules.append(LabelRule(r["name"], items, count, float(value)))
+        except DataError as exc:
+            raise DataError(f"{at}: {exc}") from None
     return rules
 
 

@@ -28,12 +28,12 @@ import scipy
 from . import __version__
 from ._rng import derive_seed
 from .community import louvain
-from .data import (PartitionedDataset, build_dataset, ingest_events,
-                   load_dataset, load_label_rules, save_dataset,
-                   save_label_rules)
+from .data import (PartitionedDataset, _integer, build_dataset,
+                   ingest_events, load_dataset, load_label_rules,
+                   save_dataset, save_label_rules)
 from .graph import (EdgeSet, GraphError, NeighborhoodSpec, load_edgeset,
                     load_explicit_edges, save_edgeset, split_edges_random)
-from .learn import RFHyper, SVMHyper, _integer
+from .learn import RFHyper, SVMHyper
 from .selection import (EvaluationRecord, SelectionError, cross_task,
                         match_mismatch, node_difficulty,
                         records_from_batches, selection_stats)
@@ -435,55 +435,52 @@ def stage_infer(cfg: ExperimentConfig, out_dir: Path) -> Path:
 class FamilyData:
     """Everything one network family shares across its config cells.
     ``cc_scopes`` over the network and ``lp_scopes`` over the LP training
-    graph resolve each (locality, node) training scope once for every
-    config, labelset and partition of their task."""
+    graph hold what each task evaluates over (graph, communities, and LP's
+    exclusion set) and resolve each (locality, node) training scope once
+    for every config, labelset and partition of their task."""
 
     spec: NetworkModelSpec
     graph: EdgeSet
-    comm_cc: object
-    lp_train: EdgeSet
     lp_plans: dict
-    comm_lp: object
-    excl_keys: np.ndarray
     audit: LeakageAudit
     cc_scopes: Scopes
     lp_scopes: Scopes | None = None
 
+    def communities(self) -> dict:
+        """The Louvain partitions family prep built, by task."""
+        return {task: s.comm for task, s in (("CC", self.cc_scopes),
+                                             ("LP", self.lp_scopes))
+                if s is not None and s.comm is not None}
+
 
 def prepare_family(spec: NetworkModelSpec, g: EdgeSet, master_seed: int,
-                   need_cc_comm: bool, need_lp: bool,
-                   need_lp_comm: bool) -> FamilyData:
+                   uses: set) -> FamilyData:
+    """The family's evaluation context for the (task, locality kind) pairs
+    in ``uses``: a task's Louvain partition only for its community cells;
+    for LP, the edge split, both partitions' plans and the exclusion set
+    (the full network and every reserved pair)."""
     fkey = family_key(spec)
     audit = LeakageAudit()
-    comm_cc = louvain(g, derive_seed(master_seed, "louvain", fkey, "CC")) \
-        if need_cc_comm else None
-    lp_train = None
-    lp_plans = {}
-    comm_lp = None
-    excl = np.empty(0, dtype=np.int64)
-    if need_lp:
-        und = g.undirected_view()
-        parts = split_edges_random(und, LP_SPLIT,
-                                   derive_seed(master_seed, "lp-split",
-                                               fkey))
-        lp_train = parts[0]
-        for role, part in (("validation", parts[1]), ("testing", parts[2])):
-            lp_plans[role] = assign_lp_eval(
-                und, part, role,
-                derive_seed(master_seed, "lp-eval", fkey), audit)
-        excl = np.union1d(und.pair_keys(),
-                          np.union1d(lp_plans["validation"].reserved_keys,
-                                     lp_plans["testing"].reserved_keys))
-        if need_lp_comm:
-            comm_lp = louvain(lp_train,
-                              derive_seed(master_seed, "louvain", fkey,
-                                          "LP"))
-    return FamilyData(spec=spec, graph=g, comm_cc=comm_cc,
-                      lp_train=lp_train, lp_plans=lp_plans,
-                      comm_lp=comm_lp, excl_keys=excl, audit=audit,
-                      cc_scopes=Scopes(g, comm_cc),
-                      lp_scopes=Scopes(lp_train, comm_lp, excl)
-                      if need_lp else None)
+
+    def communities(graph: EdgeSet, task: str):
+        if (task, "community") not in uses:
+            return None
+        return louvain(graph, derive_seed(master_seed, "louvain", fkey, task))
+
+    cc_scopes = Scopes(g, communities(g, "CC"))
+    if not any(task == "LP" for task, _ in uses):
+        return FamilyData(spec, g, {}, audit, cc_scopes)
+    und = g.undirected_view()
+    train, *held = split_edges_random(
+        und, LP_SPLIT, derive_seed(master_seed, "lp-split", fkey))
+    plans = {role: assign_lp_eval(und, part, role,
+                                  derive_seed(master_seed, "lp-eval", fkey),
+                                  audit)
+             for role, part in zip(("validation", "testing"), held)}
+    excl = np.union1d(und.pair_keys(), np.union1d(
+        plans["validation"].reserved_keys, plans["testing"].reserved_keys))
+    return FamilyData(spec, g, plans, audit, cc_scopes,
+                      Scopes(train, communities(train, "LP"), excl))
 
 
 def build_grid(cfg: ExperimentConfig) -> list[tuple[str, ModelConfig]]:
@@ -517,17 +514,13 @@ def evaluate_config(family: FamilyData, dataset: PartitionedDataset,
     batches = []
     if config.task == "CC":
         for role in ("validation", "testing"):
-            batches.append(run_cc(config, family.graph, dataset, role,
-                                  comm=family.comm_cc, audit=audit,
-                                  pool=pool, scopes=family.cc_scopes))
+            batches.append(run_cc(config, family.cc_scopes, dataset, role,
+                                  audit, pool))
     else:
         matrix = dataset.matrix("training")
         for role in ("validation", "testing"):
-            batches.append(run_lp(config, family.lp_train,
-                                  family.lp_plans[role], matrix,
-                                  excl_keys=family.excl_keys,
-                                  comm=family.comm_lp, audit=audit,
-                                  pool=pool, scopes=family.lp_scopes))
+            batches.append(run_lp(config, family.lp_scopes,
+                                  family.lp_plans[role], matrix, audit, pool))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return {
         "config_key": config.config_key,
@@ -565,30 +558,18 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
                   "network grid")
     dataset = load_dataset(ds_dir)
     cells = build_grid(cfg)
-    need_cc_comm = {}
-    need_lp = {}
-    need_lp_comm = {}
+    uses: dict[str, set] = {}
     for fkey, config in cells:
-        loc = config.locality.locality
-        if config.task == "CC" and loc == "community":
-            need_cc_comm[fkey] = True
-        if config.task == "LP":
-            need_lp[fkey] = True
-            if loc == "community":
-                need_lp_comm[fkey] = True
+        uses.setdefault(fkey, set()).add((config.task,
+                                          config.locality.locality))
     families = {}
     for spec in family_specs(cfg):
         fkey = family_key(spec)
         path = net_dir / f"{fkey}.tsv"
         if not path.exists():
             raise ExperimentError(f"missing network stage output: {path}")
-        g = load_edgeset(path)
-        families[fkey] = prepare_family(
-            spec, g, cfg.seed,
-            need_cc_comm.get(fkey, False),
-            need_lp.get(fkey, False),
-            need_lp_comm.get(fkey, False),
-        )
+        families[fkey] = prepare_family(spec, load_edgeset(path), cfg.seed,
+                                        uses.get(fkey, set()))
 
     _WORKER_STATE["families"] = families
     _WORKER_STATE["dataset"] = dataset
@@ -657,10 +638,8 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
         "communities": {
             fkey: {task: {"n_communities": comm.n_communities,
                           "modularity": float(comm.modularity)}
-                   for task, comm in (("CC", f.comm_cc), ("LP", f.comm_lp))
-                   if comm is not None}
-            for fkey, f in families.items()
-            if f.comm_cc is not None or f.comm_lp is not None},
+                   for task, comm in f.communities().items()}
+            for fkey, f in families.items() if f.communities()},
     }
     _atomic_write(out_dir / "manifest.json",
                   json.dumps(manifest, indent=1, sort_keys=True) + "\n")

@@ -23,20 +23,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import generator
-from .data import AttributeMatrix
+from .data import AttributeMatrix, _integer
 
 
 class LearnError(ValueError):
     pass
-
-
-def _integer(v, name: str, error: type = LearnError) -> int:
-    """A config value as an int; a bool, a non-number or a fractional value
-    raises ``error`` naming the key."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-            or not float(v).is_integer():
-        raise error(f"{name} must be an integer, got {v!r}")
-    return int(v)
 
 
 @dataclass(frozen=True)
@@ -59,8 +50,8 @@ class SVMHyper:
         reg = d.get("reg", 1e-4)
         if isinstance(reg, bool) or not isinstance(reg, numbers.Real):
             raise LearnError(f"svm.reg must be a number, got {reg!r}")
-        return SVMHyper(reg=float(reg),
-                        epochs=_integer(d.get("epochs", 10), "svm.epochs"))
+        return SVMHyper(reg=float(reg), epochs=_integer(
+            d.get("epochs", 10), "svm.epochs", LearnError))
 
 
 @dataclass(frozen=True)
@@ -92,9 +83,9 @@ class RFHyper:
             raise LearnError(f"rf.bootstrap must be true or false, "
                              f"got {bootstrap!r}")
         return RFHyper(
-            trees=_integer(d.get("trees", 50), "rf.trees"),
-            max_depth=_integer(d.get("max_depth", 16), "rf.max_depth"),
-            min_leaf=_integer(d.get("min_leaf", 1), "rf.min_leaf"),
+            **{key: _integer(d.get(key, default), f"rf.{key}", LearnError)
+               for key, default in (("trees", 50), ("max_depth", 16),
+                                    ("min_leaf", 1))},
             feature_frac=d.get("feature_frac", "sqrt"),
             bootstrap=bootstrap,
         )

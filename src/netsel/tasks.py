@@ -24,9 +24,11 @@ predict one at a time). A pending SVM holds only its set's ids:
 rows included) and trains the chunk's SVMs in lock step, so no more rows
 exist at once than one chunk's. A forest trains when it is built. A
 family's ``Scopes``, one over its network for CC and one over the LP
-training graph, resolves each (locality, node) training node set once
-through ``resolve_neighborhood``, the one dispatch on locality, and each LP
-owner's material once per distinct node set, for every config. An
+training graph, is the one holder of what a runner evaluates over: the
+graph, its community assignment and, for LP, the family exclusion set. It
+resolves each (locality, node) training node set once through
+``resolve_neighborhood``, the one dispatch on locality, and each LP owner's
+material once per distinct node set, for every config. An
 SVM scoring a batch (``LinearSVM.predict_rows``) takes each sign from a
 batched sum only where a rigorous rounding bound certifies it, and from
 its per-row ``decision`` otherwise, so predictions match the per-row
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import derive_seed, generator
-from .community import CommunityAssignment, louvain
+from .community import CommunityAssignment
 from .data import AttributeMatrix, PartitionedDataset
 from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
                     bfs_neighborhood, incident_nonedges, induced_pairs)
@@ -285,12 +287,14 @@ _EGONET = NeighborhoodSpec("local-adjacency")
 
 
 class Scopes:
-    """Local training scopes over one graph, resolved on first use and
-    kept. ``nodes`` is a node's training node set under a locality;
-    ``material`` is an LP owner's pair set on those nodes and the owner,
-    filtered by ``excl_keys`` and digested, kept per distinct node set (the
-    owners of a community share one). An ensemble member's scope is its
-    local-adjacency one (``_EGONET``)."""
+    """What a runner evaluates over: the graph ``g``, its community
+    assignment ``comm`` (None when no cell needs one) and, for LP, the
+    family exclusion set ``excl_keys``; and the local training scopes over
+    them, resolved on first use and kept. ``nodes`` is a node's training
+    node set under a locality; ``material`` is an LP owner's pair set on
+    those nodes and the owner, filtered by ``excl_keys`` and digested, kept
+    per distinct node set (the owners of a community share one). An
+    ensemble member's scope is its local-adjacency one (``_EGONET``)."""
 
     def __init__(self, g: EdgeSet, comm: CommunityAssignment | None = None,
                  excl_keys: np.ndarray | None = None) -> None:
@@ -408,18 +412,16 @@ def _cc_lookup(config: ModelConfig, pool: ClassifierPool,
     return key
 
 
-def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
-           eval_role: str, comm: CommunityAssignment | None = None,
-           audit: LeakageAudit | None = None,
-           pool: ClassifierPool | None = None,
-           scopes: Scopes | None = None) -> PredictionBatch:
+def run_cc(config: ModelConfig, scopes: Scopes, parts: PartitionedDataset,
+           eval_role: str, audit: LeakageAudit | None = None,
+           pool: ClassifierPool | None = None) -> PredictionBatch:
     """Evaluate collective classification on one partition.
 
     Per labelset, every node positive in the evaluation partition is one
     test instance; its neighborhood supplies training-partition attribute
     vectors and labels. Empty neighborhoods predict 0 and are flagged.
-    ``scopes`` shares the training node sets across calls; it must be
-    resolved over this ``g`` and ``comm``.
+    ``scopes`` carries the network, its community assignment (needed by a
+    community locality) and the training node sets shared across calls.
     """
     if config.task != "CC":
         raise TaskError("run_cc called on a non-CC config")
@@ -433,15 +435,9 @@ def run_cc(config: ModelConfig, g: EdgeSet, parts: PartitionedDataset,
     audit.expect_role(eval_m.role, eval_role, "CC evaluation features")
     audit.expect_role(eval_l.role, eval_role, "CC evaluation oracle")
 
+    g = scopes.g
     spec = config.locality
     kind = spec.locality
-    if kind == "community" and comm is None:
-        comm = louvain(g, derive_seed(config.seed, "louvain"))
-    if scopes is None:
-        scopes = Scopes(g, comm)
-    elif scopes.g is not g or scopes.comm is not comm:
-        raise TaskError("CC scopes were resolved over another graph or "
-                        "community assignment")
     global_nodes = None
     if kind == "global":
         global_nodes = global_training_nodes(config, g.n_nodes)
@@ -685,10 +681,12 @@ def _lp_lookup(config: ModelConfig, pool: ClassifierPool,
     return mat.key
 
 
-def _lp_global_material(config: ModelConfig, g_train: EdgeSet,
-                        excl_keys: np.ndarray) -> _LPMaterial | None:
-    """One seeded training sample of edges and complement non-edges,
-    shared by every test instance of the config."""
+def _lp_global_material(config: ModelConfig, scopes: Scopes
+                        ) -> _LPMaterial | None:
+    """One seeded training sample of edges and non-edges outside the
+    exclusion set (which holds the training graph's pairs), shared by
+    every test instance of the config."""
+    g_train, excl_keys = scopes.g, scopes.excl_keys
     n = g_train.n_nodes
     n_pos = min(config.locality.global_sample, g_train.n_edges)
     if n_pos == 0:
@@ -698,27 +696,24 @@ def _lp_global_material(config: ModelConfig, g_train: EdgeSet,
     lo = np.minimum(g_train.src[pick], g_train.dst[pick])
     hi = np.maximum(g_train.src[pick], g_train.dst[pick])
     edges = np.column_stack([lo, hi])
-    nonedges = absent_pairs(n, excl_keys if len(excl_keys)
-                            else g_train.pair_keys(), n_pos,
+    nonedges = absent_pairs(n, excl_keys, n_pos,
                             derive_seed(config.seed, "lp-global-neg"))
     return _lp_material(edges, nonedges, excl_keys, n)
 
 
-def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
-           matrix: AttributeMatrix, excl_keys: np.ndarray | None = None,
-           comm: CommunityAssignment | None = None,
-           audit: LeakageAudit | None = None,
-           pool: ClassifierPool | None = None,
-           scopes: Scopes | None = None) -> PredictionBatch:
+def run_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
+           matrix: AttributeMatrix, audit: LeakageAudit | None = None,
+           pool: ClassifierPool | None = None) -> PredictionBatch:
     """Evaluate link prediction on one edge-split partition.
 
-    ``excl_keys`` holds every pair key off-limits to training non-edges:
-    the full network plus all reserved evaluation pairs (both partitions).
-    ``scopes`` is the owners' local material when the caller shares it
-    across calls; it must be resolved over this ``g_train``'s undirected
-    view (the graph itself when it is undirected), ``excl_keys`` and
-    ``comm``. Owners whose local scope lacks a pair class fall back to
-    predicting non-edge for their whole balanced batch.
+    ``scopes`` carries the undirected LP training graph, its community
+    assignment (needed by a community locality) and the family exclusion
+    set: every pair key off-limits to training non-edges, the full network
+    plus all reserved evaluation pairs of both partitions. Scopes without
+    that set, or over a directed graph, are refused. It also holds the
+    owners' local material shared across calls. Owners whose local scope
+    lacks a pair class fall back to predicting non-edge for their whole
+    balanced batch.
 
     The call runs in three phases, each bit-identical to the per-owner,
     per-pair loop it replaces:
@@ -737,32 +732,24 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
     """
     if config.task != "LP":
         raise TaskError("run_lp called on a non-LP config")
+    if scopes.excl_keys is None or scopes.g.directed:
+        raise TaskError("LP scopes need the training graph's "
+                        "undirected_view() and the family exclusion set")
     audit = audit if audit is not None else LeakageAudit()
     pool = pool if pool is not None else ClassifierPool(config)
+    g_train, excl_keys = scopes.g, scopes.excl_keys
     n = g_train.n_nodes
     audit.expect_role(matrix.role, "training", "LP pair features")
-    if excl_keys is None:
-        excl_keys = np.union1d(g_train.pair_keys(), plan.reserved_keys)
-    train_keys = g_train.pair_keys()
     eval_keys = np.sort(np.concatenate([
         _pair_keys(plan.pos[:, 0], plan.pos[:, 1], n) if len(plan.pos)
         else np.empty(0, dtype=np.int64),
         plan.reserved_keys,
     ]))
-    audit.disjoint(train_keys, eval_keys,
+    audit.disjoint(g_train.pair_keys(), eval_keys,
                    "LP training edges overlap evaluation pairs")
 
     spec = config.locality
     kind = spec.locality
-    if kind == "community" and comm is None:
-        comm = louvain(g_train, derive_seed(config.seed, "louvain"))
-    und = g_train.undirected_view()
-    if scopes is None:
-        scopes = Scopes(und, comm, excl_keys)
-    elif (scopes.g is not und or scopes.excl_keys is not excl_keys
-          or scopes.comm is not comm):
-        raise TaskError("LP scopes were resolved over another training "
-                        "graph, exclusion set or community assignment")
 
     def lookup(mat):
         return _lp_lookup(config, pool, audit, matrix, mat, excl_keys, n)
@@ -785,19 +772,18 @@ def run_lp(config: ModelConfig, g_train: EdgeSet, plan: LPEvalPlan,
         ensemble_fallback = len(voters) < spec.ensemble_knn
     keys = None
     if kind == "global" or ensemble_fallback:
-        keys = [lookup(_lp_global_material(config, g_train, excl_keys))
-                ] * len(owners)
+        keys = [lookup(_lp_global_material(config, scopes))] * len(owners)
     elif kind != "ensemble":
-        by_label: dict[int, str | None] = {}  # one lookup per community
+        # one lookup per community, else per owner; without an assignment
+        # a community owner's scope is refused by resolve_neighborhood
+        comm = scopes.comm if kind == "community" else None
+        by_label: dict[int, str | None] = {}
         keys = []
         for i in owners.tolist():
-            if kind == "community":
-                label = int(comm.labels[i])
-                if label not in by_label:
-                    by_label[label] = lookup(scopes.material(spec, i))
-                keys.append(by_label[label])
-            else:
-                keys.append(lookup(scopes.material(spec, i)))
+            label = i if comm is None else int(comm.labels[i])
+            if label not in by_label:
+                by_label[label] = lookup(scopes.material(spec, i))
+            keys.append(by_label[label])
 
     pool.settle()
 

@@ -227,8 +227,7 @@ def test_coin_baseline_on_balanced_pairs():
                             boundaries=bundle.boundaries)
     spec = NetworkModelSpec(model="EXPLICIT", edges="truth-label")
     family = prepare_family(spec, bundle.label_graph, master_seed=2,
-                            need_cc_comm=False, need_lp=True,
-                            need_lp_comm=False)
+                            uses={("LP", "global")})
     config = ModelConfig(network=spec, locality=NeighborhoodSpec("global"),
                          task="LP", classifier="coin",
                          seed=derive_seed(2, "baseline"))
@@ -237,8 +236,8 @@ def test_coin_baseline_on_balanced_pairs():
     matrix = dataset.matrix("training")
     tp = fp = total = 0
     for role in ("validation", "testing"):
-        b = run_lp(config, family.lp_train, family.lp_plans[role], matrix,
-                   excl_keys=family.excl_keys, audit=audit, pool=pool)
+        b = run_lp(config, family.lp_scopes, family.lp_plans[role], matrix,
+                   audit=audit, pool=pool)
         total += b.n_records
         tp += int(((b.predicted == 1) & (b.actual == 1)).sum())
         fp += int(((b.predicted == 1) & (b.actual == 0)).sum())

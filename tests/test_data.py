@@ -1,5 +1,7 @@
 """Event ingestion, temporal partitioning, attributes and label rules."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -75,11 +77,23 @@ def test_ingest_strict_mode_is_fatal(tmp_path):
 
 
 def test_ingest_negative_value_rejected(tmp_path):
-    # not on the first line, which would fall under the header carve-out
+    # a negative value is malformed on any line; the first line is
+    # test_ingest_numeric_first_line_is_not_a_header's case
     p = _write(tmp_path / "ev.tsv", "1 2 1 5\n1 2 -3 4\n")
     assert len(ingest_events(p)) == 1
     with pytest.raises(DataError):
         ingest_events(p, strict=True)
+
+
+@pytest.mark.parametrize("first", ["1 2 -3 4", "1 2 3", "1.5 2 3 4"])
+def test_ingest_numeric_first_line_is_not_a_header(tmp_path, first):
+    # only a first line holding a token that is not a number is a header
+    p = _write(tmp_path / "ev.tsv", first + "\n2 2 1 5\n")
+    with pytest.raises(DataError, match=":1:"):
+        ingest_events(p, strict=True)
+    log = ingest_events(p)
+    assert len(log) == 1
+    assert log.skipped_lines == 1
 
 
 def test_ingest_empty_file(tmp_path):
@@ -288,6 +302,35 @@ def test_label_rules_roundtrip(tmp_path):
     ]
     save_label_rules(rules, tmp_path / "rules.json")
     assert load_label_rules(tmp_path / "rules.json") == rules
+
+
+_RULE = {"name": "a", "items": [1, 2], "min_count": 1, "min_value": 1.0}
+
+
+@pytest.mark.parametrize("raw, match", [
+    ({"a": _RULE}, "must be a list"),
+    (["a"], r"rules\[0\] must be an object"),
+    ([_RULE, {**_RULE, "min_count": 2.7}], r"rules\[1\]\.min_count"),
+    ([{**_RULE, "min_count": True}], r"rules\[0\]\.min_count"),
+    ([{**_RULE, "min_count": 0}], r"rules\[0\]: min_count must be >= 1"),
+    ([{**_RULE, "items": "12"}], r"rules\[0\]\.items must be a list"),
+    ([{**_RULE, "items": [1, True]}], r"rules\[0\]\.items\[1\]"),
+    ([{**_RULE, "items": [1, "2"]}], r"rules\[0\]\.items\[1\]"),
+    ([{k: v for k, v in _RULE.items() if k != "items"}],
+     r"rules\[0\]: missing key 'items'"),
+    ([{**_RULE, "min_cout": 2}], r"rules\[0\]: unknown key 'min_cout'"),
+    ([{**_RULE, "name": 7}], r"rules\[0\]\.name must be a str"),
+    ([{**_RULE, "min_value": "3"}], r"rules\[0\]\.min_value"),
+    ([{**_RULE, "min_value": False}], r"rules\[0\]\.min_value"),
+], ids=["top-level-object", "rule-not-object", "fractional-count",
+        "bool-count", "zero-count", "string-items", "bool-item",
+        "string-item", "missing-items", "unknown-key", "numeric-name",
+        "string-value", "bool-value"])
+def test_label_rules_refuse_wrong_values(tmp_path, raw, match):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match=match):
+        load_label_rules(path)
 
 
 # ----------------------------------------------------------------- dataset

@@ -491,8 +491,10 @@ class TestPipelineOutputs:
         for spec in family_specs(cfg):
             fkey = family_key(spec)
             g = load_edgeset(pipe / "networks" / f"{fkey}.tsv")
-            fam = prepare_family(spec, g, cfg.seed, True, True, True)
-            for task, comm in (("CC", fam.comm_cc), ("LP", fam.comm_lp)):
+            fam = prepare_family(spec, g, cfg.seed, {("CC", "community"),
+                                                     ("LP", "community")})
+            for task in ("CC", "LP"):
+                comm = fam.communities()[task]
                 assert communities[fkey][task] == {
                     "n_communities": comm.n_communities,
                     "modularity": comm.modularity}

@@ -24,6 +24,7 @@ from netsel.tasks import (
     LeakageAudit,
     ModelConfig,
     PredictionBatch,
+    Scopes,
     TaskError,
     assign_lp_eval,
     config_key_fields,
@@ -115,7 +116,7 @@ def test_config_validation():
     with pytest.raises(TaskError):
         cfg("global", classifier="mlp")
     with pytest.raises(TaskError):
-        run_cc(cfg("global", task="LP"), mk(3, []), None, "testing")
+        run_cc(cfg("global", task="LP"), Scopes(mk(3, [])), None, "testing")
 
 
 # ------------------------------------------------------------ leakage audit
@@ -370,15 +371,16 @@ def test_ensemble_runs_match_per_member_sim_reference(homophily, measure,
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure=measure, density=0.03)
     g = spec.build(ds.matrix("training"))
-    fam = prepare_family(spec, g, 5, False, True, False)
+    fam = prepare_family(spec, g, 5, {("CC", "ensemble"),
+                                      ("LP", "ensemble")})
     locality = NeighborhoodSpec("ensemble", ensemble_order="attr-sum",
                                 ensemble_knn=5)
 
     def run_both():
-        cc = run_cc(cfg(locality, network=spec), g, ds, "testing")
-        lp = run_lp(cfg(locality, task="LP", network=spec), fam.lp_train,
-                    fam.lp_plans["testing"], ds.matrix("training"),
-                    excl_keys=fam.excl_keys)
+        cc = run_cc(cfg(locality, network=spec), fam.cc_scopes, ds,
+                    "testing")
+        lp = run_lp(cfg(locality, task="LP", network=spec), fam.lp_scopes,
+                    fam.lp_plans["testing"], ds.matrix("training"))
         return cc, lp
 
     got = run_both()
@@ -416,7 +418,8 @@ def test_cc_local_adjacency_micro():
     ds = _micro_cc_dataset()
     g = mk(5, [(0, 1), (2, 3)])
     audit = LeakageAudit()
-    batch = run_cc(cfg("local-adjacency"), g, ds, "testing", audit=audit)
+    batch = run_cc(cfg("local-adjacency"), Scopes(g), ds, "testing",
+                   audit=audit)
     assert batch.n_records == 3  # a-positives {0, 1, 4}; b has none
     by_node = {n: (p, f) for n, _, p, _, f in batch.rows()}
     assert by_node[0] == (1, 0) and by_node[1] == (1, 0)
@@ -429,7 +432,7 @@ def test_cc_local_adjacency_micro():
 def test_cc_counts_one_record_per_positive():
     ds = _micro_cc_dataset()
     g = mk(5, [(0, 1), (2, 3)])
-    batch = run_cc(cfg("local-adjacency"), g, ds, "validation")
+    batch = run_cc(cfg("local-adjacency"), Scopes(g), ds, "validation")
     want = sum(len(ds.labelset("validation").positives(n))
                for n in ds.labelset("validation").names)
     assert batch.n_records == want == 10
@@ -440,7 +443,7 @@ def test_cc_global_trains_once_per_labelset():
     ds = _micro_cc_dataset()
     g = mk(5, [(0, 1), (2, 3)])
     pool = ClassifierPool(cfg("global"))
-    batch = run_cc(cfg("global"), g, ds, "validation", pool=pool)
+    batch = run_cc(cfg("global"), Scopes(g), ds, "validation", pool=pool)
     assert pool.trained == 2
     assert batch.notes["classifiers_trained"] == 2
     assert batch.n_fallback == 0
@@ -472,6 +475,7 @@ def test_cc_single_class_shortcut_matches_always_assembled(
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     g = spec.build(ds.matrix("training"))
+    scopes = Scopes(g, louvain(g, seed=0))
     single = trained = 0
     for loc in ("local-adjacency", "community", "ensemble:degree",
                 "global:60"):
@@ -482,7 +486,8 @@ def test_cc_single_class_shortcut_matches_always_assembled(
 
         def run():
             pool, audit = ClassifierPool(config), LeakageAudit()
-            batches = [run_cc(config, g, ds, role, audit=audit, pool=pool)
+            batches = [run_cc(config, scopes, ds, role, audit=audit,
+                              pool=pool)
                        for role in ("validation", "testing")]
             return batches, pool, audit.assertions
 
@@ -538,7 +543,8 @@ def test_cc_empty_evaluation_is_degenerate():
     log = EventLog.from_records(events, n_nodes=4)
     ds = build_dataset(log, [LabelRule("a", (0,), min_count=1)],
                        boundaries=(10, 20))
-    batch = run_cc(cfg("local-adjacency"), mk(4, [(0, 1)]), ds, "testing")
+    batch = run_cc(cfg("local-adjacency"), Scopes(mk(4, [(0, 1)])), ds,
+                   "testing")
     assert batch.n_records == 0
     assert batch.degenerate and batch.precision == 0.0
 
@@ -556,7 +562,7 @@ def test_cc_on_membership_truth_graph(homophily):
     config = cfg("local-adjacency", network=NetworkModelSpec(
         model="EXPLICIT", edges="truth-label"), seed=11)
     audit = LeakageAudit()
-    batch = run_cc(config, g, ds, "testing", audit=audit)
+    batch = run_cc(config, Scopes(g), ds, "testing", audit=audit)
     assert batch.precision >= 0.9
     assert audit.violations == 0
 
@@ -583,8 +589,8 @@ def test_cc_on_membership_truth_graph(homophily):
 
 def test_cc_ensemble_votes_on_rich_graph(homophily):
     bundle, ds = homophily
-    batch = run_cc(cfg("ensemble:degree", seed=2), bundle.label_graph,
-                   ds, "testing")
+    batch = run_cc(cfg("ensemble:degree", seed=2),
+                   Scopes(bundle.label_graph), ds, "testing")
     assert not batch.ensemble_fallback
     assert batch.precision >= 0.9
 
@@ -592,7 +598,7 @@ def test_cc_ensemble_votes_on_rich_graph(homophily):
 def test_cc_ensemble_falls_back_when_members_are_untrainable():
     ds = _micro_cc_dataset()
     g = mk(5, [(0, 1)])  # almost no structure to train members on
-    batch = run_cc(cfg("ensemble:degree"), g, ds, "testing")
+    batch = run_cc(cfg("ensemble:degree"), Scopes(g), ds, "testing")
     assert batch.ensemble_fallback
     assert batch.n_fallback == 0  # the global fallback still classifies
 
@@ -601,9 +607,11 @@ def test_cc_community_locality_self_excluded():
     ds = _micro_cc_dataset()
     g = mk(5, clique(range(4)))
     comm = louvain(g, seed=0)
-    batch = run_cc(cfg("community"), g, ds, "testing", comm=comm)
+    batch = run_cc(cfg("community"), Scopes(g, comm), ds, "testing")
     assert batch.n_records == 3
     assert batch.precision > 0
+    with pytest.raises(TaskError, match="CommunityAssignment"):
+        run_cc(cfg("community"), Scopes(g), ds, "testing")
 
 
 def _settle_recorder(monkeypatch):
@@ -640,10 +648,11 @@ def test_run_cc_settles_each_built_svm_once(homophily, monkeypatch,
     ends = np.random.default_rng(0).integers(0, 120, size=(700, 2))
     g = mk(120, {(min(a, b), max(a, b)) for a, b in ends.tolist() if a != b})
     config = cfg(locality, seed=2)
+    scopes = Scopes(g, louvain(g, seed=0))
     pool = ClassifierPool(config)
     calls = _settle_recorder(monkeypatch)
     for role in ("validation", "testing"):
-        run_cc(config, g, ds, role, pool=pool)
+        run_cc(config, scopes, ds, role, pool=pool)
     _assert_settled_once(calls, 2, pool)
     assert pool.hits > 0
 
@@ -711,7 +720,7 @@ def test_lp_eval_plan_matches_union_reference(homophily):
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.05)
     fam = prepare_family(spec, spec.build(ds.matrix("training")), 5,
-                         False, True, False)
+                         {("LP", "local-adjacency")})
     for plan in fam.lp_plans.values():
         assert plan.dropped_pos == 0 and len(plan.neg) > 50
         want = _reference_lp_negatives(
@@ -741,8 +750,9 @@ def _int_oracle(matrix, batch):
 def test_lp_local_adjacency_on_two_cliques():
     _, g_train, matrix, plans, excl = _lp_fixture()
     audit = LeakageAudit()
-    batch = run_lp(cfg("local-adjacency", task="LP"), g_train,
-                   plans["testing"], matrix, excl_keys=excl, audit=audit)
+    batch = run_lp(cfg("local-adjacency", task="LP"),
+                   Scopes(g_train, None, excl), plans["testing"], matrix,
+                   audit=audit)
     assert batch.n_records == 12
     assert batch.n_fallback == 0
     assert not batch.degenerate
@@ -755,8 +765,8 @@ def test_lp_global_shares_one_classifier():
     _, g_train, matrix, plans, excl = _lp_fixture()
     config = cfg(NeighborhoodSpec("global", global_sample=20), task="LP")
     pool = ClassifierPool(config)
-    batch = run_lp(config, g_train, plans["testing"], matrix,
-                   excl_keys=excl, pool=pool)
+    batch = run_lp(config, Scopes(g_train, None, excl), plans["testing"],
+                   matrix, pool=pool)
     assert pool.trained == 1
     assert batch.precision == pytest.approx(1.0)
     np.testing.assert_array_equal(batch.predicted, _int_oracle(matrix, batch))
@@ -766,8 +776,8 @@ def test_lp_ensemble_votes_without_fallback():
     _, g_train, matrix, plans, excl = _lp_fixture()
     spec = NeighborhoodSpec("ensemble", ensemble_order="degree",
                             global_sample=20)
-    batch = run_lp(cfg(spec, task="LP"), g_train, plans["testing"],
-                   matrix, excl_keys=excl)
+    batch = run_lp(cfg(spec, task="LP"), Scopes(g_train, None, excl),
+                   plans["testing"], matrix)
     assert not batch.ensemble_fallback
     assert batch.precision == pytest.approx(1.0)
 
@@ -776,8 +786,8 @@ def test_lp_ensemble_config_level_fallback():
     _, g_train, matrix, plans, excl = _lp_fixture(n_bridges=0)
     spec = NeighborhoodSpec("ensemble", ensemble_order="degree",
                             global_sample=8)
-    batch = run_lp(cfg(spec, task="LP"), g_train, plans["testing"],
-                   matrix, excl_keys=excl)
+    batch = run_lp(cfg(spec, task="LP"), Scopes(g_train, None, excl),
+                   plans["testing"], matrix)
     assert batch.ensemble_fallback
     assert batch.precision == pytest.approx(1.0)
     assert batch.n_fallback == 0
@@ -787,8 +797,8 @@ def test_lp_local_without_trainable_nonedges_degenerates():
     # no bridges: every within-clique non-edge is a held-out network edge,
     # so local scopes cannot assemble a negative class
     _, g_train, matrix, plans, excl = _lp_fixture(n_bridges=0)
-    batch = run_lp(cfg("local-adjacency", task="LP"), g_train,
-                   plans["testing"], matrix, excl_keys=excl)
+    batch = run_lp(cfg("local-adjacency", task="LP"),
+                   Scopes(g_train, None, excl), plans["testing"], matrix)
     assert batch.n_fallback == batch.n_records > 0
     assert batch.degenerate
     assert batch.precision == 0.0
@@ -799,17 +809,20 @@ def test_lp_community_scope():
     # the detected communities are the cliques themselves: complete inside
     # the full network, so they hold no trainable non-edges at all
     comm = louvain(g_train, seed=1)
-    batch = run_lp(cfg("community", task="LP"), g_train, plans["testing"],
-                   matrix, excl_keys=excl, comm=comm)
+    batch = run_lp(cfg("community", task="LP"), Scopes(g_train, comm, excl),
+                   plans["testing"], matrix)
     assert batch.n_records == 12
     assert batch.n_fallback == batch.n_records
     # a community spanning both cliques sees cross non-edges and trains
     whole = CommunityAssignment(labels=np.zeros(20, dtype=np.int64),
                                 modularity=0.0, n_levels=1, seed=0)
-    batch = run_lp(cfg("community", task="LP"), g_train, plans["testing"],
-                   matrix, excl_keys=excl, comm=whole)
+    batch = run_lp(cfg("community", task="LP"),
+                   Scopes(g_train, whole, excl), plans["testing"], matrix)
     assert batch.n_fallback == 0
     assert batch.precision == pytest.approx(1.0)
+    with pytest.raises(TaskError, match="CommunityAssignment"):
+        run_lp(cfg("community", task="LP"), Scopes(g_train, None, excl),
+               plans["testing"], matrix)
 
 
 def _frozen_lp_local_pair_sets(config, g_train, i, comm):
@@ -926,15 +939,15 @@ def test_lp_community_shares_pairs_per_community(homophily, tmp_path):
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     fam = prepare_family(spec, spec.build(ds.matrix("training")), 5,
-                         False, True, True)
-    assert len(np.unique(fam.comm_lp.labels)) > 1
+                         {("LP", "community")})
+    lp = fam.lp_scopes
+    assert len(np.unique(lp.comm.labels)) > 1
     config = cfg("community", task="LP", network=spec)
     matrix = ds.matrix("training")
     for role, plan in fam.lp_plans.items():
-        got = run_lp(config, fam.lp_train, plan, matrix,
-                     excl_keys=fam.excl_keys, comm=fam.comm_lp)
-        want = _per_owner_lp(config, fam.lp_train, plan, matrix,
-                             fam.excl_keys, fam.comm_lp)
+        got = run_lp(config, lp, plan, matrix)
+        want = _per_owner_lp(config, lp.g, plan, matrix, lp.excl_keys,
+                             lp.comm)
         assert 0 < got.n_fallback < got.n_records
         dirs = (tmp_path / role / "got", tmp_path / role / "want")
         for batch, d in zip((got, want), dirs):
@@ -1019,19 +1032,18 @@ def test_lp_batched_pair_features_match_per_pair_loop(
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     matrix = ds.matrix("training")
-    fam = prepare_family(spec, spec.build(matrix), 5, False, True, True)
+    fam = prepare_family(spec, spec.build(matrix), 5, {("LP", "community")})
+    lp = fam.lp_scopes
     plans = list(fam.lp_plans.values())
     for loc in ("local-adjacency", "community", "global:60",
                 "ensemble:degree"):
         config = cfg(loc, task="LP", classifier=classifier, network=spec)
-        got = [run_lp(config, fam.lp_train, plan, matrix,
-                      excl_keys=fam.excl_keys, comm=fam.comm_lp)
-               for plan in plans]
+        got = [run_lp(config, lp, plan, matrix) for plan in plans]
         with monkeypatch.context() as mp:  # per-pair features throughout
             mp.setattr(tasks, "pair_features", _per_pair_features)
             mp.setattr(learn, "pair_features", _per_pair_features)
-            want = [_per_pair_lp(config, fam.lp_train, plan, matrix,
-                                 fam.excl_keys, fam.comm_lp)
+            want = [_per_pair_lp(config, lp.g, plan, matrix, lp.excl_keys,
+                                 lp.comm)
                     for plan in plans]
         assert not any(b.ensemble_fallback for b in got)
         assert sum(b.n_fallback for b in got) < \
@@ -1052,13 +1064,13 @@ def test_run_lp_settles_each_built_svm_once(homophily, monkeypatch,
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     fam = prepare_family(spec, spec.build(ds.matrix("training")), 5,
-                         False, True, True)
+                         {("LP", "community")})
     config = cfg(NeighborhoodSpec.parse(locality), task="LP", network=spec)
     pool = ClassifierPool(config)
     calls = _settle_recorder(monkeypatch)
     for plan in fam.lp_plans.values():
-        run_lp(config, fam.lp_train, plan, ds.matrix("training"),
-               excl_keys=fam.excl_keys, comm=fam.comm_lp, pool=pool)
+        run_lp(config, fam.lp_scopes, plan, ds.matrix("training"),
+               pool=pool)
     _assert_settled_once(calls, 2, pool)
 
 
@@ -1094,7 +1106,7 @@ def test_pool_trains_pending_svms_past_the_entry_budget(homophily,
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     fam = prepare_family(spec, spec.build(ds.matrix("training")), 5,
-                         False, task == "LP", False)
+                         {(task, "local-adjacency")})
     config = cfg("local-adjacency", task=task, network=spec)
     # random edges: neighborhoods mix both labels, so SVMs get trained
     ends = np.random.default_rng(0).integers(0, 120, size=(700, 2))
@@ -1102,10 +1114,10 @@ def test_pool_trains_pending_svms_past_the_entry_budget(homophily,
 
     def run(pool):
         if task == "CC":
-            return [run_cc(config, g, ds, role, pool=pool)
+            return [run_cc(config, Scopes(g), ds, role, pool=pool)
                     for role in ("validation", "testing")]
-        return [run_lp(config, fam.lp_train, plan, ds.matrix("training"),
-                       excl_keys=fam.excl_keys, pool=pool)
+        return [run_lp(config, fam.lp_scopes, plan, ds.matrix("training"),
+                       pool=pool)
                 for plan in fam.lp_plans.values()]
 
     want = run(ClassifierPool(config))
@@ -1135,13 +1147,13 @@ def test_lp_settle_builds_pair_rows_a_chunk_at_a_time(homophily,
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     matrix = ds.matrix("training")
-    fam = prepare_family(spec, spec.build(matrix), 5, False, True, False)
+    fam = prepare_family(spec, spec.build(matrix), 5,
+                         {("LP", "local-adjacency")})
     config = cfg("local-adjacency", task="LP", network=spec)
 
     def run(pool, after=lambda: None):
         for plan in fam.lp_plans.values():
-            run_lp(config, fam.lp_train, plan, matrix,
-                   excl_keys=fam.excl_keys, pool=pool)
+            run_lp(config, fam.lp_scopes, plan, matrix, pool=pool)
             after()
 
     want = ClassifierPool(config)
@@ -1208,7 +1220,8 @@ def test_lp_family_resolves_each_owner_scope_once(homophily, monkeypatch):
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     matrix = ds.matrix("training")
-    fam = prepare_family(spec, spec.build(matrix), 5, False, True, False)
+    fam = prepare_family(spec, spec.build(matrix), 5,
+                         {("LP", "local-adjacency"), ("LP", "local-bfs")})
     resolved = _call_counter(monkeypatch, "resolve_neighborhood")
     induced = _call_counter(monkeypatch, "induced_pairs")
     features = _call_counter(monkeypatch, "pair_features")
@@ -1225,9 +1238,7 @@ def test_lp_family_resolves_each_owner_scope_once(homophily, monkeypatch):
             for plan in fam.lp_plans.values():
                 before, trained = len(features), pool.trained
                 before_train = len(train_features)
-                run_lp(config, fam.lp_train, plan, matrix,
-                       excl_keys=fam.excl_keys, pool=pool,
-                       scopes=fam.lp_scopes)
+                run_lp(config, fam.lp_scopes, plan, matrix, pool=pool)
                 # the plan's pairs, and the new training sets' pairs
                 built = classifier != "coin" and pool.trained > trained
                 assert len(features) - before == 1
@@ -1239,14 +1250,14 @@ def test_lp_family_resolves_each_owner_scope_once(homophily, monkeypatch):
                       if a[1].key() == loc) == owners.tolist()
     assert len(resolved) == 2 * len(owners)
     # an owner's scope is its egonet, or its BFS nodes and itself
-    scopes = {np.unique(np.append(bfs_neighborhood(fam.lp_train, i, 3),
+    train = fam.lp_scopes.g
+    scopes = {np.unique(np.append(bfs_neighborhood(train, i, 3),
                                   i)).tobytes() for i in owners.tolist()}
-    scopes |= {egonet(fam.lp_train, i)[0].tobytes() for i in owners.tolist()}
+    scopes |= {egonet(train, i)[0].tobytes() for i in owners.tolist()}
     assert len(induced) == len(scopes)
-    with pytest.raises(TaskError, match="scopes"):
+    with pytest.raises(TaskError, match="family exclusion set"):
         run_lp(cfg("local-adjacency", task="LP", network=spec),
-               fam.lp_train, fam.lp_plans["testing"], matrix,
-               scopes=fam.lp_scopes)  # excl_keys of its own: not the scopes'
+               Scopes(train), fam.lp_plans["testing"], matrix)
 
 
 def test_cc_family_resolves_each_scope_once(homophily, monkeypatch):
@@ -1257,20 +1268,20 @@ def test_cc_family_resolves_each_scope_once(homophily, monkeypatch):
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     train_m = ds.matrix("training")
-    fam = prepare_family(spec, spec.build(train_m), 5, True, False, False)
+    fam = prepare_family(spec, spec.build(train_m), 5,
+                         {("CC", "community"), ("LP", "local-adjacency")})
     local = ("local-adjacency", "local-bfs:3", "community")
     configs = [cfg(loc, classifier=classifier, network=spec)
                for loc in local + ("ensemble:degree", "global:60")
                for classifier in ("linear-svm", "coin")]
 
     def batches(scopes):
-        return [run_cc(c, fam.graph, ds, role, comm=fam.comm_cc,
-                       scopes=scopes)
+        return [run_cc(c, scopes(), ds, role)
                 for c in configs for role in ("validation", "testing")]
 
-    want = batches(None)
+    want = batches(lambda: Scopes(fam.graph, fam.cc_scopes.comm))
     resolved = _call_counter(monkeypatch, "resolve_neighborhood")
-    got = batches(fam.cc_scopes)
+    got = batches(lambda: fam.cc_scopes)
     for a, b in zip(got, want):
         assert a.targets == b.targets
         for name in ("nodes", "predicted", "fallback"):
@@ -1285,20 +1296,24 @@ def test_cc_family_resolves_each_scope_once(homophily, monkeypatch):
     assert len(calls) == len(set(calls))
     assert set(calls) == {(loc, i) for loc in local for i in positives} | \
         {("local-adjacency", m) for m in members}
-    with pytest.raises(TaskError, match="scopes"):
-        run_cc(configs[0], fam.graph, ds, "testing", scopes=fam.cc_scopes)
+    # the family's CC scopes carry no exclusion set: LP refuses them
+    with pytest.raises(TaskError, match="family exclusion set"):
+        run_lp(cfg("local-adjacency", task="LP", network=spec),
+               fam.cc_scopes, fam.lp_plans["testing"], train_m)
 
 
 @pytest.mark.parametrize("locality",
                          ["local-adjacency", "local-bfs:3", "community"])
 def test_lp_over_a_directed_training_graph(homophily, locality):
     # a directed training graph's local scopes are its undirected view's,
-    # with the same exclusion set and community assignment
+    # with the same exclusion set and community assignment; scopes over
+    # the directed graph itself are refused
     _, ds = homophily
     spec = NetworkModelSpec(model="KNN", measure="INT", density=0.03)
     matrix = ds.matrix("training")
-    fam = prepare_family(spec, spec.build(matrix), 5, False, True, True)
-    und = fam.lp_train
+    fam = prepare_family(spec, spec.build(matrix), 5, {("LP", "community")})
+    und, comm, excl = (fam.lp_scopes.g, fam.lp_scopes.comm,
+                       fam.lp_scopes.excl_keys)
     flip = np.random.default_rng(1).random(und.n_edges) < 0.5
     directed = EdgeSet(n_nodes=und.n_nodes,
                        src=np.where(flip, und.dst, und.src),
@@ -1307,10 +1322,9 @@ def test_lp_over_a_directed_training_graph(homophily, locality):
     config = cfg(locality, task="LP", network=spec)
     for plan in fam.lp_plans.values():
         runs = []
-        for g in (directed, und):
+        for g in (directed.undirected_view(), und):
             pool = ClassifierPool(config)
-            runs.append((run_lp(config, g, plan, matrix,
-                                excl_keys=fam.excl_keys, comm=fam.comm_lp,
+            runs.append((run_lp(config, Scopes(g, comm, excl), plan, matrix,
                                 pool=pool), list(pool.cache)))
         (a, keys_a), (b, keys_b) = runs
         assert keys_a == keys_b
@@ -1318,18 +1332,58 @@ def test_lp_over_a_directed_training_graph(homophily, locality):
         for name in ("nodes", "predicted", "actual", "fallback"):
             np.testing.assert_array_equal(getattr(a, name),
                                           getattr(b, name))
+        with pytest.raises(TaskError, match="undirected_view"):
+            run_lp(config, Scopes(directed, comm, excl), plan, matrix)
+
+
+def test_lp_scopes_need_the_family_exclusion_set(homophily, monkeypatch):
+    # LP scopes without an exclusion set are refused; with the family's,
+    # no locality trains on a held-out network edge or on a reserved pair
+    # of either partition
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.05)
+    matrix = ds.matrix("training")
+    localities = ("local-adjacency", "local-bfs:3", "community",
+                  "ensemble:degree", "global:60")
+    fam = prepare_family(spec, spec.build(matrix), 5, {
+        ("LP", NeighborhoodSpec.parse(loc).locality) for loc in localities})
+    with pytest.raises(TaskError, match="family exclusion set"):
+        run_lp(cfg("local-adjacency", task="LP", network=spec),
+               Scopes(fam.lp_scopes.g, fam.lp_scopes.comm),
+               fam.lp_plans["testing"], matrix)
+    full = fam.graph.undirected_view()
+    off_limits = np.union1d(full.pair_keys(), np.concatenate(
+        [plan.reserved_keys for plan in fam.lp_plans.values()]))
+    nonedges = []
+    real = tasks._lp_lookup
+
+    def record(config, pool, audit, matrix, mat, excl_keys, n):
+        if mat is not None:
+            nonedges.append(mat.nonedges)
+        return real(config, pool, audit, matrix, mat, excl_keys, n)
+
+    monkeypatch.setattr(tasks, "_lp_lookup", record)
+    for loc in localities:
+        config = cfg(loc, task="LP", classifier="coin", network=spec)
+        before = len(nonedges)
+        for plan in fam.lp_plans.values():
+            run_lp(config, fam.lp_scopes, plan, matrix)
+        assert len(nonedges) > before, loc
+        for pairs in nonedges[before:]:
+            keys = _pair_keys(pairs[:, 0], pairs[:, 1], full.n_nodes)
+            assert not np.isin(keys, off_limits).any(), loc
 
 
 def test_lp_training_edges_may_not_touch_eval_pairs():
     full, _, matrix, plans, excl = _lp_fixture()
     with pytest.raises(TaskError):
         # the full network still contains the held-out evaluation edges
-        run_lp(cfg("local-adjacency", task="LP"), full, plans["testing"],
-               matrix, excl_keys=excl)
+        run_lp(cfg("local-adjacency", task="LP"), Scopes(full, None, excl),
+               plans["testing"], matrix)
 
 
 def test_lp_rejects_non_lp_config():
     _, g_train, matrix, plans, excl = _lp_fixture()
     with pytest.raises(TaskError):
-        run_lp(cfg("local-adjacency", task="CC"), g_train, plans["testing"],
-               matrix, excl_keys=excl)
+        run_lp(cfg("local-adjacency", task="CC"),
+               Scopes(g_train, None, excl), plans["testing"], matrix)
