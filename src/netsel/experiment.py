@@ -10,6 +10,7 @@ scheduling, so the worker count cannot change any output file.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, learn
 from ._rng import derive_seed
 from .community import louvain
 from .data import (PartitionedDataset, _integer, build_dataset,
@@ -41,7 +42,7 @@ from .similarity import NetworkModelSpec, build_networks
 from .synth import PlantSpec, synth_bundle
 from .tasks import (ClassifierPool, LeakageAudit, ModelConfig,
                     PredictionBatch, Scopes, _fmt_density, assign_lp_eval,
-                    config_key_fields, run_cc, run_lp)
+                    config_key_fields, resolve_cc, resolve_lp, settle_pools)
 
 LP_SPLIT = (0.5, 0.25, 0.25)
 CONFIG_KEYS = ("dataset", "grid", "seed", "workers", "out", "svm", "rf")
@@ -505,46 +506,97 @@ def build_grid(cfg: ExperimentConfig) -> list[tuple[str, ModelConfig]]:
     return cells
 
 
-def evaluate_config(family: FamilyData, dataset: PartitionedDataset,
-                    config: ModelConfig) -> dict:
-    """Run one config on both evaluation partitions."""
-    audit = LeakageAudit()
-    pool = ClassifierPool(config)
+@dataclass
+class _Resolved:
+    """A config resolved on both evaluation partitions, waiting for its
+    window's settle: its audit, its pool, each partition's predict phase
+    and the seconds the resolve took."""
+
+    config: ModelConfig
+    audit: LeakageAudit
+    pool: ClassifierPool
+    predicts: list
+    seconds: float
+
+
+def _resolve(family: FamilyData, dataset: PartitionedDataset,
+             config: ModelConfig) -> _Resolved:
+    audit, pool = LeakageAudit(), ClassifierPool(config)
     t0 = time.perf_counter()
-    batches = []
     if config.task == "CC":
-        for role in ("validation", "testing"):
-            batches.append(run_cc(config, family.cc_scopes, dataset, role,
-                                  audit, pool))
+        predicts = [resolve_cc(config, family.cc_scopes, dataset, role,
+                               audit, pool)
+                    for role in ("validation", "testing")]
     else:
         matrix = dataset.matrix("training")
-        for role in ("validation", "testing"):
-            batches.append(run_lp(config, family.lp_scopes,
-                                  family.lp_plans[role], matrix, audit, pool))
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+        predicts = [resolve_lp(config, family.lp_scopes,
+                               family.lp_plans[role], matrix, audit, pool)
+                    for role in ("validation", "testing")]
+    return _Resolved(config, audit, pool, predicts, time.perf_counter() - t0)
+
+
+def _predict(r: _Resolved) -> dict:
+    """A settled config's batches and counters; its wall time is its
+    resolve and predict phases, without the window's shared training."""
+    t0 = time.perf_counter()
+    batches = [predict() for predict in r.predicts]
     return {
-        "config_key": config.config_key,
+        "config_key": r.config.config_key,
         "batches": batches,
-        "assertions": audit.assertions,
-        "violations": audit.violations,
-        "wall_ms": wall_ms,
-        "single_class": pool.single_class,
-        "pool_hits": pool.hits,
+        "assertions": r.audit.assertions,
+        "violations": r.audit.violations,
+        "wall_ms": (r.seconds + time.perf_counter() - t0) * 1000.0,
+        "single_class": r.pool.single_class,
+        "pool_hits": r.pool.hits,
     }
+
+
+@contextlib.contextmanager
+def _failing_as(*configs: ModelConfig):
+    """Re-raise any error as an ExperimentError naming the configs; a plain
+    message pickles cleanly across the worker boundary."""
+    try:
+        yield
+    except Exception as exc:
+        keys = ", ".join(c.config_key for c in configs)
+        raise ExperimentError(f"config {keys} failed: {exc}") from None
+
+
+def evaluate_cells(families: dict, dataset: PartitionedDataset,
+                   cells: list) -> list[dict]:
+    """Evaluate (family key, config) cells in settle windows, one payload
+    per cell in order.
+
+    Configs resolve one after another, both partitions each, until the
+    pending training entries of their pools (``TrainingSet.nnz``) pass
+    ``learn.SGD_BATCH_ENTRIES`` or the cells run out. One settle then
+    trains every pending classifier of the window, many configs' SVMs in
+    one lock-step SGD and their forests in one lock-step growth, and each
+    config predicts. No output depends on where a window closes.
+    """
+    payloads: list[dict] = []
+    window: list[_Resolved] = []
+    entries = 0
+    for j, (fkey, config) in enumerate(cells):
+        with _failing_as(config):
+            window.append(_resolve(families[fkey], dataset, config))
+        entries += window[-1].pool.pending_entries()
+        if entries > learn.SGD_BATCH_ENTRIES or j == len(cells) - 1:
+            with _failing_as(*(r.config for r in window)):
+                settle_pools([r.pool for r in window])
+            for r in window:
+                with _failing_as(r.config):
+                    payloads.append(_predict(r))
+            window, entries = [], 0
+    return payloads
 
 
 _WORKER_STATE: dict = {}
 
 
-def _worker_eval(item) -> dict:
-    fkey, config = item
-    try:
-        return evaluate_config(_WORKER_STATE["families"][fkey],
-                               _WORKER_STATE["dataset"], config)
-    except Exception as exc:
-        # a plain message pickles cleanly across the worker boundary
-        raise ExperimentError(
-            f"config {config.config_key} failed: {exc}") from None
+def _worker_eval(cells: list) -> list[dict]:
+    return evaluate_cells(_WORKER_STATE["families"],
+                          _WORKER_STATE["dataset"], cells)
 
 
 def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
@@ -575,11 +627,16 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
     _WORKER_STATE["dataset"] = dataset
     try:
         if cfg.workers > 1:
+            # fixed strided slices, so which cells share a window depends
+            # only on the cell count and the worker count
+            k = min(len(cells), 4 * cfg.workers)
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(processes=cfg.workers) as pool:
-                payloads = pool.map(_worker_eval, cells, chunksize=1)
+                payloads = [p for part in pool.map(
+                    _worker_eval, [cells[j::k] for j in range(k)],
+                    chunksize=1) for p in part]
         else:
-            payloads = [_worker_eval(c) for c in cells]
+            payloads = _worker_eval(cells)
     finally:
         _WORKER_STATE.clear()
 

@@ -409,48 +409,15 @@ def _assemble(models: list):
     row's label y = -1/+1, so a margin ``y * (w[c] @ v + b)`` is the sum of
     a row's ``W[C] * YV``, bias last (negation commutes with rounding).
 
-    The sets' rows are built per matrix and kind of id in one
-    ``instance_rows`` call over their ids laid end to end, so a chunk of LP
-    sets builds its pair rows in one ``pair_features`` pass. Normalization
-    is per row, so a row scales as it would in a set of its own; each
-    model's dictionary comes from one sorted pass (``_dictionary``) over
-    (model, column) keys of every built entry, zeros included, as the
-    TrainingSet's would.
+    The rows and dictionaries come from ``_set_rows``. Normalization is
+    per row, so a row scales as it would in a set of its own.
     """
     g = len(models)
-    sets = [m.sgd.ts for m in models]
-    by_src: dict = {}
-    for k, ts in enumerate(sets):
-        by_src.setdefault((id(ts.matrix), ts._keys.ndim), []).append(k)
-    laid = [k for ks in by_src.values() for k in ks]  # models in row order
-    n = np.array([sets[k].n for k in laid])
-    row_off = np.zeros(g, dtype=np.int64)
-    row_off[laid] = np.cumsum(n) - n
-    cols, vals, counts, y = [], [], [], []
-    for ks in by_src.values():
-        indptr, c, v = instance_rows(sets[ks[0]].matrix, _cat(
-            [sets[k]._keys[sets[k]._order] for k in ks]))
-        counts.append(np.diff(indptr))
-        cols.append(c)
-        vals.append(v.astype(np.float64, copy=False))
-        y += [sets[k]._labels[sets[k]._order] for k in ks]
-    cols, vals, counts = _cat(cols), _cat(vals), _cat(counts)
-    y = _cat(y) * 2.0 - 1.0
-    n_rows = len(counts)
-    row = np.repeat(np.arange(n_rows), counts)
-    model = np.repeat(np.asarray(laid), n)  # model of each row
-
-    # dictionaries: one sorted pass over (model, column) keys
-    span = int(cols.max()) + 1 if len(cols) else 1
-    key = model[row] * span + cols
-    del cols
-    uniq, pos = _dictionary(key)
-    del key
-    umodel = uniq // span
-    w_off = np.zeros(g + 1, dtype=np.int64)
-    np.cumsum(np.bincount(umodel, minlength=g) + 1, out=w_off[1:])
-    uniq -= umodel * span
-    d_off = (w_off - np.arange(g + 1)).tolist()
+    row_off, row, vals, y, uniq, d_off, pos, model = _set_rows(
+        [m.sgd.ts for m in models])
+    y = y * 2.0 - 1.0
+    n_rows = len(y)
+    w_off = d_off + np.arange(g + 1)
     dicts = [uniq[d_off[k]:d_off[k + 1]] for k in range(g)]
     pos += model[row]  # flat-W position of each entry
 
@@ -486,6 +453,56 @@ def _assemble(models: list):
     C[last] = w_off[1:][model] - 1
     YV[last] = y
     return C, YV, ptr, row_off, w_off.tolist(), dicts
+
+
+def _set_rows(sets: list):
+    """The rows of many training sets, each set's in id order, and their
+    dictionaries, in one pass.
+
+    Returns ``(row_off, row, vals, y, uniq, d_off, pos, model)``. Set k's
+    row t is row ``row_off[k] + t``; entry e, zeros included, holds
+    ``vals[e]`` in row ``row[e]``, at dictionary position ``pos[e]``;
+    ``y`` holds each row's label and ``model`` each row's set. Set k's
+    dictionary is ``uniq[d_off[k]:d_off[k + 1]]``, from one sorted pass
+    (``_dictionary``) over (set, column) keys of every entry, as the
+    TrainingSet's would be; ``pos[e] - d_off[k]`` is the entry's local
+    column.
+
+    The sets' rows are built per matrix and kind of id in one
+    ``instance_rows`` call over their ids laid end to end, so a chunk of
+    LP sets builds its pair rows in one ``pair_features`` pass.
+    """
+    g = len(sets)
+    by_src: dict = {}
+    for k, ts in enumerate(sets):
+        by_src.setdefault((id(ts.matrix), ts._keys.ndim), []).append(k)
+    laid = [k for ks in by_src.values() for k in ks]  # sets in row order
+    n = np.array([sets[k].n for k in laid])
+    row_off = np.zeros(g, dtype=np.int64)
+    row_off[laid] = np.cumsum(n) - n
+    cols, vals, counts, y = [], [], [], []
+    for ks in by_src.values():
+        indptr, c, v = instance_rows(sets[ks[0]].matrix, _cat(
+            [sets[k]._keys[sets[k]._order] for k in ks]))
+        counts.append(np.diff(indptr))
+        cols.append(c)
+        vals.append(v.astype(np.float64, copy=False))
+        y += [sets[k]._labels[sets[k]._order] for k in ks]
+    cols, vals, counts, y = _cat(cols), _cat(vals), _cat(counts), _cat(y)
+    row = np.repeat(np.arange(len(counts)), counts)
+    model = np.repeat(np.asarray(laid), n)  # set of each row
+
+    # dictionaries: one sorted pass over (set, column) keys
+    span = int(cols.max()) + 1 if len(cols) else 1
+    key = model[row] * span + cols
+    del cols
+    uniq, pos = _dictionary(key)
+    del key
+    umodel = uniq // span
+    d_off = np.zeros(g + 1, dtype=np.int64)
+    np.cumsum(np.bincount(umodel, minlength=g), out=d_off[1:])
+    uniq -= umodel * span
+    return row_off, row, vals, y, uniq, d_off, pos, model
 
 
 def _dictionary(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -567,31 +584,53 @@ _SLACK_ABS = 16 * _U  # absolute part of the margin certificate's slack
 SGD_BATCH_ENTRIES = 2**16  # stored row entries that start an SGD chunk
 
 
+def pending_set(clf) -> TrainingSet | None:
+    """The training set that a pending LinearSVM or RandomForest trains
+    from; None for a trained one or any other classifier."""
+    if isinstance(clf, LinearSVM) and clf.sgd is not None:
+        return clf.sgd.ts
+    if isinstance(clf, RandomForest) and clf.material is not None:
+        return clf.material.ts
+    return None
+
+
+def _pending_chunks(models, kind: type):
+    """The distinct pending classifiers of ``kind`` among ``models``, an
+    iterable read once, in chunks: a chunk closes when the row entries
+    (``TrainingSet.nnz``) of the sets read since the last one pass
+    ``SGD_BATCH_ENTRIES``, and at the end. A pending classifier holds
+    only its set's ids, so the rows that a chunk's training holds at once
+    are bounded by the budget plus one set. A classifier trained by an
+    earlier chunk is no longer pending when it is read again."""
+    chunk: dict = {}
+    entries = 0
+    for m in itertools.chain(models, [None]):  # None: the last chunk
+        ts = pending_set(m) if isinstance(m, kind) else None
+        if ts is not None:
+            chunk[id(m)] = m
+            entries += ts.nnz
+        if chunk and (entries > SGD_BATCH_ENTRIES or m is None):
+            yield list(chunk.values())
+            chunk, entries = {}, 0
+
+
 def train_svms(models) -> None:
     """Train every pending LinearSVM among ``models``, an iterable read
     once, as ``_sgd_loop`` and a scale search of its own would; other
     classifiers and trained models are skipped, and a model listed twice
-    is trained once. The SGD runs in chunks: whenever the row entries
-    (``TrainingSet.nnz``) of the sets read since the last chunk pass
-    ``SGD_BATCH_ENTRIES``, and at the end. A chunk trains its models in
-    lock step per hyperparameter set (``_train_group``), each group's rows
-    built and normalized in one pass (``_assemble``). A pending model holds
-    only its set's ids, so the rows that training holds at once are
-    bounded by the budget plus one set. Then one search scales every model
+    is trained once. The SGD runs in chunks (``_pending_chunks``). A chunk
+    trains its models in lock step per hyperparameter set
+    (``_train_group``), each group's rows built and normalized in one pass
+    (``_assemble``). Then one search scales every model
     (``_scale_svms``).
     """
-    chunk: dict = {}  # hyperparameters -> pending models by id
-    entries = 0
     to_scale: list = []
-    for m in itertools.chain(models, [None]):  # None: the last chunk
-        if isinstance(m, LinearSVM) and m.sgd is not None:
-            chunk.setdefault(m.sgd.hyper, {})[id(m)] = m
-            entries += m.sgd.ts.nnz
-        if entries > SGD_BATCH_ENTRIES or m is None:
-            for hyper, group in chunk.items():
-                to_scale += _train_group(list(group.values()), hyper.reg,
-                                         hyper.epochs)
-            chunk, entries = {}, 0
+    for chunk in _pending_chunks(models, LinearSVM):
+        groups: dict = {}  # hyperparameters -> models
+        for m in chunk:
+            groups.setdefault(m.sgd.hyper, []).append(m)
+        for hyper, group in groups.items():
+            to_scale += _train_group(group, hyper.reg, hyper.epochs)
     _scale_svms(to_scale)
 
 
@@ -813,122 +852,51 @@ def _scale_svms(to_scale: list) -> None:
         m._b = c * m._b
 
 
-class _Tree:
-    """CART arrays: feature < 0 marks a leaf storing its label in
-    ``threshold``."""
+class _RFMaterial(NamedTuple):
+    """What a pending RandomForest grows from."""
 
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-
-    def add_leaf(self, label: int) -> int:
-        self.feature.append(-1)
-        self.threshold.append(float(label))
-        self.left.append(-1)
-        self.right.append(-1)
-        return len(self.feature) - 1
-
-    def add_split(self, feat: int, thr: float) -> int:
-        self.feature.append(feat)
-        self.threshold.append(thr)
-        self.left.append(-1)
-        self.right.append(-1)
-        return len(self.feature) - 1
-
-    def predict(self, x: np.ndarray) -> int:
-        node = 0
-        while self.feature[node] >= 0:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return int(self.threshold[node])
-
-
-def _majority(y: np.ndarray) -> int:
-    pos = int(y.sum())
-    return 1 if 2 * pos >= len(y) else 0
-
-
-def _best_split(X: np.ndarray, idx: np.ndarray, y: np.ndarray,
-                feats: np.ndarray, min_leaf: int):
-    """Exhaustive Gini split search over the sampled features.
-
-    A threshold between sorted positions k and k + 1 of a column is valid
-    when it separates two distinct values and leaves ``min_leaf`` rows on
-    each side; the weighted Gini score is computed at valid positions
-    only, so the runs of tied values that dominate sparse item columns
-    cost no arithmetic. Positions are enumerated column-major (feature,
-    then threshold), so the first minimum is the lowest feature id, then
-    the lowest threshold: that is the tie rule. Returns (feature,
-    threshold) or None when no impurity-reducing split exists.
-    """
-    nn = len(y)
-    Xs = X[idx[:, None], feats]
-    order = np.argsort(Xs, axis=0, kind="stable")
-    xs = Xs[order, np.arange(len(feats))]
-    valid = xs[1:] > xs[:-1]
-    if min_leaf > 1:
-        ks = np.arange(1, nn)
-        ok = (ks >= min_leaf) & (nn - ks >= min_leaf)
-        valid &= ok[:, None]
-    c, r = np.nonzero(valid.T)
-    if len(c) == 0:
-        return None
-    pos = np.cumsum(y[order], axis=0)
-    k = (r + 1).astype(np.float64)
-    lp = pos[r, c].astype(np.float64)
-    rp = pos[-1, c] - lp
-    rn = nn - k
-    gini_l = 1.0 - (lp / k) ** 2 - ((k - lp) / k) ** 2
-    gini_r = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
-    score = (k * gini_l + rn * gini_r) / nn
-    j = int(np.argmin(score))
-    p1 = y.sum() / nn
-    parent = 1.0 - p1 ** 2 - (1.0 - p1) ** 2
-    if not score[j] < parent - 1e-12:
-        return None
-    c, r = c[j], r[j]
-    return int(feats[c]), float(0.5 * (xs[r, c] + xs[r + 1, c]))
-
-
-def _grow(tree: _Tree, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-          depth: int, hyper: RFHyper, m_feats: int,
-          rng: np.random.Generator) -> int:
-    yn = y[idx]
-    if (depth >= hyper.max_depth or len(idx) < 2 * hyper.min_leaf
-            or yn.min() == yn.max()):
-        return tree.add_leaf(_majority(yn))
-    d = X.shape[1]
-    feats = np.sort(rng.choice(d, size=min(m_feats, d), replace=False))
-    split = _best_split(X, idx, yn, feats, hyper.min_leaf)
-    if split is None:
-        return tree.add_leaf(_majority(yn))
-    feat, thr = split
-    node = tree.add_split(feat, thr)
-    go_left = X[idx, feat] <= thr
-    tree.left[node] = _grow(tree, X, y, idx[go_left], depth + 1,
-                            hyper, m_feats, rng)
-    tree.right[node] = _grow(tree, X, y, idx[~go_left], depth + 1,
-                             hyper, m_feats, rng)
-    return node
+    ts: TrainingSet
+    hyper: RFHyper
+    seed: int
 
 
 class RandomForest:
+    """Bagged Gini CART trees. A tree is four lists indexed by node id,
+    its nodes in pre-order: ``feature`` (-1 at a leaf), ``threshold`` (the
+    label at a leaf), ``left`` and ``right``.
+
+    A forest is pending or grown: ``train_rf`` returns it with
+    ``material`` holding its set, hyperparameters and seed, and
+    ``train_forests`` grows it and sets its ``dictionary``; reading
+    ``trees``, or predicting, grows a pending forest by itself first.
+    """
+
     kind = "random-forest"
 
-    def __init__(self, trees: list[_Tree], dictionary: np.ndarray) -> None:
-        self.trees = trees
-        self.dictionary = dictionary
+    def __init__(self, material: _RFMaterial) -> None:
+        self.material = material
+        self.dictionary: np.ndarray | None = None
+        self._trees: list = []
+
+    @property
+    def trees(self) -> list:
+        if self.material is not None:
+            train_forests([self])
+        return self._trees
 
     def predict(self, cols, vals) -> int:
+        trees = self.trees
         x = np.zeros(len(self.dictionary))
         loc, v = _project(self.dictionary, np.asarray(cols), vals)
         x[loc] = v
-        votes = sum(t.predict(x) for t in self.trees)
-        return 1 if 2 * votes >= len(self.trees) else 0
+        x = x.tolist()  # the walk reads Python floats, not numpy scalars
+        votes = 0.0
+        for feature, threshold, left, right in trees:
+            node = 0
+            while (f := feature[node]) >= 0:
+                node = left[node] if x[f] <= threshold[node] else right[node]
+            votes += threshold[node]  # the leaf's label
+        return 1 if 2 * votes >= len(trees) else 0
 
 
 def train_rf(ts: TrainingSet, hyper: RFHyper, seed: int):
@@ -936,33 +904,248 @@ def train_rf(ts: TrainingSet, hyper: RFHyper, seed: int):
     sampling (sqrt of the dictionary size by default), after Breiman
     (2001). Single-class sets yield a constant classifier.
 
-    Each tree draws its bootstrap rows and then, depth first, each node's
-    feature sample from one stream seeded by (seed, tree index); split
-    search (``_best_split``) scores only the thresholds a split can use,
-    which leaves every tree exactly as scoring all of them would."""
+    Growth is pending on the returned forest, which records the set, the
+    hyperparameters and the seed. ``train_forests`` grows many pending
+    forests together, and a pending forest grows by itself when first
+    read (``trees``, ``predict``). Either way tree t draws from its own
+    stream, ``generator(seed, "tree", t)``: first its bootstrap rows, then
+    one feature sample per searched node, in pre-order. A node is a leaf
+    with its majority label (positive on a tie) at ``max_depth``, below
+    ``2 * min_leaf`` rows or when pure, and takes no draw. Otherwise it
+    splits on the sampled feature and threshold of least weighted Gini
+    impurity (the lowest feature, then the lowest threshold, on a tie),
+    if that beats the node's own impurity by more than 1e-12, and is a
+    leaf if not. A threshold is the midpoint of two distinct neighbouring
+    values of the node's rows that leaves ``min_leaf`` rows on each side;
+    only those are scored, which leaves every tree exactly as scoring all
+    positions would.
+    """
     classes = ts.classes()
     if len(classes) == 1:
         return ConstantClassifier(int(classes[0]), "single-class")
-    n = ts.n
-    X = np.zeros((n, ts.n_features))
-    X[np.repeat(np.arange(n), np.diff(ts.indptr)), ts.indices] = ts.data
-    y = ts.y.astype(np.int64)
-    d = ts.n_features
-    if hyper.feature_frac == "sqrt":
-        m_feats = max(1, int(np.floor(np.sqrt(d))))
-    else:
-        m_feats = max(1, int(round(float(hyper.feature_frac) * d)))
-    trees = []
-    for t in range(hyper.trees):
-        rng = generator(seed, "tree", t)
-        idx = rng.integers(0, n, size=n) if hyper.bootstrap else np.arange(n)
-        tree = _Tree()
-        if y[idx].min() == y[idx].max():
-            tree.add_leaf(_majority(y[idx]))
+    return RandomForest(_RFMaterial(ts, hyper, seed))
+
+
+_SEARCH_CELLS = 2**17  # (row, feature) cells of split search scored at once
+
+
+def train_forests(models) -> None:
+    """Grow every pending RandomForest among ``models``, an iterable read
+    once; other classifiers and grown forests are skipped, and a forest
+    listed twice is grown once. Forests grow in chunks, as ``train_svms``
+    runs its SGD (``_pending_chunks``), each chunk's trees in lock step
+    (``_grow_forests``)."""
+    for chunk in _pending_chunks(models, RandomForest):
+        _grow_forests(chunk)
+
+
+class _Growth:
+    """One tree in lock-step growth: its node lists, its stream, and the
+    nodes left to visit, a stack of ``(start, size, positives, depth,
+    parent, is_left)`` whose rows are ``sample[start:start + size]``."""
+
+    __slots__ = ("lists", "stack", "rng", "d", "m", "max_depth", "min_rows",
+                 "min_leaf")
+
+    def __init__(self, rng, d: int, m: int, hyper: RFHyper) -> None:
+        self.lists = ([], [], [], [])  # feature, threshold, left, right
+        self.stack: list = []
+        self.rng = rng
+        self.d, self.m = d, m
+        self.max_depth = hyper.max_depth
+        self.min_leaf = hyper.min_leaf
+        self.min_rows = 2 * hyper.min_leaf
+
+    def next_search(self):
+        """Visit nodes in pre-order, giving each its id and leaves their
+        labels, up to the next node that needs a split search; draw its
+        feature sample and return ``(node, start, size, positives, depth,
+        features)``, or None when the tree is grown."""
+        feature, threshold, left, right = self.lists
+        stack = self.stack
+        while stack:
+            start, size, pos, depth, parent, is_left = stack.pop()
+            node = len(feature)
+            if parent >= 0:
+                (left if is_left else right)[parent] = node
+            feature.append(-1)
+            left.append(-1)
+            right.append(-1)
+            if depth >= self.max_depth or size < self.min_rows \
+                    or pos == 0 or pos == size:
+                threshold.append(1.0 if 2 * pos >= size else 0.0)
+                continue
+            threshold.append(0.0)  # set when the search returns
+            return node, start, size, pos, depth, np.sort(
+                self.rng.choice(self.d, size=self.m, replace=False))
+        return None
+
+
+def _grow_forests(forests: list) -> None:
+    """Grow every tree of distinct pending forests in lock step.
+
+    The forests' rows are numbered through (forest k's row t is row
+    ``row_off[k] + t``) and every tree's bootstrap rows lie end to end in
+    one sample array; a node's rows are a slice of it, and a split
+    partitions that slice in place, left rows first. Values are compared
+    by rank in one rank space over every stored value and 0 (values are
+    never negative), kept in one dense rank matrix per forest.
+
+    At each step every tree still growing visits its nodes up to the next
+    that needs a search and draws that node's features
+    (``_Growth.next_search``), so each tree makes the draws, and gives
+    the node ids, of growing alone. Then ``_split_nodes`` searches and
+    splits the step's nodes, ``_SEARCH_CELLS`` cells at a time.
+    """
+    row_off, row, vals, y, uniq, d_off, at, model = _set_rows(
+        [f.material.ts for f in forests])
+    n = np.bincount(model, minlength=len(forests))
+    d = np.diff(d_off)
+    x_off = np.zeros(len(forests) + 1, dtype=np.int64)
+    np.cumsum(n * d, out=x_off[1:])
+    # where each row's ranks start in ``ranks``
+    base = (x_off[:-1] - row_off * d)[model] + np.arange(len(y)) * d[model]
+    values, rank = np.unique(_cat([np.zeros(1), vals]), return_inverse=True)
+    ranks = np.zeros(x_off[-1], dtype=np.int32)
+    ranks[base[row] + at - d_off[model[row]]] = rank[1:]
+    y = y.astype(np.int64)
+
+    growths, samples = [], []
+    for k, f in enumerate(forests):
+        hyper, nk, dk = f.material.hyper, int(n[k]), int(d[k])
+        if hyper.feature_frac == "sqrt":
+            m_feats = max(1, int(np.floor(np.sqrt(dk))))
         else:
-            _grow(tree, X, y, np.asarray(idx), 0, hyper, m_feats, rng)
-        trees.append(tree)
-    return RandomForest(trees, ts.dictionary)
+            m_feats = max(1, int(round(float(hyper.feature_frac) * dk)))
+        f._trees = []
+        for t in range(hyper.trees):
+            rng = generator(f.material.seed, "tree", t)
+            rows = rng.integers(0, nk, size=nk) if hyper.bootstrap \
+                else np.arange(nk)
+            samples.append(rows + row_off[k])
+            growths.append(_Growth(rng, dk, min(m_feats, dk), hyper))
+            f._trees.append(growths[-1].lists)
+    sample = _cat(samples)
+    sizes = [len(s) for s in samples]
+    starts = np.cumsum(sizes) - sizes
+    for g, start, size, pos in zip(growths, starts.tolist(), sizes,
+                                   np.add.reduceat(y[sample], starts).tolist()):
+        g.stack.append((start, size, pos, 0, -1, True))
+
+    growing = growths
+    while growing:
+        found = [(g, s) for g in growing if (s := g.next_search()) is not None]
+        growing = [g for g, _ in found]
+        lo = 0
+        while lo < len(found):
+            hi, cells = lo, 0
+            while hi < len(found) and (hi == lo or cells <= _SEARCH_CELLS):
+                _, s = found[hi]
+                cells += s[2] * len(s[5])
+                hi += 1
+            _split_nodes(found[lo:hi], sample, ranks, base, y, values)
+            lo = hi
+    for k, f in enumerate(forests):
+        f.dictionary = uniq[d_off[k]:d_off[k + 1]]
+        f.material = None
+
+
+def _split_nodes(found: list, sample: np.ndarray, ranks: np.ndarray,
+                 base: np.ndarray, y: np.ndarray, values: np.ndarray) -> None:
+    """Search and apply the best split of each node of ``found``, one
+    ``(growth, search)`` pair per tree, as ``_Growth.next_search`` returns
+    the search.
+
+    One segmented pass scores every (node, feature) segment: one sort of
+    the cells by (segment, value); at each valid threshold, an integer
+    cumsum minus the segment's offset counts the positive rows on its
+    left, and the weighted Gini score is computed elementwise in the
+    float operations of a per-node search, whose first minimum per node
+    (segments in feature order, each in threshold order) is the split if
+    it beats the node's impurity by more than 1e-12. The order of tied
+    values within a segment cannot change any of this, since valid
+    thresholds lie only between distinct values.
+    """
+    searches = [s for _, s in found]
+    start = np.array([s[1] for s in searches])
+    size = np.array([s[2] for s in searches])
+    pos = np.array([s[3] for s in searches])
+    min_leaf = np.array([g.min_leaf for g, _ in found])
+    seg_feat = _cat([s[5] for s in searches])
+    seg_node = np.repeat(np.arange(len(found)), [len(s[5]) for s in searches])
+    seg_len = size[seg_node]
+    seg_ptr, at = _expand(start[seg_node], seg_len)
+    rows = sample[at]
+    cell_seg = np.repeat(np.arange(len(seg_node)), seg_len)
+    r = ranks[base[rows] + seg_feat[cell_seg]]
+    order = np.argsort(cell_seg * len(values) + r, kind="stable")
+    r = r[order]
+    cum = np.zeros(len(r) + 1, dtype=np.int64)
+    np.cumsum(y[rows[order]], out=cum[1:])
+
+    # the threshold after sorted cell c, with k cells of its segment on
+    # its left, is valid when it separates two distinct values and leaves
+    # min_leaf cells on each side
+    c = np.flatnonzero((cell_seg[1:] == cell_seg[:-1]) & (r[1:] > r[:-1]))
+    seg = cell_seg[c]
+    kk = c + 1 - seg_ptr[seg]
+    lim = min_leaf[seg_node[seg]]
+    ok = (kk >= lim) & (seg_len[seg] - kk >= lim)
+    c, seg, kk = c[ok], seg[ok], kk[ok]
+    owner = seg_node[seg]
+    k = kk.astype(np.float64)
+    lp = (cum[c + 1] - cum[seg_ptr[seg]]).astype(np.float64)
+    rp = pos[owner] - lp
+    nn = size[owner]
+    rn = nn - k
+    gini_l = 1.0 - (lp / k) ** 2 - ((k - lp) / k) ** 2
+    gini_r = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
+    score = (k * gini_l + rn * gini_r) / nn
+
+    feat = np.full(len(found), -1, dtype=np.int64)
+    thr = np.zeros(len(found))
+    n_left = np.zeros(len(found), dtype=np.int64)
+    pos_left = np.zeros(len(found), dtype=np.int64)
+    if len(score):
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        best = np.minimum.reduceat(score, first)
+        hit = np.flatnonzero(score == np.repeat(
+            best, np.diff(np.append(first, len(score)))))
+        pick = hit[np.flatnonzero(np.diff(owner[hit], prepend=-1))]
+        # each node's impurity as a per-node search takes it: ``** 2`` on
+        # a scalar is pow(), which may round otherwise than a square
+        p1 = [p / m for p, m in zip(pos[owner[first]].tolist(),
+                                    size[owner[first]].tolist())]
+        impurity = np.array([1.0 - q ** 2 - (1.0 - q) ** 2 for q in p1])
+        take = best < impurity - 1e-12
+        split, cut = owner[first][take], c[pick][take]
+        sf = seg_feat[cell_seg[cut]]
+        st = 0.5 * (values[r[cut]] + values[r[cut + 1]])
+        # the split rows, left (value <= threshold) first, in place
+        ptr, at = _expand(start[split], size[split])
+        who = np.repeat(np.arange(len(split)), size[split])
+        rows = sample[at]
+        go = ranks[base[rows] + sf[who]] <= \
+            (np.searchsorted(values, st, side="right") - 1)[who]
+        nl = np.bincount(who[go], minlength=len(split))
+        lefts = np.cumsum(go)
+        lefts -= (lefts - go)[ptr[:-1]][who]  # left rows so far, per node
+        sample[np.where(go, lefts - 1, nl[who] + at - start[split][who]
+                        - lefts) + start[split][who]] = rows
+        feat[split], thr[split], n_left[split] = sf, st, nl
+        pos_left[split] = np.bincount(who[go & (y[rows] == 1)],
+                                      minlength=len(split))
+
+    for (g, (node, a, m, p, depth, _)), f, t, nl, pl in zip(
+            found, feat.tolist(), thr.tolist(), n_left.tolist(),
+            pos_left.tolist()):
+        feature, threshold = g.lists[0], g.lists[1]
+        if f < 0:
+            threshold[node] = 1.0 if 2 * p >= m else 0.0
+            continue
+        feature[node], threshold[node] = f, t
+        g.stack.append((a + nl, m - nl, p - pl, depth + 1, node, False))
+        g.stack.append((a, nl, pl, depth + 1, node, True))
 
 
 def train_classifier(kind: str, ts: TrainingSet, seed: int,

@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -49,8 +50,9 @@ from .data import AttributeMatrix, PartitionedDataset
 from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
                     bfs_neighborhood, incident_nonedges, induced_pairs)
 from .learn import (CoinClassifier, ConstantClassifier, RFHyper, SVMHyper,
-                    TrainingSet, _gather, pair_features, predict_rows,
-                    train_classifier, train_svms)
+                    TrainingSet, _gather, pair_features, pending_set,
+                    predict_rows, train_classifier, train_forests,
+                    train_svms)
 from .similarity import NetworkModelSpec, RowBlock
 
 TASKS = ("CC", "LP")
@@ -210,7 +212,7 @@ class ClassifierPool:
     constant.
 
     A builder returns its classifier: a coin, the constant of single-class
-    material, a trained forest, or a pending SVM that ``settle`` trains.
+    material, or a pending SVM or forest, which ``settle`` trains.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -229,10 +231,26 @@ class ClassifierPool:
             self.cache[material] = builder(seed)
         return self.cache[material]
 
+    def pending_entries(self) -> int:
+        """Stored row entries (``TrainingSet.nnz``) of the sets that the
+        pool's pending classifiers train from."""
+        return sum(ts.nnz for ts in map(pending_set, self.cache.values())
+                   if ts is not None)
+
     def settle(self) -> None:
-        """Train every pending SVM in the pool, in lookup order, a chunk
-        of rows at a time (``train_svms``)."""
-        train_svms(self.cache.values())
+        """Train every pending classifier in the pool (``settle_pools``)."""
+        settle_pools([self])
+
+
+def settle_pools(pools) -> None:
+    """Train every pending classifier of ``pools`` in one pass, in lookup
+    order: the SVMs in lock-step SGD chunks (``train_svms``), then the
+    forests in lock-step growth chunks (``train_forests``), each chunk's
+    rows built when it trains. No classifier depends on which pools share
+    a pass."""
+    models = [m for pool in pools for m in pool.cache.values()]
+    train_svms(models)
+    train_forests(models)
 
 
 def _group_by(keys: np.ndarray):
@@ -293,7 +311,8 @@ class Scopes:
     them, resolved on first use and kept. ``nodes`` is a node's training
     node set under a locality; ``material`` is an LP owner's pair set on
     those nodes and the owner, filtered by ``excl_keys`` and digested, kept
-    per distinct node set (the owners of a community share one). An
+    per distinct node set (the owners of a community share one); and
+    ``cc_key`` is the CC material key of a labelset on a node's set. An
     ensemble member's scope is its local-adjacency one (``_EGONET``)."""
 
     def __init__(self, g: EdgeSet, comm: CommunityAssignment | None = None,
@@ -303,6 +322,7 @@ class Scopes:
         self.excl_keys = excl_keys
         self._nodes: dict = {}
         self._material: dict = {}
+        self._cc_keys: dict = {}
 
     def nodes(self, spec: NeighborhoodSpec, i: int) -> np.ndarray:
         key = (spec.key(), i)
@@ -310,6 +330,13 @@ class Scopes:
             self._nodes[key] = resolve_neighborhood(self.g, spec, i,
                                                     self.comm)
         return self._nodes[key]
+
+    def cc_key(self, name: str, spec: NeighborhoodSpec, i: int
+               ) -> str | None:
+        key = (name, spec.key(), i)
+        if key not in self._cc_keys:
+            self._cc_keys[key] = _cc_digest(name, self.nodes(spec, i))
+        return self._cc_keys[key]
 
     def material(self, spec: NeighborhoodSpec, i: int
                  ) -> _LPMaterial | None:
@@ -385,14 +412,22 @@ class _EnsembleVoter:
 
 # --- collective classification ----------------------------------------------
 
+def _cc_digest(name: str, nodes: np.ndarray) -> str | None:
+    """The material key of one labelset on one training node set; None
+    for an empty set."""
+    return _digest("cc", name, np.sort(nodes)) if len(nodes) else None
+
+
 def _cc_lookup(config: ModelConfig, pool: ClassifierPool,
                audit: LeakageAudit, train_m: AttributeMatrix, name: str,
-               y_train: np.ndarray, nodes: np.ndarray) -> str | None:
-    """Look one labelset's material on one training node set up in the
-    pool and return its key; None when the set is empty. An SVM's training
-    waits for ``pool.settle``; material with one label gets the learners'
-    constant classifier, which ``pool.single_class`` counts."""
-    if len(nodes) == 0:
+               y_train: np.ndarray, nodes: np.ndarray, key: str | None
+               ) -> str | None:
+    """Look one labelset's material on one training node set, keyed
+    ``key`` (``_cc_digest``), up in the pool and return the key; None for
+    an empty set. Training waits for ``pool.settle``; material with one
+    label gets the learners' constant classifier, which
+    ``pool.single_class`` counts."""
+    if key is None:
         return None
 
     def build(seed: int):
@@ -407,7 +442,6 @@ def _cc_lookup(config: ModelConfig, pool: ClassifierPool,
         pool.single_class += isinstance(clf, ConstantClassifier)
         return clf
 
-    key = _digest("cc", name, np.sort(nodes))
     pool.get(key, build)
     return key
 
@@ -422,11 +456,23 @@ def run_cc(config: ModelConfig, scopes: Scopes, parts: PartitionedDataset,
     vectors and labels. Empty neighborhoods predict 0 and are flagged.
     ``scopes`` carries the network, its community assignment (needed by a
     community locality) and the training node sets shared across calls.
+    The call resolves (``resolve_cc``), settles the pool and predicts.
     """
+    pool = pool if pool is not None else ClassifierPool(config)
+    predict = resolve_cc(config, scopes, parts, eval_role, audit, pool)
+    pool.settle()
+    return predict()
+
+
+def resolve_cc(config: ModelConfig, scopes: Scopes, parts: PartitionedDataset,
+               eval_role: str, audit: LeakageAudit | None,
+               pool: ClassifierPool) -> Callable[[], PredictionBatch]:
+    """``run_cc``'s resolve phase: look every record's material key up in
+    the pool (a vote needs none). Returns the predict phase, which reads
+    the classifiers once the pool is settled."""
     if config.task != "CC":
         raise TaskError("run_cc called on a non-CC config")
     audit = audit if audit is not None else LeakageAudit()
-    pool = pool if pool is not None else ClassifierPool(config)
     train_m = parts.matrix("training")
     train_l = parts.labelset("training")
     eval_m = parts.matrix(eval_role)
@@ -453,7 +499,8 @@ def run_cc(config: ModelConfig, scopes: Scopes, parts: PartitionedDataset,
             y_tr = train_l.array(name)
             member_keys[name] = [
                 (m, _cc_lookup(config, pool, audit, train_m, name, y_tr,
-                               scopes.nodes(_EGONET, m)))
+                               scopes.nodes(_EGONET, m),
+                               scopes.cc_key(name, _EGONET, m)))
                 for m in member_ids]
         if member_keys and len(member_ids) < spec.ensemble_knn:
             ensemble_fallback = True
@@ -461,60 +508,66 @@ def run_cc(config: ModelConfig, scopes: Scopes, parts: PartitionedDataset,
         else:
             block = RowBlock(member_ids, train_m)
     voting = kind == "ensemble" and not ensemble_fallback
-    # every record's material key first (a vote needs none), then the
-    # pool trains its pending SVMs, then every record predicts
     nodes_out: list[int] = []
     targets: list[str] = []
     keys: list = []
     for name in sorted(eval_l.names):
         y_tr = train_l.array(name)
+        if global_nodes is not None:
+            global_key = _cc_digest(name, global_nodes)
         for i in eval_l.positives(name).tolist():
             key = None
             if not voting:
-                tn = scopes.nodes(spec, i) if global_nodes is None \
-                    else global_nodes
+                if global_nodes is None:
+                    tn, tkey = scopes.nodes(spec, i), scopes.cc_key(name,
+                                                                    spec, i)
+                else:
+                    tn, tkey = global_nodes, global_key
                 key = _cc_lookup(config, pool, audit, train_m, name, y_tr,
-                                 tn)
+                                 tn, tkey)
             nodes_out.append(i)
             targets.append(name)
             keys.append(key)
-    pool.settle()
-    members_by_label = {name: [(m, pool.cache[k]) for m, k in members]
-                        for name, members in member_keys.items()}
+    trained = pool.trained
 
-    # a test node's vector, hence its member ranking, is the same for
-    # every labelset
-    tops: dict[int, np.ndarray] = {}
-    preds: list[int] = []
-    fbs: list[bool] = []
-    for i, name, key in zip(nodes_out, targets, keys):
-        cols, vals = eval_m.row(i)
-        if voting:
-            if i not in tops:
-                tops[i] = block.nearest(cols, vals, config.vote_measure,
-                                        spec.ensemble_knn)
-            pred = ensemble_vote(members_by_label[name], cols, vals,
-                                 config.vote_measure, spec.ensemble_knn,
-                                 train_m, tops[i])
-            fb = False
-        else:
-            fb = key is None
-            pred = 0 if fb else int(pool.cache[key].predict(cols, vals))
-        preds.append(pred)
-        fbs.append(fb)
-    m = len(preds)
-    return PredictionBatch(
-        config_key=config.config_key,
-        task="CC",
-        partition=eval_role,
-        nodes=np.array(nodes_out, dtype=np.int64),
-        targets=targets,
-        predicted=np.array(preds, dtype=np.int8),
-        actual=np.ones(m, dtype=np.int8),
-        fallback=np.array(fbs, dtype=bool),
-        ensemble_fallback=ensemble_fallback,
-        notes={"classifiers_trained": pool.trained},
-    )
+    def predict() -> PredictionBatch:
+        members_by_label = {name: [(m, pool.cache[k]) for m, k in members]
+                            for name, members in member_keys.items()}
+        # a test node's vector, hence its member ranking, is the same for
+        # every labelset
+        tops: dict[int, np.ndarray] = {}
+        preds: list[int] = []
+        fbs: list[bool] = []
+        for i, name, key in zip(nodes_out, targets, keys):
+            cols, vals = eval_m.row(i)
+            if voting:
+                if i not in tops:
+                    tops[i] = block.nearest(cols, vals, config.vote_measure,
+                                            spec.ensemble_knn)
+                pred = ensemble_vote(members_by_label[name], cols, vals,
+                                     config.vote_measure, spec.ensemble_knn,
+                                     train_m, tops[i])
+                fb = False
+            else:
+                fb = key is None
+                pred = 0 if fb else int(pool.cache[key].predict(cols, vals))
+            preds.append(pred)
+            fbs.append(fb)
+        m = len(preds)
+        return PredictionBatch(
+            config_key=config.config_key,
+            task="CC",
+            partition=eval_role,
+            nodes=np.array(nodes_out, dtype=np.int64),
+            targets=targets,
+            predicted=np.array(preds, dtype=np.int8),
+            actual=np.ones(m, dtype=np.int8),
+            fallback=np.array(fbs, dtype=bool),
+            ensemble_fallback=ensemble_fallback,
+            notes={"classifiers_trained": trained},
+        )
+
+    return predict
 
 
 # --- link prediction ----------------------------------------------------------
@@ -709,20 +762,22 @@ def run_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
     ``scopes`` carries the undirected LP training graph, its community
     assignment (needed by a community locality) and the family exclusion
     set: every pair key off-limits to training non-edges, the full network
-    plus all reserved evaluation pairs of both partitions. Scopes without
-    that set, or over a directed graph, are refused. It also holds the
-    owners' local material shared across calls. Owners whose local scope
-    lacks a pair class fall back to predicting non-edge for their whole
-    balanced batch.
+    plus all reserved evaluation pairs of both partitions. Scopes over a
+    directed graph, or whose set misses any of the plan's held-out
+    positives or reserved pairs, are refused. It also holds the owners'
+    local material shared across calls. Owners whose local scope lacks a
+    pair class fall back to predicting non-edge for their whole balanced
+    batch.
 
     The call runs in three phases, each bit-identical to the per-owner,
     per-pair loop it replaces:
 
-    - resolve: every owner's classifier material (from ``scopes``, or the
-      config's global sample or ensemble members) is looked up in the
-      pool, whose misses build their classifiers from the sets' pairs;
-    - settle: ``pool.settle`` trains the pending SVMs, each SGD chunk's
-      pair rows built in one ``pair_features`` pass;
+    - resolve (``resolve_lp``): every owner's classifier material (from
+      ``scopes``, or the config's global sample or ensemble members) is
+      looked up in the pool, whose misses build their classifiers from
+      the sets' pairs;
+    - settle: ``pool.settle`` trains the pending classifiers, each
+      chunk's pair rows built in one ``pair_features`` pass;
     - predict: one ``pair_features`` pass gives every plan pair's row in
       record order (owners ascending, each owner's positives then its
       negatives), and each classifier scores all of its pairs in one
@@ -730,13 +785,23 @@ def run_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
       only where a rigorous rounding bound certifies it, and otherwise
       from its own per-row ``predict``.
     """
+    pool = pool if pool is not None else ClassifierPool(config)
+    predict = resolve_lp(config, scopes, plan, matrix, audit, pool)
+    pool.settle()
+    return predict()
+
+
+def resolve_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
+               matrix: AttributeMatrix, audit: LeakageAudit | None,
+               pool: ClassifierPool) -> Callable[[], PredictionBatch]:
+    """``run_lp``'s resolve phase. Returns the predict phase, which reads
+    the classifiers once the pool is settled."""
     if config.task != "LP":
         raise TaskError("run_lp called on a non-LP config")
     if scopes.excl_keys is None or scopes.g.directed:
         raise TaskError("LP scopes need the training graph's "
                         "undirected_view() and the family exclusion set")
     audit = audit if audit is not None else LeakageAudit()
-    pool = pool if pool is not None else ClassifierPool(config)
     g_train, excl_keys = scopes.g, scopes.excl_keys
     n = g_train.n_nodes
     audit.expect_role(matrix.role, "training", "LP pair features")
@@ -745,6 +810,10 @@ def run_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
         else np.empty(0, dtype=np.int64),
         plan.reserved_keys,
     ]))
+    if not _in_sorted(eval_keys, excl_keys).all():
+        raise TaskError("LP scopes' exclusion set misses held-out or "
+                        "reserved pairs of the plan; use the family "
+                        "exclusion set")
     audit.disjoint(g_train.pair_keys(), eval_keys,
                    "LP training edges overlap evaluation pairs")
 
@@ -760,8 +829,8 @@ def run_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
     order = np.argsort(owner_all, kind="stable")
     owners, first = np.unique(owner_all[order], return_index=True)
 
-    # resolve: each owner's material key, None where untrainable; no keys
-    # when every owner's pairs go to the ensemble vote
+    # each owner's material key, None where untrainable; no keys when
+    # every owner's pairs go to the ensemble vote
     ensemble_fallback = False
     voters = []
     if kind == "ensemble":
@@ -784,39 +853,42 @@ def run_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
             if label not in by_label:
                 by_label[label] = lookup(scopes.material(spec, i))
             keys.append(by_label[label])
+    trained = pool.trained
 
-    pool.settle()
+    def predict() -> PredictionBatch:
+        # each record's code indexes its classifier, -1 the fallback
+        if keys is None:
+            clfs = [_EnsembleVoter([(m, pool.cache[k]) for m, k in voters],
+                                   config.vote_measure, spec.ensemble_knn,
+                                   matrix)]
+            code = np.zeros(len(order), dtype=np.int64)
+        else:
+            index = {k: c for c, k in enumerate(
+                dict.fromkeys(k for k in keys if k is not None))}
+            clfs = [pool.cache[k] for k in index]
+            code = np.repeat(np.array([index.get(k, -1) for k in keys],
+                                      dtype=np.int64),
+                             np.diff(np.append(first, len(order))))
+        ptr, cols, vals = pair_features(
+            matrix, np.concatenate([plan.pos, plan.neg])[order])
+        predicted = np.zeros(len(order), dtype=np.int8)
+        for c, rows in _group_by(code):
+            if c >= 0:
+                sub, at = _gather(ptr, rows)
+                predicted[rows] = predict_rows(clfs[c], sub, cols[at],
+                                               vals[at])
+        return PredictionBatch(
+            config_key=config.config_key,
+            task="LP",
+            partition=plan.partition,
+            nodes=owner_all[order].astype(np.int64),
+            targets=plan.targets[order].tolist(),
+            predicted=predicted,
+            actual=(order < len(plan.pos)).astype(np.int8),
+            fallback=code < 0,
+            ensemble_fallback=ensemble_fallback,
+            notes={"classifiers_trained": trained,
+                   "dropped_pos": plan.dropped_pos},
+        )
 
-    # predict: each record's code indexes its classifier, -1 the fallback
-    if keys is None:
-        clfs = [_EnsembleVoter([(m, pool.cache[k]) for m, k in voters],
-                               config.vote_measure, spec.ensemble_knn,
-                               matrix)]
-        code = np.zeros(len(order), dtype=np.int64)
-    else:
-        index = {k: c for c, k in enumerate(
-            dict.fromkeys(k for k in keys if k is not None))}
-        clfs = [pool.cache[k] for k in index]
-        code = np.repeat(np.array([index.get(k, -1) for k in keys],
-                                  dtype=np.int64),
-                         np.diff(np.append(first, len(order))))
-    ptr, cols, vals = pair_features(
-        matrix, np.concatenate([plan.pos, plan.neg])[order])
-    predicted = np.zeros(len(order), dtype=np.int8)
-    for c, rows in _group_by(code):
-        if c >= 0:
-            sub, at = _gather(ptr, rows)
-            predicted[rows] = predict_rows(clfs[c], sub, cols[at], vals[at])
-    return PredictionBatch(
-        config_key=config.config_key,
-        task="LP",
-        partition=plan.partition,
-        nodes=owner_all[order].astype(np.int64),
-        targets=plan.targets[order].tolist(),
-        predicted=predicted,
-        actual=(order < len(plan.pos)).astype(np.int8),
-        fallback=code < 0,
-        ensemble_fallback=ensemble_fallback,
-        notes={"classifiers_trained": pool.trained,
-               "dropped_pos": plan.dropped_pos},
-    )
+    return predict

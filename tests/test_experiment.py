@@ -932,3 +932,38 @@ class TestCli:
         ra, rb, rc = ((p / "results.csv").read_bytes() for p in (a, b, c))
         assert ra == rc  # --seed equal to the file's seed is a no-op
         assert ra != rb
+
+
+def test_settle_windows_leave_every_output_unchanged(tmp_path, monkeypatch):
+    # every config in a window of its own, then all 40 in one window: the
+    # same bytes and counters as the default windows
+    from netsel import experiment, learn
+
+    windows = []
+    real = experiment.settle_pools
+
+    def settle(pools):
+        windows.append(len(pools))
+        real(pools)
+
+    monkeypatch.setattr(experiment, "settle_pools", settle)
+    runs = {}
+    for name, budget in (("default", learn.SGD_BATCH_ENTRIES),
+                         ("own", -1), ("one", 2**62)):
+        monkeypatch.setattr(learn, "SGD_BATCH_ENTRIES", budget)
+        out = tmp_path / name
+        before = len(windows)
+        run_experiment(ExperimentConfig.from_dict(
+            {**ALL_LOCALITY_CONFIG, "out": str(out)}))
+        runs[name] = (out, windows[before:])
+    assert runs["own"][1] == [1] * 40 and runs["one"][1] == [40]
+    assert 1 < len(runs["default"][1]) < 40
+    manifests = {name: json.loads((out / "manifest.json").read_text())
+                 for name, (out, _) in runs.items()}
+    for name in ("own", "one"):
+        for f in ("results.csv", "selection.csv", "batches.tsv"):
+            assert (runs[name][0] / f).read_bytes() == \
+                (runs["default"][0] / f).read_bytes(), (name, f)
+        for key in ("classifiers_trained", "pool_hits", "single_class",
+                    "audit_assertions", "audit_violations"):
+            assert manifests[name][key] == manifests["default"][key], key

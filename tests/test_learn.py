@@ -15,7 +15,6 @@ from netsel.learn import (
     RFHyper,
     SVMHyper,
     TrainingSet,
-    _best_split,
     edge_features,
     pair_features,
     train_classifier,
@@ -1224,42 +1223,267 @@ def _random_node(rng, t):
     return X, idx, y, feats, int(rng.integers(1, 4))
 
 
+def _frozen_rf(ts, hyper, seed):
+    """train_rf as it grew one forest at a time, tree by tree and node by
+    node (``_Tree``, ``_grow``, ``_best_split``), before forests grew in
+    lock step; kept verbatim as the bit-level reference. Returns each
+    tree's (feature, threshold, left, right) lists, or the label of a
+    single-class set."""
+
+    class _Tree:
+        def __init__(self) -> None:
+            self.feature, self.threshold = [], []
+            self.left, self.right = [], []
+
+        def add_leaf(self, label: int) -> int:
+            self.feature.append(-1)
+            self.threshold.append(float(label))
+            self.left.append(-1)
+            self.right.append(-1)
+            return len(self.feature) - 1
+
+        def add_split(self, feat: int, thr: float) -> int:
+            self.feature.append(feat)
+            self.threshold.append(thr)
+            self.left.append(-1)
+            self.right.append(-1)
+            return len(self.feature) - 1
+
+    def _majority(y):
+        pos = int(y.sum())
+        return 1 if 2 * pos >= len(y) else 0
+
+    def _grow(tree, X, y, idx, depth, hyper, m_feats, rng):
+        yn = y[idx]
+        if (depth >= hyper.max_depth or len(idx) < 2 * hyper.min_leaf
+                or yn.min() == yn.max()):
+            return tree.add_leaf(_majority(yn))
+        d = X.shape[1]
+        feats = np.sort(rng.choice(d, size=min(m_feats, d), replace=False))
+        split = _frozen_best_split(X, idx, yn, feats, hyper.min_leaf)
+        if split is None:
+            return tree.add_leaf(_majority(yn))
+        feat, thr = split
+        node = tree.add_split(feat, thr)
+        go_left = X[idx, feat] <= thr
+        tree.left[node] = _grow(tree, X, y, idx[go_left], depth + 1,
+                                hyper, m_feats, rng)
+        tree.right[node] = _grow(tree, X, y, idx[~go_left], depth + 1,
+                                 hyper, m_feats, rng)
+        return node
+
+    classes = ts.classes()
+    if len(classes) == 1:
+        return int(classes[0])
+    n = ts.n
+    X = np.zeros((n, ts.n_features))
+    X[np.repeat(np.arange(n), np.diff(ts.indptr)), ts.indices] = ts.data
+    y = ts.y.astype(np.int64)
+    d = ts.n_features
+    if hyper.feature_frac == "sqrt":
+        m_feats = max(1, int(np.floor(np.sqrt(d))))
+    else:
+        m_feats = max(1, int(round(float(hyper.feature_frac) * d)))
+    trees = []
+    for t in range(hyper.trees):
+        rng = generator(seed, "tree", t)
+        idx = rng.integers(0, n, size=n) if hyper.bootstrap else np.arange(n)
+        tree = _Tree()
+        if y[idx].min() == y[idx].max():
+            tree.add_leaf(_majority(y[idx]))
+        else:
+            _grow(tree, X, y, np.asarray(idx), 0, hyper, m_feats, rng)
+        trees.append((tree.feature, tree.threshold, tree.left, tree.right))
+    return trees
+
+
+def _frozen_best_split(X, idx, y, feats, min_leaf):
+    """``_best_split`` of ``_frozen_rf``, verbatim."""
+    nn = len(y)
+    Xs = X[idx[:, None], feats]
+    order = np.argsort(Xs, axis=0, kind="stable")
+    xs = Xs[order, np.arange(len(feats))]
+    valid = xs[1:] > xs[:-1]
+    if min_leaf > 1:
+        ks = np.arange(1, nn)
+        ok = (ks >= min_leaf) & (nn - ks >= min_leaf)
+        valid &= ok[:, None]
+    c, r = np.nonzero(valid.T)
+    if len(c) == 0:
+        return None
+    pos = np.cumsum(y[order], axis=0)
+    k = (r + 1).astype(np.float64)
+    lp = pos[r, c].astype(np.float64)
+    rp = pos[-1, c] - lp
+    rn = nn - k
+    gini_l = 1.0 - (lp / k) ** 2 - ((k - lp) / k) ** 2
+    gini_r = 1.0 - (rp / rn) ** 2 - ((rn - rp) / rn) ** 2
+    score = (k * gini_l + rn * gini_r) / nn
+    j = int(np.argmin(score))
+    p1 = y.sum() / nn
+    parent = 1.0 - p1 ** 2 - (1.0 - p1) ** 2
+    if not score[j] < parent - 1e-12:
+        return None
+    c, r = c[j], r[j]
+    return int(feats[c]), float(0.5 * (xs[r, c] + xs[r + 1, c]))
+
+
+def _same_trees(got, want):
+    """Equal features and children, and thresholds with the same bits."""
+    assert len(got) == len(want)
+    for (f, t, lt, rt), (wf, wt, wl, wr) in zip(got, want):
+        assert (f, lt, rt) == (wf, wl, wr)
+        assert np.array(t).tobytes() == np.array(wt).tobytes()
+
+
+def _random_forest_set(rng, t):
+    """A training set for one forest, with hyperparameters: count, float,
+    sparse, tied or all-tied columns, stored zeros, and few or imbalanced
+    rows, so that some bootstraps draw a single class."""
+    n = int(rng.integers(2, 12)) if t % 5 == 0 else int(rng.integers(2, 60))
+    d = int(rng.integers(1, 25))
+    kind = t % 4
+    if kind == 0:
+        X = rng.poisson(rng.uniform(0.1, 2.0), size=(n, d)).astype(float)
+    elif kind == 1:
+        X = rng.random((n, d)).round(int(rng.integers(0, 4)))
+    elif kind == 2:
+        X = (rng.random((n, d)) < 0.15) * rng.integers(1, 4, (n, d)) * 1.0
+    else:
+        X = rng.poisson(1.0, size=(n, d)).astype(float)
+        for j in range(1, d):
+            i = int(rng.integers(0, j))
+            X[:, j] = X[:, i] if rng.random() < 0.5 else 9.0 - X[:, i]
+        X = np.maximum(X, 0.0)
+    if rng.random() < 0.3:  # all-tied columns
+        X[:, rng.random(d) < 0.5] = float(rng.integers(0, 3))
+    # stored zeros: some zero cells are kept as entries
+    stored = (X != 0) | (rng.random((n, d)) < 0.1)
+    rows = [(np.flatnonzero(stored[i]), X[i][stored[i]]) for i in range(n)]
+    y = (rng.random(n) < rng.choice([0.1, 0.5, 0.9])).astype(int)
+    if len(np.unique(y)) < 2 and rng.random() < 0.8:
+        y[0] = 1 - y[0]
+    hyper = RFHyper(trees=int(rng.integers(1, 6)),
+                    max_depth=int(rng.choice([1, 2, 3, 16])),
+                    min_leaf=int(rng.integers(1, 4)),
+                    feature_frac=("sqrt", 0.3, 0.5, 1.0)[rng.integers(4)],
+                    bootstrap=bool(rng.random() < 0.7))
+    return ts_from(rows, y.tolist()), hyper
+
+
+@pytest.mark.parametrize("cells,entries", [(learn._SEARCH_CELLS,
+                                             learn.SGD_BATCH_ENTRIES),
+                                            (40, 300)])
+def test_lockstep_forests_match_the_frozen_growth(monkeypatch, cells,
+                                                  entries):
+    # the default budgets, then searches of a few nodes and chunks of a few
+    # forests: neither changes a tree
+    monkeypatch.setattr(learn, "_SEARCH_CELLS", cells)
+    monkeypatch.setattr(learn, "SGD_BATCH_ENTRIES", entries)
+    rng = np.random.default_rng(77)
+    cases = [(*_random_forest_set(rng, t), int(rng.integers(0, 2**31)))
+             for t in range(240)]
+    models = [train_rf(ts, hyper, seed) for ts, hyper, seed in cases]
+    pending = [m for m in models if isinstance(m, learn.RandomForest)]
+    assert all(m.material is not None for m in pending)
+    learn.train_forests(iter(models + pending[:3]))  # listed twice: once
+    splits = leaves = 0
+    for model, (ts, hyper, seed) in zip(models, cases):
+        want = _frozen_rf(ts, hyper, seed)
+        if isinstance(model, ConstantClassifier):
+            assert model.label == want
+            continue
+        assert model.material is None
+        np.testing.assert_array_equal(model.dictionary, ts.dictionary)
+        _same_trees(model.trees, want)
+        splits += sum(f >= 0 for tree in want for f in tree[0])
+        leaves += sum(len(tree[0]) == 1 for tree in want)
+    # 1,273 splits; 113 one-leaf trees: single-class bootstraps and roots
+    # with no split
+    assert splits > 1000 and leaves > 50
+
+
+def test_pending_forest_grows_alone_as_in_a_chunk():
+    rng = np.random.default_rng(5)
+    cases = [(*_random_forest_set(rng, t), t) for t in range(1, 30)]
+    batch = [train_rf(ts, hyper, seed) for ts, hyper, seed in cases]
+    alone = [train_rf(ts, hyper, seed) for ts, hyper, seed in cases]
+    learn.train_forests(batch)
+    for a, b in zip(alone, batch):
+        if isinstance(a, learn.RandomForest):
+            _same_trees(a.trees, b.trees)  # reading trees grows it alone
+
+
+def _search_split(nodes):
+    """The split that one lock-step search (``_split_nodes``) gives each
+    node of ``nodes``, ``(X, idx, y, feats, min_leaf)`` as
+    ``_frozen_best_split`` takes them: (feature, threshold) or None. Each
+    node's rows are its own ``X[idx]``, so bootstrap duplicates may carry
+    different labels."""
+    blocks = [X[idx] for X, idx, _, _, _ in nodes]
+    uniq, inv = np.unique(np.concatenate([b.ravel() for b in blocks]),
+                          return_inverse=True)
+    sizes = [len(b) for b in blocks]
+    widths = [b.shape[1] for b in blocks]
+    off = np.cumsum([0] + [m * w for m, w in zip(sizes, widths)])
+    base = np.concatenate([off[j] + np.arange(m) * w for j, (m, w)
+                           in enumerate(zip(sizes, widths))])
+    y = np.concatenate([np.asarray(n[2], dtype=np.int64) for n in nodes])
+    starts = np.cumsum([0] + sizes)[:-1].tolist()
+    found = []
+    for (X, idx, yn, feats, min_leaf), start, m in zip(nodes, starts, sizes):
+        g = learn._Growth(None, X.shape[1], len(feats),
+                          RFHyper(min_leaf=min_leaf))
+        for lst in g.lists:
+            lst.append(-1)
+        found.append((g, (0, start, m, int(np.sum(yn)), 0,
+                          np.asarray(feats, dtype=np.int64))))
+    learn._split_nodes(found, np.arange(len(y)), inv.astype(np.int32), base,
+                       y, uniq)
+    return [None if g.lists[0][0] < 0 else (g.lists[0][0], g.lists[1][0])
+            for g, _ in found]
+
+
 def test_best_split_matches_per_column_search():
     rng = np.random.default_rng(2024)
+    nodes = [_random_node(rng, t) for t in range(3200)]
     nones = 0
-    for t in range(3200):
-        X, idx, y, feats, min_leaf = _random_node(rng, t)
-        want = _per_column_best_split(X, idx, y, feats, min_leaf)
-        got = _best_split(X, idx, y, feats, min_leaf)
-        assert got == want, t
-        if want is None:
-            nones += 1
-        else:  # the same threshold bits, not just an equal float
-            assert np.float64(got[1]).tobytes() == \
-                np.float64(want[1]).tobytes(), t
+    for lo in range(0, len(nodes), 64):  # 64 nodes per lock-step search
+        got = _search_split(nodes[lo:lo + 64])
+        for t, (node, split) in enumerate(zip(nodes[lo:lo + 64], got)):
+            want = _per_column_best_split(*node)
+            assert split == want == _frozen_best_split(*node), lo + t
+            if want is None:
+                nones += 1
+            else:  # the same threshold bits, not just an equal float
+                assert np.float64(split[1]).tobytes() == \
+                    np.float64(want[1]).tobytes(), lo + t
     assert 100 < nones < 3000
 
 
 def test_best_split_tie_rules():
+    def search(X, idx, y, feats, min_leaf):
+        return _search_split([(X, idx, y, feats, min_leaf)])[0]
+
     idx = np.arange(5)
     y = np.array([0, 0, 0, 0, 1])
     # both columns split the positive off with Gini 0: column 0 at its
     # highest threshold, column 1 at its lowest; the lower feature wins
     X = np.column_stack([[0.0, 1, 2, 3, 4], [4.0, 3, 2, 1, 0]])
-    assert _best_split(X, idx, y, np.arange(2), 1) == (0, 3.5)
-    assert _best_split(X[:, ::-1], idx, y, np.arange(2), 1) == (0, 0.5)
+    assert search(X, idx, y, np.arange(2), 1) == (0, 3.5)
+    assert search(X[:, ::-1], idx, y, np.arange(2), 1) == (0, 0.5)
     # one column, equal scores at its first and last threshold
     X = np.array([[0.0], [1], [2], [3]])
-    assert _best_split(X, np.arange(4), np.array([0, 1, 1, 0]),
-                       np.array([0]), 1) == (0, 0.5)
+    assert search(X, np.arange(4), np.array([0, 1, 1, 0]),
+                  np.array([0]), 1) == (0, 0.5)
     # tied values never split, even when the labels differ
     tied = np.ones((4, 3))
-    assert _best_split(tied, np.arange(4), np.array([0, 1, 0, 1]),
-                       np.arange(3), 1) is None
+    assert search(tied, np.arange(4), np.array([0, 1, 0, 1]),
+                  np.arange(3), 1) is None
     # min_leaf moves the split off the pure threshold
     y = np.array([1, 0, 0, 0])
-    assert _best_split(X, np.arange(4), y, np.array([0]), 1) == (0, 0.5)
-    assert _best_split(X, np.arange(4), y, np.array([0]), 2) == (0, 1.5)
+    assert search(X, np.arange(4), y, np.array([0]), 1) == (0, 0.5)
+    assert search(X, np.arange(4), y, np.array([0]), 2) == (0, 1.5)
 
 
 # -------------------------------------------------------------------- coin

@@ -450,10 +450,12 @@ def test_cc_global_trains_once_per_labelset():
 
 
 def _always_assembled_cc_lookup(config, pool, audit, train_m, name,
-                                y_train, nodes):
+                                y_train, nodes, memo_key):
     """``_cc_lookup`` without its coin branch and its single-class count:
-    every build hands its TrainingSet to ``train_classifier``."""
+    every build hands its TrainingSet to ``train_classifier``. The key is
+    digested afresh, and must equal the one the runner memoized."""
     if len(nodes) == 0:
+        assert memo_key is None
         return None
 
     def build(seed):
@@ -464,6 +466,7 @@ def _always_assembled_cc_lookup(config, pool, audit, train_m, name,
                                 config.rf)
 
     key = tasks._digest("cc", name, np.sort(nodes))
+    assert key == memo_key
     pool.get(key, build)
     return key
 
@@ -528,10 +531,11 @@ def test_cc_single_class_material_is_still_checked():
                                ([2, 2, 2], [1, 2], "0/1")):
             with pytest.raises(LearnError, match=what):
                 tasks._cc_lookup(config, pool, LeakageAudit(), m, "a",
-                                 np.array(y), np.array(nodes))
-        clf = pool.cache[tasks._cc_lookup(config, pool, LeakageAudit(), m,
-                                          "a", np.array([1, 1, 1]),
-                                          np.array([1, 2]))]
+                                 np.array(y), np.array(nodes),
+                                 tasks._cc_digest("a", np.array(nodes)))
+        clf = pool.cache[tasks._cc_lookup(
+            config, pool, LeakageAudit(), m, "a", np.array([1, 1, 1]),
+            np.array([1, 2]), tasks._cc_digest("a", np.array([1, 2])))]
         assert isinstance(clf, ConstantClassifier)
         assert (clf.label, clf.reason) == (1, "single-class")
         assert pool.single_class == 1
@@ -1372,6 +1376,29 @@ def test_lp_scopes_need_the_family_exclusion_set(homophily, monkeypatch):
         for pairs in nonedges[before:]:
             keys = _pair_keys(pairs[:, 0], pairs[:, 1], full.n_nodes)
             assert not np.isin(keys, off_limits).any(), loc
+
+
+def test_lp_scopes_with_a_short_exclusion_set_are_refused(homophily):
+    # the training graph's pairs and the plan's own reserved pairs: the
+    # held-out network edges and the other partition's reserved pairs are
+    # missing, which would let them train as non-edges
+    _, ds = homophily
+    spec = NetworkModelSpec(model="KNN", measure="INT", density=0.05)
+    matrix = ds.matrix("training")
+    fam = prepare_family(spec, spec.build(matrix), 5,
+                         {("LP", "local-adjacency")})
+    train = fam.lp_scopes.g
+    config = cfg("local-adjacency", task="LP", network=spec)
+    for plan in fam.lp_plans.values():
+        short = Scopes(train, None,
+                       np.union1d(train.pair_keys(), plan.reserved_keys))
+        with pytest.raises(TaskError, match="exclusion set misses"):
+            run_lp(config, short, plan, matrix)
+        # the reserved pairs alone are missing too
+        held = np.setdiff1d(fam.lp_scopes.excl_keys, plan.reserved_keys)
+        with pytest.raises(TaskError, match="exclusion set misses"):
+            run_lp(config, Scopes(train, None, held), plan, matrix)
+        assert run_lp(config, fam.lp_scopes, plan, matrix).n_records > 0
 
 
 def test_lp_training_edges_may_not_touch_eval_pairs():
