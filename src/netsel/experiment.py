@@ -562,7 +562,7 @@ def _failing_as(*configs: ModelConfig):
         raise ExperimentError(f"config {keys} failed: {exc}") from None
 
 
-def evaluate_cells(families: dict, dataset: PartitionedDataset,
+def _evaluate_cells(families: dict, dataset: PartitionedDataset,
                    cells: list) -> list[dict]:
     """Evaluate (family key, config) cells in settle windows, one payload
     per cell in order.
@@ -595,7 +595,7 @@ _WORKER_STATE: dict = {}
 
 
 def _worker_eval(cells: list) -> list[dict]:
-    return evaluate_cells(_WORKER_STATE["families"],
+    return _evaluate_cells(_WORKER_STATE["families"],
                           _WORKER_STATE["dataset"], cells)
 
 

@@ -984,12 +984,13 @@ class _Growth:
 def _grow_forests(forests: list) -> None:
     """Grow every tree of distinct pending forests in lock step.
 
-    The forests' rows are numbered through (forest k's row t is row
-    ``row_off[k] + t``) and every tree's bootstrap rows lie end to end in
-    one sample array; a node's rows are a slice of it, and a split
-    partitions that slice in place, left rows first. Values are compared
-    by rank in one rank space over every stored value and 0 (values are
-    never negative), kept in one dense rank matrix per forest.
+    The forests' rows and dictionaries come from one ``_set_rows`` pass
+    (forest k's row t is row ``row_off[k] + t``), and every tree's
+    bootstrap rows lie end to end in one sample array; a node's rows are a
+    slice of it, and a split partitions that slice in place, left rows
+    first. Values are compared by rank in one rank space over every stored
+    value and 0 (values are never negative), kept in one dense rank matrix
+    per forest.
 
     At each step every tree still growing visits its nodes up to the next
     that needs a search and draws that node's features
@@ -1036,15 +1037,13 @@ def _grow_forests(forests: list) -> None:
     while growing:
         found = [(g, s) for g in growing if (s := g.next_search()) is not None]
         growing = [g for g, _ in found]
-        lo = 0
-        while lo < len(found):
-            hi, cells = lo, 0
-            while hi < len(found) and (hi == lo or cells <= _SEARCH_CELLS):
-                _, s = found[hi]
-                cells += s[2] * len(s[5])
-                hi += 1
-            _split_nodes(found[lo:hi], sample, ranks, base, y, values)
-            lo = hi
+        group, cells = [], 0
+        for j, (g, s) in enumerate(found):
+            group.append((g, s))
+            cells += s[2] * len(s[5])
+            if cells > _SEARCH_CELLS or j == len(found) - 1:
+                _split_nodes(group, sample, ranks, base, y, values)
+                group, cells = [], 0
     for k, f in enumerate(forests):
         f.dictionary = uniq[d_off[k]:d_off[k + 1]]
         f.material = None

@@ -13,16 +13,19 @@ Classifier reuse: training material is digested (content-addressed), so
 two test instances with identical neighborhoods share one classifier and
 one derived seed. This keeps results independent of evaluation order and
 of how configs are scheduled across workers. A runner call works in three
-phases: resolve every record's material key in the config's
-ClassifierPool, whose builder for a miss names the training set by its
-ids over the training matrix (node ids for CC, pairs for LP) and hands it
-to ``train_classifier``; settle, where ``train_svms`` trains the pool's
-pending SVMs; predict, where each record reads its classifier by key, and
-each LP classifier scores all of its pairs in one call (CC records still
-predict one at a time). A pending SVM holds only its set's ids:
-``train_svms`` builds the rows of a whole SGD chunk in one pass (LP pair
-rows included) and trains the chunk's SVMs in lock step, so no more rows
-exist at once than one chunk's. A forest trains when it is built. A
+phases: resolve (``resolve_cc``, ``resolve_lp``) every record's material
+key in the config's ClassifierPool, whose builder for a miss names the
+training set by its ids over the training matrix (node ids for CC, pairs
+for LP) and hands it to ``train_classifier``; settle, where
+``settle_pools`` trains the pool's pending SVMs and forests; predict,
+where each record reads its classifier by key, and each LP classifier
+scores all of its pairs in one call (CC records still predict one at a
+time). The evaluate stage settles many configs' pools in one pass between
+their resolve and predict phases. A pending classifier holds only its
+set's ids: ``train_svms`` and ``train_forests`` build the rows of a whole
+chunk in one pass (LP pair rows included), and train the chunk's SVMs in
+lock-step SGD and grow every tree of its forests in lock step, so no more
+rows exist at once than one chunk's. A
 family's ``Scopes``, one over its network for CC and one over the LP
 training graph, is the one holder of what a runner evaluates over: the
 graph, its community assignment and, for LP, the family exclusion set. It
@@ -212,7 +215,10 @@ class ClassifierPool:
     constant.
 
     A builder returns its classifier: a coin, the constant of single-class
-    material, or a pending SVM or forest, which ``settle`` trains.
+    material, or a pending SVM or forest, which ``settle`` trains. A
+    runner settles its pool itself; the evaluate stage instead settles
+    the pools of a window of configs in one pass (``settle_pools``), so
+    that their SVMs share SGD chunks and their forests grow together.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -702,8 +708,9 @@ def _lp_lookup(config: ModelConfig, pool: ClassifierPool,
                ) -> str | None:
     """Look one scope's material up in the pool and return its key; None
     for untrainable material. A miss draws the class-balanced sample,
-    seeded by the config and the material, and checks it; an SVM's pair
-    rows and training wait for ``pool.settle`` (a coin needs neither)."""
+    seeded by the config and the material, and checks it; a classifier's
+    pair rows and training wait for ``pool.settle`` (a coin needs
+    neither)."""
     if mat is None:
         return None
 
