@@ -706,19 +706,23 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
 # --- serialization of batches and records ---------------------------------------
 
 def _write_batches(path: Path, batches) -> None:
-    lines = ["config_key\tpartition\tnode\ttarget\tpredicted\tactual"
-             "\tfallback"]
+    """batches.tsv, streamed a batch at a time so that its text is never
+    held whole, and batches_meta.json."""
     meta = {}
-    for b in batches:
-        meta.setdefault(b.config_key, {})[b.partition] = {
-            "ensemble_fallback": b.ensemble_fallback,
-            "task": b.task,
-            "notes": b.notes,
-        }
-        for node, target, pred, actual, fb in b.rows():
-            lines.append(f"{b.config_key}\t{b.partition}\t{node}\t{target}"
-                         f"\t{pred}\t{actual}\t{fb}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        fh.write("config_key\tpartition\tnode\ttarget\tpredicted\tactual"
+                 "\tfallback\n")
+        for b in batches:
+            meta.setdefault(b.config_key, {})[b.partition] = {
+                "ensemble_fallback": b.ensemble_fallback,
+                "task": b.task,
+                "notes": b.notes,
+            }
+            fh.write("".join(f"{b.config_key}\t{b.partition}\t{node}"
+                             f"\t{target}\t{pred}\t{actual}\t{fb}\n"
+                             for node, target, pred, actual, fb in b.rows()))
+    os.replace(tmp, path)
     _atomic_write(path.with_name("batches_meta.json"),
                   json.dumps(meta, indent=1, sort_keys=True) + "\n")
 

@@ -1008,7 +1008,10 @@ def _grow_forests(forests: list) -> None:
     base = (x_off[:-1] - row_off * d)[model] + np.arange(len(y)) * d[model]
     values, rank = np.unique(_cat([np.zeros(1), vals]), return_inverse=True)
     ranks = np.zeros(x_off[-1], dtype=np.int32)
-    ranks[base[row] + at - d_off[model[row]]] = rank[1:]
+    at -= d_off[model[row]]
+    at += base[row]
+    ranks[at] = rank[1:]
+    del row, vals, at, rank
     y = y.astype(np.int64)
 
     growths, samples = [], []
