@@ -886,10 +886,10 @@ class RandomForest:
 
     def predict(self, cols, vals) -> int:
         trees = self.trees
-        x = np.zeros(len(self.dictionary))
         loc, v = _project(self.dictionary, np.asarray(cols), vals)
-        x[loc] = v
-        x = x.tolist()  # the walk reads Python floats, not numpy scalars
+        x = [0.0] * len(self.dictionary)  # the walk reads Python floats
+        for c, value in zip(loc.tolist(), v.tolist()):
+            x[c] = value
         votes = 0.0
         for feature, threshold, left, right in trees:
             node = 0
@@ -944,17 +944,14 @@ class _Growth:
     nodes left to visit, a stack of ``(start, size, positives, depth,
     parent, is_left)`` whose rows are ``sample[start:start + size]``."""
 
-    __slots__ = ("lists", "stack", "rng", "d", "m", "max_depth", "min_rows",
-                 "min_leaf")
+    __slots__ = ("lists", "stack", "rng", "d", "m", "hyper")
 
     def __init__(self, rng, d: int, m: int, hyper: RFHyper) -> None:
         self.lists = ([], [], [], [])  # feature, threshold, left, right
         self.stack: list = []
         self.rng = rng
         self.d, self.m = d, m
-        self.max_depth = hyper.max_depth
-        self.min_leaf = hyper.min_leaf
-        self.min_rows = 2 * hyper.min_leaf
+        self.hyper = hyper
 
     def next_search(self):
         """Visit nodes in pre-order, giving each its id and leaves their
@@ -962,7 +959,7 @@ class _Growth:
         feature sample and return ``(node, start, size, positives, depth,
         features)``, or None when the tree is grown."""
         feature, threshold, left, right = self.lists
-        stack = self.stack
+        stack, hyper = self.stack, self.hyper
         while stack:
             start, size, pos, depth, parent, is_left = stack.pop()
             node = len(feature)
@@ -971,7 +968,7 @@ class _Growth:
             feature.append(-1)
             left.append(-1)
             right.append(-1)
-            if depth >= self.max_depth or size < self.min_rows \
+            if depth >= hyper.max_depth or size < 2 * hyper.min_leaf \
                     or pos == 0 or pos == size:
                 threshold.append(1.0 if 2 * pos >= size else 0.0)
                 continue
@@ -1072,7 +1069,7 @@ def _split_nodes(found: list, sample: np.ndarray, ranks: np.ndarray,
     start = np.array([s[1] for s in searches])
     size = np.array([s[2] for s in searches])
     pos = np.array([s[3] for s in searches])
-    min_leaf = np.array([g.min_leaf for g, _ in found])
+    min_leaf = np.array([g.hyper.min_leaf for g, _ in found])
     seg_feat = _cat([s[5] for s in searches])
     seg_node = np.repeat(np.arange(len(found)), [len(s[5]) for s in searches])
     seg_len = size[seg_node]
