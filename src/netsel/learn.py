@@ -1029,8 +1029,9 @@ def _grow_forests(forests: list) -> None:
     sample = _cat(samples)
     sizes = [len(s) for s in samples]
     starts = np.cumsum(sizes) - sizes
-    for g, start, size, pos in zip(growths, starts.tolist(), sizes,
-                                   np.add.reduceat(y[sample], starts).tolist()):
+    roots = zip(starts.tolist(), sizes,
+                np.add.reduceat(y[sample], starts).tolist())
+    for g, (start, size, pos) in zip(growths, roots):
         g.stack.append((start, size, pos, 0, -1, True))
 
     growing = growths
