@@ -179,13 +179,12 @@ def louvain(
     rng = generator(seed, "louvain")
     level = 0
     while True:
-        q_before = graph.q(np.arange(graph.n), resolution)
         comm, moved = _one_level(graph, rng, resolution, min_gain)
         # dense relabel ordered by first appearance over node ids
         uniq, dense = np.unique(comm, return_inverse=True)
-        q_after = graph.q(dense, resolution)
-        if phase_hook is not None:
-            phase_hook(level, q_before, q_after)
+        if phase_hook is not None:  # the local moves leave graph as it was
+            phase_hook(level, graph.q(np.arange(graph.n), resolution),
+                       graph.q(dense, resolution))
         if moved:
             mapping = dense[mapping]
         if not moved or len(uniq) == graph.n:

@@ -27,14 +27,14 @@ import numpy as np
 import scipy
 
 from . import __version__, learn
-from ._rng import derive_seed
+from ._rng import derive_seed, generator
 from .community import louvain
 from .data import (PartitionedDataset, _integer, build_dataset,
                    ingest_events, load_dataset, load_label_rules,
                    save_dataset, save_label_rules)
 from .graph import (EdgeSet, GraphError, NeighborhoodSpec, load_edgeset,
                     load_explicit_edges, save_edgeset, split_edges_random)
-from .learn import RFHyper, SVMHyper
+from .learn import LearnError, RFHyper, SVMHyper
 from .selection import (EvaluationRecord, SelectionError, cross_task,
                         match_mismatch, node_difficulty,
                         records_from_batches, selection_stats)
@@ -72,36 +72,39 @@ def _reject_unknown(block: dict, known, path: str) -> None:
                               + ", ".join(path + k for k in unknown))
 
 
-def _typed(block: dict, key: str, path: str, kind: type, default):
-    """``block[key]`` (``default`` when absent); a value of another JSON
-    type raises ExperimentError naming the key."""
+# the types that each kind of value accepts, and how a refusal names it
+_KINDS = {dict: (dict, "an object"), list: (list, "a list"),
+          str: (str, "a string"), "float": (numbers.Real, "a number"),
+          "float | str": ((numbers.Real, str), "a number or a string"),
+          "bool": (bool, "true or false")}
+
+
+def _typed(block: dict, key: str, path: str, kind: type | str, default,
+           error: type = ExperimentError):
+    """``block[key]`` (``default`` when absent), checked against ``kind``:
+    a key of ``_KINDS``, ``"int"`` or ``"int | None"``. Integral numbers
+    of an integer kind come back as ints; a value of another type raises
+    ``error`` naming the key."""
     value = block.get(key, default)
-    if not isinstance(value, kind):
-        what = {dict: "an object", list: "a list", str: "a string"}[kind]
-        raise ExperimentError(f"{path}{key} must be {what}, got {value!r}")
+    if value is None and kind == "int | None":
+        return value
+    if kind in ("int", "int | None"):
+        return _integer(value, path + key, error)
+    accepts, what = _KINDS[kind]
+    if isinstance(value, bool) != (kind == "bool") \
+            or not isinstance(value, accepts):
+        raise error(f"{path}{key} must be {what}, got {value!r}")
     return value
 
 
-def _plant_values(plant: dict) -> dict:
-    """``dataset.synth.plant`` with each value checked against the type of
-    its PlantSpec field, integral numbers of integer fields as ints; a
-    value of another type raises ExperimentError naming the key."""
-    out = {}
-    kinds = {f.name: f.type for f in fields(PlantSpec)}
-    for key, v in plant.items():
-        name = f"dataset.synth.plant.{key}"
-        kind = kinds[key]
-        if kind == "bool":
-            if not isinstance(v, bool):
-                raise ExperimentError(f"{name} must be true or false, "
-                                      f"got {v!r}")
-        elif kind == "float":
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ExperimentError(f"{name} must be a number, got {v!r}")
-        elif not (v is None and kind == "int | None"):
-            v = _integer(v, name, ExperimentError)
-        out[key] = v
-    return out
+def _fields(block: dict, cls: type, path: str, error: type) -> dict:
+    """``block``'s values checked (``_typed``) against the declared types
+    of the dataclass ``cls``'s fields; an unknown key raises
+    ExperimentError naming it."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    _reject_unknown(block, kinds, path)
+    return {key: _typed(block, key, path, kinds[key], None, error)
+            for key in block}
 
 
 @dataclass
@@ -127,7 +130,10 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         """Parse a config; an unknown key, say a misspelled grid axis, or
         a scalar of the wrong type raises ExperimentError naming its path
-        instead of leaving the default in place or coercing the value."""
+        instead of leaving the default in place or coercing the value.
+        The ``svm``, ``rf`` and ``dataset.synth.plant`` values are checked
+        against the declared types of their dataclass fields (``_fields``);
+        a wrong ``svm`` or ``rf`` value raises LearnError."""
         if not isinstance(raw, dict):
             raise ExperimentError(f"config must be an object, got {raw!r}")
         _reject_unknown(raw, CONFIG_KEYS, "")
@@ -148,37 +154,37 @@ class ExperimentConfig:
                 NeighborhoodSpec.parse(v)
             except GraphError as exc:
                 raise ExperimentError(f"grid.localities: {exc}") from None
-        hypers = {}
-        for name, hyper in (("svm", SVMHyper), ("rf", RFHyper)):
-            block = _typed(raw, name, "", dict, {})
-            _reject_unknown(block, [f.name for f in fields(hyper)],
-                            f"{name}.")
-            hypers[name] = hyper.from_dict(block)
-        workers = _integer(raw.get("workers", 1), "workers", ExperimentError)
+        hypers = {name: hyper(**_fields(_typed(raw, name, "", dict, {}),
+                                        hyper, f"{name}.", LearnError))
+                  for name, hyper in (("svm", SVMHyper), ("rf", RFHyper))}
+        workers = _typed(raw, "workers", "", "int", 1)
         if workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {workers!r}")
         dataset = _typed(raw, "dataset", "", dict, {})
         _reject_unknown(dataset, DATASET_KEYS, "dataset.")
         for key in ("events", "rules", "aggregation"):
             _typed(dataset, key, "dataset.", str, "")
-        if not isinstance(dataset.get("strict", False), bool):
-            raise ExperimentError(f"dataset.strict must be true or false, "
-                                  f"got {dataset['strict']!r}")
+        _typed(dataset, "strict", "dataset.", "bool", False)
         synth = dataset.get("synth")
         bounds = dataset.get("boundaries")
         if synth is not None:  # null: the dataset comes from events
             _typed(dataset, "synth", "dataset.", dict, None)
             _reject_unknown(synth, SYNTH_KEYS, "dataset.synth.")
-            plant = _typed(synth, "plant", "dataset.synth.", dict, {})
-            _reject_unknown(plant, [f.name for f in fields(PlantSpec)],
-                            "dataset.synth.plant.")
+            plant = _fields(_typed(synth, "plant", "dataset.synth.", dict, {}),
+                            PlantSpec, "dataset.synth.plant.", ExperimentError)
+            # seed, n_nodes and n_items are checked but kept as written
+            _typed(synth, "seed", "dataset.synth.", "int", 0)
+            for key in ("n_nodes", "n_items"):
+                value = _typed(synth, key, "dataset.synth.", "int", 1)
+                if value < 1:
+                    raise ExperimentError(f"dataset.synth.{key} must be "
+                                          f">= 1, got {value!r}")
             if bounds is not None:
                 raise ExperimentError(
                     "dataset.boundaries must be left out next to "
                     "dataset.synth: the planted segments set them")
             if "plant" in synth:
-                dataset = {**dataset, "synth": {
-                    **synth, "plant": _plant_values(plant)}}
+                dataset = {**dataset, "synth": {**synth, "plant": plant}}
         elif bounds is not None:
             if not isinstance(bounds, list) or len(bounds) != 2:
                 raise ExperimentError(f"dataset.boundaries must be a list of "
@@ -186,18 +192,11 @@ class ExperimentConfig:
             dataset = {**dataset, "boundaries": [
                 _integer(t, f"dataset.boundaries[{i}]", ExperimentError)
                 for i, t in enumerate(bounds)]}
-        for key, least in (("seed", None), ("n_nodes", 1), ("n_items", 1)):
-            if key in (synth or {}):
-                name = f"dataset.synth.{key}"
-                value = _integer(synth[key], name, ExperimentError)
-                if least is not None and value < least:
-                    raise ExperimentError(f"{name} must be >= {least}, "
-                                          f"got {value!r}")
         axes["densities"] = [float(d) for d in axes["densities"]]
         return ExperimentConfig(
             dataset=dataset,
             **axes,
-            seed=_integer(raw.get("seed", 0), "seed", ExperimentError),
+            seed=_typed(raw, "seed", "", "int", 0),
             workers=workers,
             out=_typed(raw, "out", "", str, "out"),
             **hypers,
@@ -388,8 +387,7 @@ def _resolve_explicit(entry: dict, factor: float, ds_dir: Path,
             g = load_explicit_edges(path, n_nodes)
     if factor < 1.0:
         keep = max(1, int(round(factor * g.n_edges)))
-        rng = np.random.Generator(np.random.PCG64(
-            derive_seed(seed, "explicit-thin", entry["name"], factor)))
+        rng = generator(seed, "explicit-thin", entry["name"], factor)
         sel = np.sort(rng.choice(g.n_edges, size=keep, replace=False))
         g = EdgeSet(n_nodes=g.n_nodes, src=g.src[sel], dst=g.dst[sel],
                     weights=g.weights[sel], directed=g.directed,
@@ -546,6 +544,7 @@ def _predict(r: _Resolved) -> dict:
         "assertions": r.audit.assertions,
         "violations": r.audit.violations,
         "wall_ms": (r.seconds + time.perf_counter() - t0) * 1000.0,
+        "classifiers_trained": r.pool.trained,
         "single_class": r.pool.single_class,
         "pool_hits": r.pool.hits,
     }
@@ -661,12 +660,9 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
         "audit_violations": audit_violations,
         "wall_ms": {p["config_key"]: round(p["wall_ms"], 3)
                     for p in payloads},
-        # a config's pool spans both partitions; each batch notes its
-        # running total
-        "classifiers_trained": {
-            p["config_key"]: max(b.notes["classifiers_trained"]
-                                 for b in p["batches"])
-            for p in payloads},
+        # a config's pool spans both partitions
+        "classifiers_trained": {p["config_key"]: p["classifiers_trained"]
+                                for p in payloads},
         # records per evaluation partition that no classifier scored (an
         # empty CC neighborhood, an LP owner with an untrainable pair set)
         "fallback": {p["config_key"]: {b.partition: b.n_fallback

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import generator
-from .data import AttributeMatrix, _integer
+from .data import AttributeMatrix
 
 
 class LearnError(ValueError):
@@ -41,17 +41,10 @@ class SVMHyper:
         if not (math.isfinite(self.reg) and self.reg > 0):
             raise LearnError(f"svm.reg must be finite and > 0, "
                              f"got {self.reg!r}")
+        # an integral reg trains in floats, as a written 1.0 does
+        object.__setattr__(self, "reg", float(self.reg))
         if self.epochs < 1:
             raise LearnError(f"svm.epochs must be >= 1, got {self.epochs!r}")
-
-    @staticmethod
-    def from_dict(d: dict | None) -> "SVMHyper":
-        d = d or {}
-        reg = d.get("reg", 1e-4)
-        if isinstance(reg, bool) or not isinstance(reg, numbers.Real):
-            raise LearnError(f"svm.reg must be a number, got {reg!r}")
-        return SVMHyper(reg=float(reg), epochs=_integer(
-            d.get("epochs", 10), "svm.epochs", LearnError))
 
 
 @dataclass(frozen=True)
@@ -74,21 +67,6 @@ class RFHyper:
                                 and not isinstance(f, bool) and 0 < f <= 1):
             raise LearnError(f'rf.feature_frac must be "sqrt" or a number '
                              f'in (0, 1], got {f!r}')
-
-    @staticmethod
-    def from_dict(d: dict | None) -> "RFHyper":
-        d = d or {}
-        bootstrap = d.get("bootstrap", True)
-        if not isinstance(bootstrap, bool):
-            raise LearnError(f"rf.bootstrap must be true or false, "
-                             f"got {bootstrap!r}")
-        return RFHyper(
-            **{key: _integer(d.get(key, default), f"rf.{key}", LearnError)
-               for key, default in (("trees", 50), ("max_depth", 16),
-                                    ("min_leaf", 1))},
-            feature_frac=d.get("feature_frac", "sqrt"),
-            bootstrap=bootstrap,
-        )
 
 
 class TrainingSet:
@@ -463,10 +441,9 @@ def _set_rows(sets: list):
     row t is row ``row_off[k] + t``; entry e, zeros included, holds
     ``vals[e]`` in row ``row[e]``, at dictionary position ``pos[e]``;
     ``y`` holds each row's label and ``model`` each row's set. Set k's
-    dictionary is ``uniq[d_off[k]:d_off[k + 1]]``, from one sorted pass
-    (``_dictionary``) over (set, column) keys of every entry, as the
-    TrainingSet's would be; ``pos[e] - d_off[k]`` is the entry's local
-    column.
+    dictionary is ``uniq[d_off[k]:d_off[k + 1]]``, from one ``np.unique``
+    over (set, column) keys of every entry, as the TrainingSet's would be;
+    ``pos[e] - d_off[k]`` is the entry's local column.
 
     The sets' rows are built per matrix and kind of id in one
     ``instance_rows`` call over their ids laid end to end, so a chunk of
@@ -496,27 +473,13 @@ def _set_rows(sets: list):
     span = int(cols.max()) + 1 if len(cols) else 1
     key = model[row] * span + cols
     del cols
-    uniq, pos = _dictionary(key)
+    uniq, pos = np.unique(key, return_inverse=True)
     del key
     umodel = uniq // span
     d_off = np.zeros(g + 1, dtype=np.int64)
     np.cumsum(np.bincount(umodel, minlength=g), out=d_off[1:])
     uniq -= umodel * span
     return row_off, row, vals, y, uniq, d_off, pos, model
-
-
-def _dictionary(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(key, return_inverse=True)`` of a 1-D array, from one
-    argsort, a neighbour compare and a cumsum, without np.unique's copy of
-    the keys."""
-    order = np.argsort(key)
-    ordered = key[order]
-    first = np.empty(len(key), dtype=bool)  # the first of a run of equals
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(len(key), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
 
 
 def _cat(parts: list) -> np.ndarray:

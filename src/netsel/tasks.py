@@ -215,10 +215,10 @@ class ClassifierPool:
     constant.
 
     A builder returns its classifier: a coin, the constant of single-class
-    material, or a pending SVM or forest, which ``settle`` trains. A
-    runner settles its pool itself; the evaluate stage instead settles
-    the pools of a window of configs in one pass (``settle_pools``), so
-    that their SVMs share SGD chunks and their forests grow together.
+    material, or a pending SVM or forest, which ``settle_pools`` trains.
+    A runner settles its pool alone; the evaluate stage instead settles
+    the pools of a window of configs in one pass, so that their SVMs
+    share SGD chunks and their forests grow together.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -242,10 +242,6 @@ class ClassifierPool:
         pool's pending classifiers train from."""
         return sum(ts.nnz for ts in map(pending_set, self.cache.values())
                    if ts is not None)
-
-    def settle(self) -> None:
-        """Train every pending classifier in the pool (``settle_pools``)."""
-        settle_pools([self])
 
 
 def settle_pools(pools) -> None:
@@ -430,7 +426,7 @@ def _cc_lookup(config: ModelConfig, pool: ClassifierPool,
                ) -> str | None:
     """Look one labelset's material on one training node set, keyed
     ``key`` (``_cc_digest``), up in the pool and return the key; None for
-    an empty set. Training waits for ``pool.settle``; material with one
+    an empty set. Training waits for ``settle_pools``; material with one
     label gets the learners' constant classifier, which
     ``pool.single_class`` counts."""
     if key is None:
@@ -466,7 +462,7 @@ def run_cc(config: ModelConfig, scopes: Scopes, parts: PartitionedDataset,
     """
     pool = pool if pool is not None else ClassifierPool(config)
     predict = resolve_cc(config, scopes, parts, eval_role, audit, pool)
-    pool.settle()
+    settle_pools([pool])
     return predict()
 
 
@@ -709,7 +705,7 @@ def _lp_lookup(config: ModelConfig, pool: ClassifierPool,
     """Look one scope's material up in the pool and return its key; None
     for untrainable material. A miss draws the class-balanced sample,
     seeded by the config and the material, and checks it; a classifier's
-    pair rows and training wait for ``pool.settle`` (a coin needs
+    pair rows and training wait for ``settle_pools`` (a coin needs
     neither)."""
     if mat is None:
         return None
@@ -783,7 +779,7 @@ def run_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
       ``scopes``, or the config's global sample or ensemble members) is
       looked up in the pool, whose misses build their classifiers from
       the sets' pairs;
-    - settle: ``pool.settle`` trains the pending classifiers, each
+    - settle: ``settle_pools`` trains the pending classifiers, each
       chunk's pair rows built in one ``pair_features`` pass;
     - predict: one ``pair_features`` pass gives every plan pair's row in
       record order (owners ascending, each owner's positives then its
@@ -794,7 +790,7 @@ def run_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
     """
     pool = pool if pool is not None else ClassifierPool(config)
     predict = resolve_lp(config, scopes, plan, matrix, audit, pool)
-    pool.settle()
+    settle_pools([pool])
     return predict()
 
 

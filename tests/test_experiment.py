@@ -2,6 +2,7 @@
 plus stage chaining, reruns under different worker counts, explicit
 network thinning, and the CLI front end."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -30,9 +31,9 @@ from netsel.experiment import (
     stage_select,
 )
 from netsel.graph import load_edgeset
-from netsel.learn import LearnError, RFHyper
+from netsel.learn import LearnError, RFHyper, SVMHyper
 from netsel.selection import records_from_batches
-from netsel.synth import synth_bundle
+from netsel.synth import PlantSpec, synth_bundle
 from netsel.tasks import config_key_fields
 
 GRID = {
@@ -276,6 +277,25 @@ class TestGrid:
             block = block[b]
         block[name] = value
         with pytest.raises(ExperimentError, match=f"^{key} must "):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("path, field, error", [
+        pytest.param(path, f.name, error, id=f"{path}.{f.name}")
+        for path, cls, error in (("svm", SVMHyper, LearnError),
+                                 ("rf", RFHyper, LearnError),
+                                 ("dataset.synth.plant", PlantSpec,
+                                  ExperimentError))
+        for f in dataclasses.fields(cls)])
+    def test_every_typed_field_refuses_a_wrong_json_type(self, path, field,
+                                                         error):
+        # a string for a number, integer or bool field; feature_frac also
+        # takes a string, so it gets a list
+        raw = make_config("unused")
+        block = raw
+        for b in path.split("."):
+            block = block.setdefault(b, {})
+        block[field] = [0.5] if field == "feature_frac" else "1"
+        with pytest.raises(error, match=f"^{path}\\.{field} must be"):
             ExperimentConfig.from_dict(raw)
 
     def test_a_config_that_is_not_an_object_is_fatal(self):

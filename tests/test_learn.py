@@ -656,19 +656,6 @@ def _unit_rows(ts: TrainingSet):
     return ptr, cols, vals
 
 
-@pytest.mark.parametrize("case", ["random", "empty", "single", "one-key"])
-def test_dictionary_equals_np_unique(case):
-    rng = np.random.default_rng(12)
-    key = {"random": rng.integers(0, 500, 3000) * 7919,
-           "empty": np.empty(0, dtype=np.int64),
-           "single": np.array([42]),
-           "one-key": np.full(9, -3)}[case]
-    want = np.unique(key, return_inverse=True)
-    got = learn._dictionary(key)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def _frozen_sgd(ts, hyper, seed):
     """train_svm's SGD as it ran once per model, before train_svms ran the
     models in lock step; kept verbatim as the bit-level reference. Returns
