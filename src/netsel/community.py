@@ -83,22 +83,6 @@ class _LevelGraph:
         total = 2.0 * float(sym.weights.sum())
         return _LevelGraph(adj, total)
 
-    def q(self, comm: np.ndarray, resolution: float) -> float:
-        """Generalized modularity of ``comm``, as ``modularity`` computes
-        it on the graph this level aggregates."""
-        if self.two_m == 0:
-            return 0.0
-        n_comm = comm.max() + 1
-        internal = np.zeros(n_comm)
-        for v, nbrs in enumerate(self.adj):
-            cv = comm[v]
-            for u, w in nbrs.items():
-                if comm[u] == cv:
-                    internal[cv] += w
-        d_c = np.bincount(comm, weights=self.deg, minlength=n_comm)
-        return float(np.sum(internal / self.two_m
-                            - resolution * (d_c / self.two_m) ** 2))
-
     def aggregate(self, comm: np.ndarray) -> "_LevelGraph":
         n_comm = comm.max() + 1
         adj: list[dict] = [dict() for _ in range(n_comm)]
@@ -170,7 +154,8 @@ def louvain(
     """Two-phase Louvain with deterministic seeded sweeps.
 
     ``phase_hook(level, q_before, q_after)`` is called once per level with
-    the working graph's modularity before and after the local-move phase.
+    ``modularity`` of g's node partition before and after the level's
+    local-move phase.
     The reported modularity is modularity(g, labels) exactly.
     """
     n = g.n_nodes
@@ -182,9 +167,9 @@ def louvain(
         comm, moved = _one_level(graph, rng, resolution, min_gain)
         # dense relabel ordered by first appearance over node ids
         uniq, dense = np.unique(comm, return_inverse=True)
-        if phase_hook is not None:  # the local moves leave graph as it was
-            phase_hook(level, graph.q(np.arange(graph.n), resolution),
-                       graph.q(dense, resolution))
+        if phase_hook is not None:
+            phase_hook(level, modularity(g, mapping, resolution),
+                       modularity(g, dense[mapping], resolution))
         if moved:
             mapping = dense[mapping]
         if not moved or len(uniq) == graph.n:

@@ -9,10 +9,11 @@ Label sets are derived per window from threshold rules over item groups.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -222,9 +223,6 @@ class AttributeMatrix:
     item_ids: np.ndarray
     role: str
     aggregation: str = "sum"
-    _item_index: dict | None = field(default=None, repr=False)
-    _row_sums: np.ndarray | None = field(default=None, repr=False)
-    _nonnegative: bool | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -234,24 +232,18 @@ class AttributeMatrix:
     def n_items(self) -> int:
         return self.data.shape[1]
 
-    @property
+    @functools.cached_property
     def item_index(self) -> dict:
-        if self._item_index is None:
-            self._item_index = {int(v): i for i, v in enumerate(self.item_ids)}
-        return self._item_index
+        return {int(v): i for i, v in enumerate(self.item_ids)}
 
-    @property
+    @functools.cached_property
     def row_sums(self) -> np.ndarray:
-        if self._row_sums is None:
-            self._row_sums = np.asarray(self.data.sum(axis=1)).ravel()
-        return self._row_sums
+        return np.asarray(self.data.sum(axis=1)).ravel()
 
-    @property
+    @functools.cached_property
     def nonnegative(self) -> bool:
         """No stored value is negative."""
-        if self._nonnegative is None:
-            self._nonnegative = not (self.data.data < 0).any()
-        return self._nonnegative
+        return not (self.data.data < 0).any()
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Column indices and values of node i's attribute vector."""

@@ -566,27 +566,27 @@ def _evaluate_cells(families: dict, dataset: PartitionedDataset,
     """Evaluate (family key, config) cells in settle windows, one payload
     per cell in order.
 
-    Configs resolve one after another, both partitions each, until the
-    pending training entries of their pools (``TrainingSet.nnz``) pass
-    ``learn.SGD_BATCH_ENTRIES`` or the cells run out. One settle then
-    trains every pending classifier of the window, many configs' SVMs in
-    one lock-step SGD and their forests in one lock-step growth, and each
-    config predicts. No output depends on where a window closes.
+    Configs resolve one after another, both partitions each, in windows
+    that ``learn._budgeted``, the budget loop of the SGD and forest chunks
+    too, closes once their pools' pending ``material`` holds more than
+    ``learn.SGD_BATCH_ENTRIES`` row entries. One settle then trains every
+    pending classifier of the window, many configs' SVMs in one lock-step
+    SGD and their forests in one lock-step growth, and each config
+    predicts. No output depends on where a window closes.
     """
+    def resolved():
+        for fkey, config in cells:
+            with _failing_as(config):
+                yield _resolve(families[fkey], dataset, config)
+
     payloads: list[dict] = []
-    window: list[_Resolved] = []
-    entries = 0
-    for j, (fkey, config) in enumerate(cells):
-        with _failing_as(config):
-            window.append(_resolve(families[fkey], dataset, config))
-        entries += window[-1].pool.pending_entries()
-        if entries > learn.SGD_BATCH_ENTRIES or j == len(cells) - 1:
-            with _failing_as(*(r.config for r in window)):
-                settle_pools([r.pool for r in window])
-            for r in window:
-                with _failing_as(r.config):
-                    payloads.append(_predict(r))
-            window, entries = [], 0
+    for window in learn._budgeted(resolved(),
+                                  lambda r: r.pool.pending_entries()):
+        with _failing_as(*(r.config for r in window)):
+            settle_pools([r.pool for r in window])
+        for r in window:
+            with _failing_as(r.config):
+                payloads.append(_predict(r))
     return payloads
 
 
@@ -703,28 +703,23 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
 def _write_batches(path: Path, batches) -> None:
     """batches.tsv, streamed a batch at a time so that its text is never
-    held whole, and batches_meta.json."""
-    meta = {}
+    held whole."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as fh:
         fh.write("config_key\tpartition\tnode\ttarget\tpredicted\tactual"
                  "\tfallback\n")
         for b in batches:
-            meta.setdefault(b.config_key, {})[b.partition] = {
-                "ensemble_fallback": b.ensemble_fallback,
-                "task": b.task,
-                "notes": b.notes,
-            }
             fh.write("".join(f"{b.config_key}\t{b.partition}\t{node}"
                              f"\t{target}\t{pred}\t{actual}\t{fb}\n"
                              for node, target, pred, actual, fb in b.rows()))
     os.replace(tmp, path)
-    _atomic_write(path.with_name("batches_meta.json"),
-                  json.dumps(meta, indent=1, sort_keys=True) + "\n")
 
 
 def load_batches(path: Path) -> list[PredictionBatch]:
-    meta = json.loads(path.with_name("batches_meta.json").read_text())
+    """The batches of a batches.tsv: each one's task comes from its config
+    key, its ``ensemble_fallback`` from the results.csv beside the file."""
+    ensemble_fallback = {r.config_key: r.ensemble_fallback for r in
+                         load_results(path.with_name("results.csv"))}
     groups: dict[tuple, dict] = {}
     with open(path) as fh:
         header = fh.readline()
@@ -744,18 +739,16 @@ def load_batches(path: Path) -> list[PredictionBatch]:
     out = []
     for (key, part) in sorted(groups):
         slot = groups[(key, part)]
-        m = meta.get(key, {}).get(part, {})
         out.append(PredictionBatch(
             config_key=key,
-            task=m.get("task", config_key_fields(key).get("task", "CC")),
+            task=config_key_fields(key)["task"],
             partition=part,
             nodes=np.array(slot["nodes"], dtype=np.int64),
             targets=slot["targets"],
             predicted=np.array(slot["pred"], dtype=np.int8),
             actual=np.array(slot["act"], dtype=np.int8),
             fallback=np.array(slot["fb"], dtype=bool),
-            ensemble_fallback=bool(m.get("ensemble_fallback", False)),
-            notes=m.get("notes", {}),
+            ensemble_fallback=ensemble_fallback[key],
         ))
     return out
 
@@ -877,10 +870,10 @@ def stage_select(out_dir: Path) -> None:
 
 def stage_report(out_dir: Path) -> None:
     """Record-level reports from cached batches."""
-    path = out_dir / "batches.tsv"
-    if not path.exists():
-        raise ExperimentError(f"missing evaluate stage output: {path}")
-    batches = load_batches(path)
+    for path in (out_dir / "results.csv", out_dir / "batches.tsv"):
+        if not path.exists():
+            raise ExperimentError(f"missing evaluate stage output: {path}")
+    batches = load_batches(out_dir / "batches.tsv")
     rows = ["task,clf,node,n_records,precision"]
     for row in node_difficulty(batches):
         rows.append(f"{row.task},{row.classifier},{row.node},"

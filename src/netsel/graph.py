@@ -8,6 +8,7 @@ merges antiparallel edges with the max of their weights.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import re
@@ -38,10 +39,6 @@ class EdgeSet:
     weights: np.ndarray
     directed: bool
     provenance: dict = field(default_factory=dict)
-    _adj_indptr: np.ndarray | None = field(default=None, repr=False)
-    _adj_indices: np.ndarray | None = field(default=None, repr=False)
-    _und: "EdgeSet | None" = field(default=None, repr=False)
-    _keys: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.src = np.asarray(self.src, dtype=np.int64)
@@ -78,63 +75,62 @@ class EdgeSet:
         budget = n * (n - 1) if self.directed else n * (n - 1) // 2
         return self.n_edges / budget if budget else 0.0
 
+    @functools.cached_property
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR-style (indptr, indices): out-neighbors if directed,
         both endpoints if undirected. Neighbor lists are sorted."""
-        if self._adj_indptr is None:
-            if self.directed:
-                heads, tails = self.src, self.dst
-            else:
-                heads = np.concatenate([self.src, self.dst])
-                tails = np.concatenate([self.dst, self.src])
-            order = np.lexsort((tails, heads))
-            heads = heads[order]
-            tails = tails[order]
-            indptr = np.searchsorted(heads, np.arange(self.n_nodes + 1))
-            self._adj_indptr = indptr
-            self._adj_indices = tails
-        return self._adj_indptr, self._adj_indices
+        if self.directed:
+            heads, tails = self.src, self.dst
+        else:
+            heads = np.concatenate([self.src, self.dst])
+            tails = np.concatenate([self.dst, self.src])
+        order = np.lexsort((tails, heads))
+        heads = heads[order]
+        tails = tails[order]
+        return np.searchsorted(heads, np.arange(self.n_nodes + 1)), tails
 
     def neighbors(self, i: int) -> np.ndarray:
         """Out-neighbors (directed) or adjacent nodes (undirected)."""
         if not 0 <= i < self.n_nodes:
             raise GraphError(f"node {i} out of range")
-        indptr, indices = self._adjacency()
+        indptr, indices = self._adjacency
         return indices[indptr[i]:indptr[i + 1]]
 
     def degrees(self) -> np.ndarray:
-        indptr, _ = self._adjacency()
+        indptr, _ = self._adjacency
         return np.diff(indptr)
 
     def undirected_view(self) -> "EdgeSet":
         """Symmetrized graph; antiparallel weights merge with max."""
-        if not self.directed:
-            return self
-        if self._und is None:
-            lo = np.minimum(self.src, self.dst)
-            hi = np.maximum(self.src, self.dst)
-            key = _pair_keys(lo, hi, self.n_nodes)
-            order = np.argsort(key, kind="stable")
-            key_s = key[order]
-            w_s = self.weights[order]
-            uniq, start = np.unique(key_s, return_index=True)
-            wmax = np.maximum.reduceat(w_s, start) if len(w_s) else w_s
-            self._und = EdgeSet(
-                n_nodes=self.n_nodes,
-                src=uniq // self.n_nodes,
-                dst=uniq % self.n_nodes,
-                weights=wmax,
-                directed=False,
-                provenance=dict(self.provenance, symmetrized=True),
-            )
-        return self._und
+        return self._und if self.directed else self
+
+    @functools.cached_property
+    def _und(self) -> "EdgeSet":
+        lo = np.minimum(self.src, self.dst)
+        hi = np.maximum(self.src, self.dst)
+        key = _pair_keys(lo, hi, self.n_nodes)
+        order = np.argsort(key, kind="stable")
+        key_s = key[order]
+        w_s = self.weights[order]
+        uniq, start = np.unique(key_s, return_index=True)
+        wmax = np.maximum.reduceat(w_s, start) if len(w_s) else w_s
+        return EdgeSet(
+            n_nodes=self.n_nodes,
+            src=uniq // self.n_nodes,
+            dst=uniq % self.n_nodes,
+            weights=wmax,
+            directed=False,
+            provenance=dict(self.provenance, symmetrized=True),
+        )
 
     def pair_keys(self) -> np.ndarray:
         """Sorted canonical keys of the undirected pair set."""
-        if self._keys is None:
-            und = self.undirected_view()
-            self._keys = _pair_keys(und.src, und.dst, self.n_nodes)
         return self._keys
+
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        und = self.undirected_view()
+        return _pair_keys(und.src, und.dst, self.n_nodes)
 
     def has_pair(self, u: int, v: int) -> bool:
         if u == v:
@@ -156,7 +152,7 @@ def bfs_neighborhood(g: EdgeSet, i: int, k: int = 200) -> np.ndarray:
         raise GraphError("k must be >= 0")
     if not 0 <= i < g.n_nodes:
         raise GraphError(f"node {i} out of range")
-    indptr, indices = g.undirected_view()._adjacency()
+    indptr, indices = g.undirected_view()._adjacency
     visited = np.zeros(g.n_nodes, dtype=bool)
     visited[i] = True
     levels = []
@@ -165,7 +161,7 @@ def bfs_neighborhood(g: EdgeSet, i: int, k: int = 200) -> np.ndarray:
     while len(frontier) and reached < k:
         # the frontier's neighbour slices in one gather; the next level is
         # their unvisited nodes, ascending
-        nb = indices[_slices(indptr, frontier)[0]]
+        nb = indices[_gather(indptr, frontier)[1]]
         frontier = np.unique(nb[~visited[nb]])
         visited[frontier] = True
         levels.append(frontier)
@@ -173,15 +169,20 @@ def bfs_neighborhood(g: EdgeSet, i: int, k: int = 200) -> np.ndarray:
     return np.concatenate([np.empty(0, np.int64), *levels])[:k]
 
 
-def _slices(indptr: np.ndarray, nodes: np.ndarray):
-    """The positions in a CSR ``indices`` array of every node's slice, in
-    one gather, slice after slice, and the index into ``nodes`` of the
-    slice each position belongs to."""
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    row = np.repeat(np.arange(len(nodes)), counts)
-    first = np.cumsum(counts) - counts  # each slice's start in the gather
-    return np.arange(len(row)) + (starts - first)[row], row
+def _gather(indptr: np.ndarray, rows: np.ndarray):
+    """CSR row selection: the selected rows' indptr and the positions of
+    their entries in the source's indices and data, row after row."""
+    starts = indptr[rows]
+    return _expand(starts, indptr[rows + 1] - starts)
+
+
+def _expand(starts: np.ndarray, counts: np.ndarray):
+    """The indptr of runs of ``counts`` entries from ``starts`` laid end to
+    end, and the source positions of their entries, run after run."""
+    out = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    at = np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
+    return out, at
 
 
 def induced_pairs(
@@ -195,10 +196,11 @@ def induced_pairs(
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     m = len(nodes)
     local = np.arange(m)
-    indptr, indices = g.undirected_view()._adjacency()
+    indptr, indices = g.undirected_view()._adjacency
     # every scope node's neighbour slice in one gather, then one
     # membership test of those neighbours against the sorted scope
-    at, row = _slices(indptr, nodes)
+    ptr, at = _gather(indptr, nodes)
+    row = np.repeat(local, np.diff(ptr))
     nb = indices[at]
     col = np.minimum(np.searchsorted(nodes, nb), m - 1)
     hit = nodes[col] == nb

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._rng import generator
 from .data import AttributeMatrix
+from .graph import _expand, _gather
 
 
 class LearnError(ValueError):
@@ -161,22 +162,6 @@ def instance_rows(matrix: AttributeMatrix, ids: np.ndarray):
     return indptr, csr.indices[at], csr.data[at]
 
 
-def _gather(indptr: np.ndarray, rows: np.ndarray):
-    """CSR row selection: the selected rows' indptr and the positions of
-    their entries in the source's indices and data, row after row."""
-    starts = indptr[rows]
-    return _expand(starts, indptr[rows + 1] - starts)
-
-
-def _expand(starts: np.ndarray, counts: np.ndarray):
-    """The indptr of runs of ``counts`` entries from ``starts`` laid end to
-    end, and the source positions of their entries, run after run."""
-    out = np.zeros(len(starts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    at = np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
-    return out, at
-
-
 def _project(dictionary: np.ndarray, cols: np.ndarray, vals: np.ndarray):
     """Map a global sparse vector into the dictionary space, dropping
     unknown columns."""
@@ -193,6 +178,7 @@ class ConstantClassifier:
     training sets."""
 
     kind = "constant"
+    material = None  # never pending
 
     def __init__(self, label: int, reason: str = "") -> None:
         self.label = int(label)
@@ -207,6 +193,7 @@ class CoinClassifier:
     calibration checks on balanced evaluation sets."""
 
     kind = "coin"
+    material = None  # never pending
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
@@ -222,31 +209,31 @@ class CoinClassifier:
 class LinearSVM:
     """Primal hinge-loss linear SVM with per-instance L2 normalization.
 
-    A model is pending or trained: ``train_svm`` returns it with ``sgd``
-    holding its material, and ``train_svms`` trains it and sets its
-    ``dictionary``; reading ``w`` or ``b``, or predicting, trains a pending
-    model by itself first.
+    A model is pending or trained: ``train_svm`` returns it holding its
+    ``material``, and ``train_svms`` trains it, sets its ``dictionary`` and
+    clears ``material``; reading ``w`` or ``b``, or predicting, trains a
+    pending model by itself first.
     """
 
     kind = "linear-svm"
 
     def __init__(self, w: np.ndarray | None, b: float,
                  dictionary: np.ndarray | None,
-                 sgd: _SGDMaterial | None = None) -> None:
+                 material: _Material | None = None) -> None:
         self._w = w
         self._b = b
         self.dictionary = dictionary
-        self.sgd = sgd
+        self.material = material
 
     @property
     def w(self) -> np.ndarray:
-        if self.sgd is not None:
+        if self.material is not None:
             train_svms([self])
         return self._w
 
     @property
     def b(self) -> float:
-        if self.sgd is not None:
+        if self.material is not None:
             train_svms([self])
         return self._b
 
@@ -316,12 +303,12 @@ def predict_rows(clf, indptr, cols, vals) -> np.ndarray:
                      for a, z in zip(ptr[:-1], ptr[1:])], dtype=np.int8)
 
 
-class _SGDMaterial(NamedTuple):
-    """What a pending LinearSVM trains from."""
+class _Material(NamedTuple):
+    """What a pending LinearSVM or RandomForest trains from."""
 
     ts: TrainingSet
+    hyper: SVMHyper | RFHyper
     seed: int
-    hyper: SVMHyper
 
 
 def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
@@ -333,8 +320,8 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
     multiplicative decay lets every regularized coordinate forget them.
     Single-class sets yield a constant classifier.
 
-    Training is pending on the returned model, which records the set, the
-    seed and the hyperparameters. ``train_svms`` assembles and trains many
+    Training is pending on the returned model, its ``material`` holding the
+    set, hyperparameters and seed. ``train_svms`` assembles and trains many
     pending models together, and a pending model trains by itself when
     first read (``w``, ``b``, ``decision``, ``predict``). Either way the
     result is that of the per-model loop (``_sgd_loop``) on the set's rows
@@ -371,7 +358,7 @@ def train_svm(ts: TrainingSet, hyper: SVMHyper, seed: int):
     classes = ts.classes()
     if len(classes) == 1:
         return ConstantClassifier(int(classes[0]), "single-class")
-    return LinearSVM(None, 0.0, None, sgd=_SGDMaterial(ts, seed, hyper))
+    return LinearSVM(None, 0.0, None, _Material(ts, hyper, seed))
 
 
 def _assemble(models: list):
@@ -392,7 +379,7 @@ def _assemble(models: list):
     """
     g = len(models)
     row_off, row, vals, y, uniq, d_off, pos, model = _set_rows(
-        [m.sgd.ts for m in models])
+        [m.material.ts for m in models])
     y = y * 2.0 - 1.0
     n_rows = len(y)
     w_off = d_off + np.arange(g + 1)
@@ -547,34 +534,32 @@ _SLACK_ABS = 16 * _U  # absolute part of the margin certificate's slack
 SGD_BATCH_ENTRIES = 2**16  # stored row entries that start an SGD chunk
 
 
-def pending_set(clf) -> TrainingSet | None:
-    """The training set that a pending LinearSVM or RandomForest trains
-    from; None for a trained one or any other classifier."""
-    if isinstance(clf, LinearSVM) and clf.sgd is not None:
-        return clf.sgd.ts
-    if isinstance(clf, RandomForest) and clf.material is not None:
-        return clf.material.ts
-    return None
+def _budgeted(items, entries):
+    """``items``, read once, in lists that close as soon as the ``entries``
+    of their items pass ``SGD_BATCH_ENTRIES``, and at the end: the one
+    budget loop of the evaluate stage's settle windows and the chunks."""
+    chunk, total = [], 0
+    for item in items:
+        chunk.append(item)
+        total += entries(item)
+        if total > SGD_BATCH_ENTRIES:
+            yield chunk
+            chunk, total = [], 0
+    if chunk:
+        yield chunk
 
 
 def _pending_chunks(models, kind: type):
     """The distinct pending classifiers of ``kind`` among ``models``, an
-    iterable read once, in chunks: a chunk closes when the row entries
-    (``TrainingSet.nnz``) of the sets read since the last one pass
-    ``SGD_BATCH_ENTRIES``, and at the end. A pending classifier holds
-    only its set's ids, so the rows that a chunk's training holds at once
-    are bounded by the budget plus one set. A classifier trained by an
-    earlier chunk is no longer pending when it is read again."""
-    chunk: dict = {}
-    entries = 0
-    for m in itertools.chain(models, [None]):  # None: the last chunk
-        ts = pending_set(m) if isinstance(m, kind) else None
-        if ts is not None:
-            chunk[id(m)] = m
-            entries += ts.nnz
-        if chunk and (entries > SGD_BATCH_ENTRIES or m is None):
-            yield list(chunk.values())
-            chunk, entries = {}, 0
+    iterable read once, in ``_budgeted`` chunks of the row entries
+    (``TrainingSet.nnz``) of their sets. A pending classifier holds only
+    its set's ids, so the rows that a chunk's training holds at once are
+    bounded by the budget plus one set. A classifier trained by an earlier
+    chunk is no longer pending when it is read again."""
+    pending = (m for m in models
+               if isinstance(m, kind) and m.material is not None)
+    for chunk in _budgeted(pending, lambda m: m.material.ts.nnz):
+        yield list(dict.fromkeys(chunk))
 
 
 def train_svms(models) -> None:
@@ -591,7 +576,7 @@ def train_svms(models) -> None:
     for chunk in _pending_chunks(models, LinearSVM):
         groups: dict = {}  # hyperparameters -> models
         for m in chunk:
-            groups.setdefault(m.sgd.hyper, []).append(m)
+            groups.setdefault(m.material.hyper, []).append(m)
         for hyper, group in groups.items():
             to_scale += _train_group(group, hyper.reg, hyper.epochs)
     _scale_svms(to_scale)
@@ -645,16 +630,16 @@ def _train_group(models: list, reg: float, epochs: int) -> list:
     fewer than ``_TAIL`` models are still stepping, each finishes in
     ``_sgd_loop`` from its current state.
     """
-    models.sort(key=lambda m: m.sgd.ts.n, reverse=True)
+    models.sort(key=lambda m: m.material.ts.n, reverse=True)
     g = len(models)
-    n = [m.sgd.ts.n for m in models]
+    n = [m.material.ts.n for m in models]
     steps = [epochs * k for k in n]
     C, YV, ptr, row_off, w_off, dicts = _assemble(models)
     cnt = np.diff(ptr)
     W = np.zeros(w_off[-1])
     # each model's epoch orders in one call: the same draws as ``epochs``
     # successive ``permutation(n)`` calls
-    orders = [generator(m.sgd.seed, "svm").permuted(
+    orders = [generator(m.material.seed, "svm").permuted(
         np.tile(np.arange(k), (epochs, 1)), axis=1).ravel()
         for m, k in zip(models, n)]
     t_tail = steps[_TAIL - 1] if g >= _TAIL else 0
@@ -727,7 +712,7 @@ def _train_group(models: list, reg: float, epochs: int) -> list:
         m._w = W[w_off[k]:w_off[k + 1] - 1].copy()
         m._b = float(W[w_off[k + 1] - 1])
         m.dictionary = dicts[k]
-        m.sgd = None
+        m.material = None
     return [(m, margins[row_off[k]:row_off[k] + n[k]], reg)
             for k, m in enumerate(models)]
 
@@ -815,28 +800,20 @@ def _scale_svms(to_scale: list) -> None:
         m._b = c * m._b
 
 
-class _RFMaterial(NamedTuple):
-    """What a pending RandomForest grows from."""
-
-    ts: TrainingSet
-    hyper: RFHyper
-    seed: int
-
-
 class RandomForest:
     """Bagged Gini CART trees. A tree is four lists indexed by node id,
     its nodes in pre-order: ``feature`` (-1 at a leaf), ``threshold`` (the
     label at a leaf), ``left`` and ``right``.
 
-    A forest is pending or grown: ``train_rf`` returns it with
-    ``material`` holding its set, hyperparameters and seed, and
-    ``train_forests`` grows it and sets its ``dictionary``; reading
-    ``trees``, or predicting, grows a pending forest by itself first.
+    A forest is pending or grown: ``train_rf`` returns it holding its
+    ``material``, and ``train_forests`` grows it, sets its ``dictionary``
+    and clears ``material``; reading ``trees``, or predicting, grows a
+    pending forest by itself first.
     """
 
     kind = "random-forest"
 
-    def __init__(self, material: _RFMaterial) -> None:
+    def __init__(self, material: _Material) -> None:
         self.material = material
         self.dictionary: np.ndarray | None = None
         self._trees: list = []
@@ -867,8 +844,8 @@ def train_rf(ts: TrainingSet, hyper: RFHyper, seed: int):
     sampling (sqrt of the dictionary size by default), after Breiman
     (2001). Single-class sets yield a constant classifier.
 
-    Growth is pending on the returned forest, which records the set, the
-    hyperparameters and the seed. ``train_forests`` grows many pending
+    Growth is pending on the returned forest, its ``material`` holding the
+    set, hyperparameters and seed. ``train_forests`` grows many pending
     forests together, and a pending forest grows by itself when first
     read (``trees``, ``predict``). Either way tree t draws from its own
     stream, ``generator(seed, "tree", t)``: first its bootstrap rows, then
@@ -886,7 +863,7 @@ def train_rf(ts: TrainingSet, hyper: RFHyper, seed: int):
     classes = ts.classes()
     if len(classes) == 1:
         return ConstantClassifier(int(classes[0]), "single-class")
-    return RandomForest(_RFMaterial(ts, hyper, seed))
+    return RandomForest(_Material(ts, hyper, seed))
 
 
 _SEARCH_CELLS = 2**17  # (row, feature) cells of split search scored at once

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,12 +50,12 @@ import numpy as np
 from ._rng import derive_seed, generator
 from .community import CommunityAssignment
 from .data import AttributeMatrix, PartitionedDataset
-from .graph import (EdgeSet, NeighborhoodSpec, _pair_keys, absent_pairs,
-                    bfs_neighborhood, incident_nonedges, induced_pairs)
+from .graph import (EdgeSet, NeighborhoodSpec, _gather, _pair_keys,
+                    absent_pairs, bfs_neighborhood, incident_nonedges,
+                    induced_pairs)
 from .learn import (CoinClassifier, ConstantClassifier, RFHyper, SVMHyper,
-                    TrainingSet, _gather, pair_features, pending_set,
-                    predict_rows, train_classifier, train_forests,
-                    train_svms)
+                    TrainingSet, pair_features, predict_rows,
+                    train_classifier, train_forests, train_svms)
 from .similarity import NetworkModelSpec, RowBlock
 
 TASKS = ("CC", "LP")
@@ -154,7 +154,6 @@ class PredictionBatch:
     actual: np.ndarray
     fallback: np.ndarray
     ensemble_fallback: bool = False
-    notes: dict = field(default_factory=dict)
 
     @property
     def n_records(self) -> int:
@@ -215,10 +214,11 @@ class ClassifierPool:
     constant.
 
     A builder returns its classifier: a coin, the constant of single-class
-    material, or a pending SVM or forest, which ``settle_pools`` trains.
-    A runner settles its pool alone; the evaluate stage instead settles
-    the pools of a window of configs in one pass, so that their SVMs
-    share SGD chunks and their forests grow together.
+    material, or a pending SVM or forest, which ``settle_pools`` trains
+    from its ``material``. A runner settles its pool alone; the evaluate
+    stage instead settles the pools of a window of configs in one pass, so
+    that their SVMs share SGD chunks and their forests grow together, the
+    windows and the chunks closed by one budget loop (``learn._budgeted``).
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -240,8 +240,8 @@ class ClassifierPool:
     def pending_entries(self) -> int:
         """Stored row entries (``TrainingSet.nnz``) of the sets that the
         pool's pending classifiers train from."""
-        return sum(ts.nnz for ts in map(pending_set, self.cache.values())
-                   if ts is not None)
+        return sum(m.material.ts.nnz for m in self.cache.values()
+                   if m.material is not None)
 
 
 def settle_pools(pools) -> None:
@@ -530,7 +530,6 @@ def resolve_cc(config: ModelConfig, scopes: Scopes, parts: PartitionedDataset,
             nodes_out.append(i)
             targets.append(name)
             keys.append(key)
-    trained = pool.trained
 
     def predict() -> PredictionBatch:
         members_by_label = {name: [(m, pool.cache[k]) for m, k in members]
@@ -566,7 +565,6 @@ def resolve_cc(config: ModelConfig, scopes: Scopes, parts: PartitionedDataset,
             actual=np.ones(m, dtype=np.int8),
             fallback=np.array(fbs, dtype=bool),
             ensemble_fallback=ensemble_fallback,
-            notes={"classifiers_trained": trained},
         )
 
     return predict
@@ -856,7 +854,6 @@ def resolve_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
             if label not in by_label:
                 by_label[label] = lookup(scopes.material(spec, i))
             keys.append(by_label[label])
-    trained = pool.trained
 
     def predict() -> PredictionBatch:
         # each record's code indexes its classifier, -1 the fallback
@@ -890,8 +887,6 @@ def resolve_lp(config: ModelConfig, scopes: Scopes, plan: LPEvalPlan,
             actual=(order < len(plan.pos)).astype(np.int8),
             fallback=code < 0,
             ensemble_fallback=ensemble_fallback,
-            notes={"classifiers_trained": trained,
-                   "dropped_pos": plan.dropped_pos},
         )
 
     return predict

@@ -5,6 +5,7 @@ network thinning, and the CLI front end."""
 import dataclasses
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from netsel import graph, similarity
 from netsel.cli import _load_config, build_parser, main
-from netsel.data import save_label_rules
+from netsel.data import load_dataset, save_label_rules
 from netsel.experiment import (
     ExperimentConfig,
     ExperimentError,
@@ -34,7 +35,8 @@ from netsel.graph import load_edgeset
 from netsel.learn import LearnError, RFHyper, SVMHyper
 from netsel.selection import records_from_batches
 from netsel.synth import PlantSpec, synth_bundle
-from netsel.tasks import config_key_fields
+from netsel.tasks import (ClassifierPool, PredictionBatch, config_key_fields,
+                          run_cc, run_lp)
 
 GRID = {
     "models": ["KNN", "TH"],
@@ -73,6 +75,27 @@ def pipe(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipe") / "run"
     run_experiment(ExperimentConfig.from_dict(make_config(out)))
     return out
+
+
+def rerun_config(pipe, task, locality):
+    """One config of the pipeline run evaluated afresh from its dataset
+    and network files: ``prepare_family``, then ``run_cc`` / ``run_lp`` on
+    both partitions with one pool. Returns the config key and the pool."""
+    cfg = ExperimentConfig.from_dict(make_config(pipe))
+    fkey, config = next((f, c) for f, c in build_grid(cfg) if c.task == task
+                        and c.locality.key() == locality)
+    fam = prepare_family(config.network,
+                         load_edgeset(pipe / "networks" / f"{fkey}.tsv"),
+                         cfg.seed, {(task, config.locality.locality)})
+    dataset = load_dataset(pipe / "dataset")
+    pool = ClassifierPool(config)
+    for role in ("validation", "testing"):
+        if task == "CC":
+            run_cc(config, fam.cc_scopes, dataset, role, pool=pool)
+        else:
+            run_lp(config, fam.lp_scopes, fam.lp_plans[role],
+                   dataset.matrix("training"), pool=pool)
+    return config.config_key, pool
 
 
 # --- grid construction (pure, no files) ---------------------------------------
@@ -360,8 +383,10 @@ class TestGrid:
 
 class TestPipelineOutputs:
     def test_all_artifacts_exist(self, pipe):
-        for name in REPORT_FILES + ["batches_meta.json", "manifest.json"]:
+        for name in REPORT_FILES + ["manifest.json"]:
             assert (pipe / name).exists(), name
+        # the results and the config keys hold every per-config counter
+        assert not (pipe / "batches_meta.json").exists()
         for name in ("dataset.json", "rules.json", "truth_label.tsv",
                      "truth_structure.tsv"):
             assert (pipe / "dataset" / name).exists(), name
@@ -426,15 +451,19 @@ class TestPipelineOutputs:
 
     def test_manifest_counts_classifiers_trained(self, pipe):
         manifest = json.loads((pipe / "manifest.json").read_text())
-        meta = json.loads((pipe / "batches_meta.json").read_text())
         trained = manifest["classifiers_trained"]
-        assert trained.keys() == manifest["wall_ms"].keys() == meta.keys()
-        for key, parts in meta.items():
-            # the pool spans both partitions; testing runs last
-            assert trained[key] == \
-                parts["testing"]["notes"]["classifiers_trained"]
-            assert trained[key] >= \
-                parts["validation"]["notes"]["classifiers_trained"]
+        keys = {r["config_key"].strip('"')
+                for r in csv_rows(pipe / "results.csv")}
+        assert trained.keys() == manifest["wall_ms"].keys() == keys
+        # the pool spans both partitions: a config rerun on its own, with
+        # one pool for both, counts the same
+        for task, locality in (("CC", "community"),
+                               ("LP", "local-adjacency")):
+            key, pool = rerun_config(pipe, task, locality)
+            assert pool.trained > 0
+            assert (trained[key], manifest["single_class"][key],
+                    manifest["pool_hits"][key]) == \
+                (pool.trained, pool.single_class, pool.hits)
         assert sum(trained.values()) > 0
 
     def test_manifest_counts_fallbacks(self, pipe):
@@ -450,21 +479,19 @@ class TestPipelineOutputs:
 
     def test_manifest_surfaces_ingest_and_lp_plan_counts(self, pipe):
         manifest = json.loads((pipe / "manifest.json").read_text())
-        meta = json.loads((pipe / "batches_meta.json").read_text())
         ds_meta = json.loads((pipe / "dataset" / "dataset.json").read_text())
         assert manifest["skipped_lines"] == ds_meta["skipped_lines"] == 0
         dropped = manifest["lp_dropped_pos"]
         assert sorted(dropped) == ["KNN-INT-0.02", "TH-INT-0.02"]
-        seen = 0
-        for key, parts in meta.items():
-            f = dict(p.split("=", 1) for p in key.split("|"))
-            if f["task"] != "LP":
-                continue
-            fam = f"{f['model']}-{f['measure']}-{f['density']}"
-            for role, part in parts.items():
-                assert dropped[fam][role] == part["notes"]["dropped_pos"]
-                seen += 1
-        assert seen == N_CONFIGS  # half the cells are LP, two batches each
+        # each family's plans, built afresh from its network file
+        cfg = ExperimentConfig.from_dict(make_config(pipe))
+        for spec in family_specs(cfg):
+            fkey = family_key(spec)
+            fam = prepare_family(
+                spec, load_edgeset(pipe / "networks" / f"{fkey}.tsv"),
+                cfg.seed, {("LP", "local-adjacency")})
+            assert dropped[fkey] == {role: plan.dropped_pos
+                                     for role, plan in fam.lp_plans.items()}
 
 
     def test_manifest_counts_single_class_builds(self, pipe):
@@ -675,6 +702,39 @@ class TestRoundTrips:
             assert a.n_testing == b.n_testing
             assert a.fallback_validation == b.fallback_validation
             assert a.degenerate_validation == b.degenerate_validation
+
+    def test_load_batches_returns_the_evaluated_batches(self, pipe, tmp_path,
+                                                        monkeypatch):
+        from netsel import experiment
+
+        evaluated = []
+        real = experiment._write_batches
+
+        def capture(path, batches):
+            evaluated.extend(batches)
+            real(path, batches)
+
+        monkeypatch.setattr(experiment, "_write_batches", capture)
+        out = tmp_path / "again"
+        for stage in ("dataset", "networks"):
+            shutil.copytree(pipe / stage, out / stage)
+        stage_evaluate(ExperimentConfig.from_dict(make_config(out)), out)
+        loaded = load_batches(out / "batches.tsv")
+        evaluated.sort(key=lambda b: (b.config_key, b.partition))
+        assert len(loaded) == len(evaluated) == 2 * N_CONFIGS
+        # TH-INT-0.02's LP ensemble has too few trainable members
+        assert 0 < sum(b.ensemble_fallback for b in loaded) < len(loaded)
+        for got, want in zip(loaded, evaluated):
+            for f in dataclasses.fields(PredictionBatch):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype, f.name
+                    np.testing.assert_array_equal(a, b, err_msg=f.name)
+                else:
+                    assert type(a) is type(b) and a == b, f.name
+        (out / "results.csv").unlink()  # report reads both files
+        with pytest.raises(ExperimentError, match="missing evaluate stage"):
+            stage_report(out)
 
     def test_batches_keep_partition_and_task(self, pipe):
         batches = load_batches(pipe / "batches.tsv")
@@ -952,6 +1012,24 @@ class TestCli:
         ra, rb, rc = ((p / "results.csv").read_bytes() for p in (a, b, c))
         assert ra == rc  # --seed equal to the file's seed is a no-op
         assert ra != rb
+
+
+def test_default_settle_windows_are_pinned(tmp_path, monkeypatch):
+    # the configs per settle window of the all-locality grid: the windows
+    # set the evaluate stage's training peak
+    from netsel import experiment
+
+    windows = []
+    real = experiment.settle_pools
+
+    def settle(pools):
+        windows.append(len(pools))
+        real(pools)
+
+    monkeypatch.setattr(experiment, "settle_pools", settle)
+    run_experiment(ExperimentConfig.from_dict(
+        {**ALL_LOCALITY_CONFIG, "out": str(tmp_path / "all")}))
+    assert windows == [10, 10, 10, 10]
 
 
 def test_settle_windows_leave_every_output_unchanged(tmp_path, monkeypatch):

@@ -609,9 +609,9 @@ def test_model_read_before_settling_equals_one_settled_in_a_batch():
     sets = [ts for ts in sets if len(ts.classes()) == 2]
     batch = [train_svm(ts, SVMHyper(), seed=k) for k, ts in enumerate(sets)]
     alone = train_svm(sets[0], SVMHyper(), seed=0)
-    assert alone.sgd is not None  # training pending
+    assert alone.material is not None  # training pending
     alone_pred = alone.predict(np.array([0, 1]), np.array([1.0, 2.0]))
-    assert alone.sgd is None  # predicting trained it, alone
+    assert alone.material is None  # predicting trained it, alone
     train_svms(iter(batch + batch[:2]))  # listed twice: trained once
     _same_model(alone, batch[0])
     assert batch[0].predict(np.array([0, 1]), np.array([1.0, 2.0])) == \
@@ -697,7 +697,7 @@ def _sgd_step(models):
     margins and regularization, by model id."""
     groups = {}
     for m in models:
-        groups.setdefault(m.sgd.hyper, []).append(m)
+        groups.setdefault(m.material.hyper, []).append(m)
     return {id(m): (margins, reg) for hyper, group in groups.items()
             for m, margins, reg in learn._train_group(group, hyper.reg,
                                                       hyper.epochs)}
@@ -706,7 +706,7 @@ def _sgd_step(models):
 def _assert_trained_as_frozen(model, after, ts, hyper, seed):
     """``after`` is what ``_sgd_step`` returned for the model."""
     model_margins, reg = after
-    assert model.sgd is None
+    assert model.material is None
     w, b, margins = _frozen_sgd(ts, hyper, seed)
     assert model._w.tobytes() == w.tobytes()
     assert np.float64(model._b).tobytes() == np.float64(b).tobytes()
@@ -767,7 +767,7 @@ def test_lockstep_sgd_matches_the_frozen_loop(monkeypatch):
     for _ in range(500):
         group = _random_sgd_group(rng)
         models = [train_svm(ts, hyper, seed) for ts, hyper, seed in group]
-        assert all(m.sgd is not None for m in models)
+        assert all(m.material is not None for m in models)
         after = _sgd_step(models)
         assert len(after) == len(models)
         for model, (ts, hyper, seed) in zip(models, group):

@@ -31,9 +31,11 @@ from netsel.tasks import (
     ensemble_members,
     ensemble_vote,
     global_training_nodes,
+    resolve_cc,
     resolve_neighborhood,
     run_cc,
     run_lp,
+    settle_pools,
 )
 
 KNN_NET = NetworkModelSpec(model="KNN", measure="INT", density=0.0025)
@@ -443,9 +445,12 @@ def test_cc_global_trains_once_per_labelset():
     ds = _micro_cc_dataset()
     g = mk(5, [(0, 1), (2, 3)])
     pool = ClassifierPool(cfg("global"))
-    batch = run_cc(cfg("global"), Scopes(g), ds, "validation", pool=pool)
+    predict = resolve_cc(cfg("global"), Scopes(g), ds, "validation", None,
+                         pool)
+    assert pool.trained == 2  # counted by the resolve phase
+    settle_pools([pool])
+    batch = predict()
     assert pool.trained == 2
-    assert batch.notes["classifiers_trained"] == 2
     assert batch.n_fallback == 0
 
 
@@ -489,22 +494,26 @@ def test_cc_single_class_shortcut_matches_always_assembled(
 
         def run():
             pool, audit = ClassifierPool(config), LeakageAudit()
-            batches = [run_cc(config, scopes, ds, role, audit=audit,
-                              pool=pool)
-                       for role in ("validation", "testing")]
-            return batches, pool, audit.assertions
+            batches, counts = [], []
+            for role in ("validation", "testing"):
+                batches.append(run_cc(config, scopes, ds, role, audit=audit,
+                                      pool=pool))
+                counts.append(pool.trained)  # builds after each partition
+            return batches, counts, pool, audit.assertions
 
-        got, pool, got_asserts = run()
+        got, got_counts, pool, got_asserts = run()
         with monkeypatch.context() as mp:
             mp.setattr(tasks, "_cc_lookup", _always_assembled_cc_lookup)
-            want, ref_pool, want_asserts = run()
+            want, want_counts, ref_pool, want_asserts = run()
         dirs = (tmp_path / loc / "got", tmp_path / loc / "want")
         for batches, d in zip((got, want), dirs):
             d.mkdir(parents=True)
             _write_batches(d / "batches.tsv", batches)
-        for name in ("batches.tsv", "batches_meta.json"):
-            assert (dirs[0] / name).read_bytes() == \
-                (dirs[1] / name).read_bytes(), (loc, name)
+        assert (dirs[0] / "batches.tsv").read_bytes() == \
+            (dirs[1] / "batches.tsv").read_bytes(), loc
+        assert [(b.task, b.ensemble_fallback) for b in got] == \
+            [(b.task, b.ensemble_fallback) for b in want]
+        assert got_counts == want_counts
         assert got_asserts == want_asserts
         assert not any(b.ensemble_fallback for b in got)
         # single_class counts exactly the builds that trained a constant
@@ -637,7 +646,7 @@ def _assert_settled_once(calls, n_runs, pool):
     settled = [k for call in calls for k in call]
     assert len(calls) == n_runs  # one scale search per runner call
     assert built and sorted(settled) == sorted(built)
-    assert all(m.sgd is None for m in pool.cache.values()
+    assert all(m.material is None for m in pool.cache.values()
                if isinstance(m, LinearSVM))
     assert all(callable(getattr(v, "predict", None))
                for v in pool.cache.values())  # classifiers, nothing else
@@ -911,7 +920,8 @@ def _frozen_lp_global_classifier(config, pool, audit, g_train, excl_keys,
 
 def _per_owner_lp(config, g_train, plan, matrix, excl, comm):
     """run_lp's owner loop with one pair set and classifier lookup per
-    owner and whole-plan masks per owner."""
+    owner and whole-plan masks per owner; returns the batch and the
+    classifiers its pool built."""
     pool = ClassifierPool(config)
     n = g_train.n_nodes
     out = {"nodes": [], "targets": [], "pred": [], "act": [], "fb": []}
@@ -934,9 +944,7 @@ def _per_owner_lp(config, g_train, plan, matrix, excl, comm):
         nodes=np.array(out["nodes"], dtype=np.int64), targets=out["targets"],
         predicted=np.array(out["pred"], dtype=np.int8),
         actual=np.array(out["act"], dtype=np.int8),
-        fallback=np.array(out["fb"], dtype=bool),
-        notes={"classifiers_trained": pool.trained,
-               "dropped_pos": plan.dropped_pos})
+        fallback=np.array(out["fb"], dtype=bool)), pool.trained
 
 
 def test_lp_community_shares_pairs_per_community(homophily, tmp_path):
@@ -949,17 +957,20 @@ def test_lp_community_shares_pairs_per_community(homophily, tmp_path):
     config = cfg("community", task="LP", network=spec)
     matrix = ds.matrix("training")
     for role, plan in fam.lp_plans.items():
-        got = run_lp(config, lp, plan, matrix)
-        want = _per_owner_lp(config, lp.g, plan, matrix, lp.excl_keys,
-                             lp.comm)
+        pool = ClassifierPool(config)
+        got = run_lp(config, lp, plan, matrix, pool=pool)
+        want, want_trained = _per_owner_lp(config, lp.g, plan, matrix,
+                                           lp.excl_keys, lp.comm)
         assert 0 < got.n_fallback < got.n_records
         dirs = (tmp_path / role / "got", tmp_path / role / "want")
         for batch, d in zip((got, want), dirs):
             d.mkdir(parents=True)
             _write_batches(d / "batches.tsv", [batch])
-        for name in ("batches.tsv", "batches_meta.json"):
-            assert (dirs[0] / name).read_bytes() == \
-                (dirs[1] / name).read_bytes()
+        assert (dirs[0] / "batches.tsv").read_bytes() == \
+            (dirs[1] / "batches.tsv").read_bytes()
+        assert (got.task, got.ensemble_fallback) == \
+            (want.task, want.ensemble_fallback)
+        assert pool.trained == want_trained
 
 
 
@@ -983,7 +994,8 @@ def _per_pair_features(matrix, pairs):
 
 def _per_pair_lp(config, g_train, plan, matrix, excl, comm):
     """run_lp with one classifier lookup per owner and one
-    ``_reference_edge_features`` call per evaluation pair."""
+    ``_reference_edge_features`` call per evaluation pair; returns the
+    batch and the classifiers its pool built."""
     pool, audit = ClassifierPool(config), LeakageAudit()
     n = g_train.n_nodes
     spec = config.locality
@@ -1025,9 +1037,7 @@ def _per_pair_lp(config, g_train, plan, matrix, excl, comm):
         nodes=np.array(out["nodes"], dtype=np.int64), targets=out["targets"],
         predicted=np.array(out["pred"], dtype=np.int8),
         actual=np.array(out["act"], dtype=np.int8),
-        fallback=np.array(out["fb"], dtype=bool),
-        notes={"classifiers_trained": pool.trained,
-               "dropped_pos": plan.dropped_pos})
+        fallback=np.array(out["fb"], dtype=bool)), pool.trained
 
 
 @pytest.mark.parametrize("classifier", ["linear-svm", "coin"])
@@ -1042,13 +1052,16 @@ def test_lp_batched_pair_features_match_per_pair_loop(
     for loc in ("local-adjacency", "community", "global:60",
                 "ensemble:degree"):
         config = cfg(loc, task="LP", classifier=classifier, network=spec)
-        got = [run_lp(config, lp, plan, matrix) for plan in plans]
+        pools = [ClassifierPool(config) for _ in plans]
+        got = [run_lp(config, lp, plan, matrix, pool=pool)
+               for plan, pool in zip(plans, pools)]
         with monkeypatch.context() as mp:  # per-pair features throughout
             mp.setattr(tasks, "pair_features", _per_pair_features)
             mp.setattr(learn, "pair_features", _per_pair_features)
-            want = [_per_pair_lp(config, lp.g, plan, matrix, lp.excl_keys,
-                                 lp.comm)
-                    for plan in plans]
+            want, want_trained = zip(*(
+                _per_pair_lp(config, lp.g, plan, matrix, lp.excl_keys,
+                             lp.comm)
+                for plan in plans))
         assert not any(b.ensemble_fallback for b in got)
         assert sum(b.n_fallback for b in got) < \
             sum(b.n_records for b in got)
@@ -1056,9 +1069,11 @@ def test_lp_batched_pair_features_match_per_pair_loop(
         for batches, d in zip((got, want), dirs):
             d.mkdir(parents=True)
             _write_batches(d / "batches.tsv", batches)
-        for name in ("batches.tsv", "batches_meta.json"):
-            assert (dirs[0] / name).read_bytes() == \
-                (dirs[1] / name).read_bytes(), (loc, name)
+        assert (dirs[0] / "batches.tsv").read_bytes() == \
+            (dirs[1] / "batches.tsv").read_bytes(), loc
+        assert [(b.task, b.ensemble_fallback) for b in got] == \
+            [(b.task, b.ensemble_fallback) for b in want]
+        assert [p.trained for p in pools] == list(want_trained)
 
 
 @pytest.mark.parametrize("locality", ["local-adjacency", "global",
@@ -1093,7 +1108,7 @@ def _train_recorder(monkeypatch):
         return out
 
     def record(models, reg, epochs):
-        chunk = [(id(m), m.sgd.ts.nnz) for m in models]
+        chunk = [(id(m), m.material.ts.nnz) for m in models]
         before = len(built)
         out = real(models, reg, epochs)
         calls.append((chunk, sum(built[before:])))
@@ -1172,7 +1187,8 @@ def test_lp_settle_builds_pair_rows_a_chunk_at_a_time(homophily,
         return out
 
     def group(models, reg, epochs):  # each set's row entries, built apart
-        chunks.append([len(real_features(m.sgd.ts.matrix, m.sgd.ts._keys)[1])
+        chunks.append([len(real_features(m.material.ts.matrix,
+                                         m.material.ts._keys)[1])
                        for m in models])
         return real_group(models, reg, epochs)
 
@@ -1193,7 +1209,7 @@ def test_lp_settle_builds_pair_rows_a_chunk_at_a_time(homophily,
         ref = want.cache[key]
         assert type(clf) is type(ref)
         if isinstance(clf, LinearSVM):
-            assert clf.sgd is None and ref.sgd is None
+            assert clf.material is None and ref.material is None
             assert clf._w.tobytes() == ref._w.tobytes()
             assert np.float64(clf._b).tobytes() == \
                 np.float64(ref._b).tobytes()
