@@ -9,33 +9,22 @@ the stages one by one.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from .data import _read_json
 from .experiment import (ExperimentConfig, ExperimentError, run_experiment,
                          stage_evaluate, stage_infer, stage_ingest,
                          stage_report, stage_select)
 
 
 def _load_config(args) -> ExperimentConfig:
-    path = Path(args.config)
-    if not path.exists():
-        raise ExperimentError(f"config file not found: {path}")
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ExperimentError(f"config file is not valid JSON: {exc}")
+    raw = _read_json(args.config, "config", ExperimentError)
     if not isinstance(raw, dict):
         raise ExperimentError("config file must hold a JSON object")
     # overrides go through the same checks as the file's own values
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.workers is not None:
-        raw["workers"] = args.workers
-    if args.out is not None:
-        raw["out"] = args.out
+    raw.update({key: getattr(args, key) for key in ("seed", "workers", "out")
+                if getattr(args, key) is not None})
     if args.strict:
         raw["dataset"] = dict(raw.get("dataset", {}), strict=True)
     return ExperimentConfig.from_dict(raw)
@@ -82,7 +71,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             run_experiment(cfg)
         elif args.command in ("ingest", "synth"):
-            if args.command == "synth" and cfg.dataset.get("synth") is None:
+            if args.command == "synth" and cfg.dataset.synth is None:
                 raise ExperimentError(
                     "synth subcommand needs a dataset.synth block")
             stage_ingest(cfg, out_dir)

@@ -9,9 +9,11 @@ Label sets are derived per window from threshold rules over item groups.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import numbers
+import typing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,13 +28,94 @@ class DataError(ValueError):
     """Fatal problem with input data."""
 
 
-def _integer(v, name: str, error: type = DataError) -> int:
-    """A config or input value as an int; a bool, a non-number or a
-    fractional value raises ``error`` naming the key."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-            or not float(v).is_integer():
-        raise error(f"{name} must be an integer, got {v!r}")
-    return int(v)
+# --- the JSON schema reader --------------------------------------------------------
+
+# the parsed JSON values each declared scalar type accepts, and how a
+# refusal names it
+_KINDS = {int: (numbers.Real, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string"), bool: (bool, "true or false"),
+          type(None): (type(None), "null"), dict: (dict, "an object"),
+          list: (list, "a list")}
+
+
+def _reject_unknown(block: dict, known, path: str,
+                    error: type = DataError) -> None:
+    """Refuse a key of ``block`` outside ``known``, naming its path."""
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise error(f"{path}.{unknown[0]}: unknown key".lstrip("."))
+
+
+def _accepts(kind, value) -> bool:
+    """Whether ``value``'s JSON type is one that ``kind`` reads."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, list) \
+            and (args[-1] is Ellipsis or len(value) == len(args))
+    if args:
+        return any(_accepts(k, value) for k in args)
+    if dataclasses.is_dataclass(kind):
+        return isinstance(value, dict)
+    return isinstance(value, bool) == (kind is bool) \
+        and isinstance(value, _KINDS[kind][0])
+
+
+def _describe(kind) -> str:
+    """How a refusal names what ``kind`` reads."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        count = "" if args[-1] is Ellipsis else ("", "one ", "two ")[len(args)]
+        return f"a list of {count}{_describe(args[0]).split(' ', 1)[1]}s"
+    if args:
+        return " or ".join(map(_describe, args))
+    return "an object" if dataclasses.is_dataclass(kind) else _KINDS[kind][1]
+
+
+def _read(kind, value, path: str, error: type = DataError):
+    """A parsed JSON ``value`` as the declared type ``kind``: a scalar of
+    ``_KINDS`` (integral numbers as ints, a float type's as floats), a
+    union, a tuple from a list, or a dataclass from an object of its
+    fields. A wrong JSON type, an unknown key, a missing key without a
+    default or a refusal of the dataclass's own checks raises ``error``
+    naming the value's path, prefixed to a refusal that lacks it."""
+    if not _accepts(kind, value) or (kind is int
+                                     and not float(value).is_integer()):
+        raise error(f"{path} must be {_describe(kind)}, got {value!r}")
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        kinds = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        return tuple(_read(k, v, f"{path}[{i}]", error)
+                     for i, (k, v) in enumerate(zip(kinds, value)))
+    if args:  # a union: its first member that takes the value
+        return _read(next(k for k in args if _accepts(k, value)), value,
+                     path, error)
+    if not dataclasses.is_dataclass(kind):
+        return kind(value) if kind in (int, float) else value
+    fields = dataclasses.fields(kind)
+    _reject_unknown(value, [f.name for f in fields], path, error)
+    for f in fields:
+        if f.name not in value and f.default is f.default_factory:
+            raise error(f"{path}.{f.name}: missing key")  # both MISSING
+    hints = typing.get_type_hints(kind)
+    try:
+        return kind(**{key: _read(hints[key], v, f"{path}.{key}", error)
+                       for key, v in value.items()})
+    except ValueError as exc:
+        text = str(exc)
+        raise error(text if text.startswith(path) else f"{path}: {text}") \
+            from None
+
+
+def _read_json(path: str | Path, what: str, error: type = DataError):
+    """The parsed contents of the JSON file ``path``; a missing file or
+    text that is not JSON raises ``error`` naming ``what`` file it is."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} file is not valid JSON: {exc}") from None
 
 
 def _is_number(token: str) -> bool:
@@ -301,7 +384,7 @@ class LabelRule:
     """
 
     name: str
-    items: tuple
+    items: tuple[int, ...]
     min_count: int = 5
     min_value: float = 1.0
 
@@ -356,48 +439,16 @@ def derive_labels(matrix: AttributeMatrix, rules) -> LabelSetCollection:
 
 
 def load_label_rules(path: str | Path) -> list[LabelRule]:
-    """Read a JSON list of rule objects, as ``save_label_rules`` writes it.
-    A wrong shape, a missing or unknown key, or a value of the wrong type
-    (a bool included) raises DataError naming the rule's position and key."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise DataError(f"{path}: label rules must be a list, got {raw!r}")
-    rules = []
-    for pos, r in enumerate(raw):
-        at = f"{path}: rules[{pos}]"
-        if not isinstance(r, dict):
-            raise DataError(f"{at} must be an object, got {r!r}")
-        unknown = sorted(set(r) - {"name", "items", "min_count", "min_value"})
-        if unknown:
-            raise DataError(f"{at}: unknown key {unknown[0]!r}")
-        for key, kind in (("name", str), ("items", list)):
-            if key not in r:
-                raise DataError(f"{at}: missing key {key!r}")
-            if not isinstance(r[key], kind):
-                raise DataError(f"{at}.{key} must be a {kind.__name__}, "
-                                f"got {r[key]!r}")
-        value = r.get("min_value", 1.0)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise DataError(f"{at}.min_value must be a number, got {value!r}")
-        items = tuple(_integer(v, f"{at}.items[{k}]")
-                      for k, v in enumerate(r["items"]))
-        count = _integer(r.get("min_count", 5), f"{at}.min_count")
-        try:  # the rule's own range checks
-            rules.append(LabelRule(r["name"], items, count, float(value)))
-        except DataError as exc:
-            raise DataError(f"{at}: {exc}") from None
-    return rules
+    """Read a JSON list of rule objects, as ``save_label_rules`` writes it,
+    each as a ``LabelRule`` (``_read``): a refusal is a DataError naming
+    the file, the rule's position and the key."""
+    return list(_read(tuple[LabelRule, ...], _read_json(path, "rules"),
+                      f"{path}: rules"))
 
 
 def save_label_rules(rules, path: str | Path) -> None:
-    payload = [
-        {"name": r.name, "items": list(r.items),
-         "min_count": r.min_count, "min_value": r.min_value}
-        for r in rules
-    ]
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump([dataclasses.asdict(r) for r in rules], fh, indent=1)
         fh.write("\n")
 
 
@@ -496,8 +547,7 @@ def load_dataset(in_dir: str | Path) -> PartitionedDataset:
     ``build_dataset`` makes them; anything else is a DataError naming the
     partition role and the fault."""
     inp = Path(in_dir)
-    with open(inp / "dataset.json") as fh:
-        meta = json.load(fh)
+    meta = _read_json(inp / "dataset.json", "dataset meta")
     blob = np.load(inp / "dataset.npz")
     node_ids = blob["node_ids"]
     item_ids = blob["item_ids"]

@@ -14,8 +14,8 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import multiprocessing
-import numbers
 import os
 import platform
 import re
@@ -29,35 +29,38 @@ import scipy
 from . import __version__, learn
 from ._rng import derive_seed, generator
 from .community import louvain
-from .data import (PartitionedDataset, _integer, build_dataset,
-                   ingest_events, load_dataset, load_label_rules,
-                   save_dataset, save_label_rules)
+from .data import (PartitionedDataset, _accepts, _read, _read_json,
+                   _reject_unknown, build_dataset, ingest_events, load_dataset,
+                   load_label_rules, save_dataset, save_label_rules)
 from .graph import (EdgeSet, GraphError, NeighborhoodSpec, load_edgeset,
                     load_explicit_edges, save_edgeset, split_edges_random)
 from .learn import LearnError, RFHyper, SVMHyper
 from .selection import (EvaluationRecord, SelectionError, cross_task,
                         match_mismatch, node_difficulty,
                         records_from_batches, selection_stats)
-from .similarity import NetworkModelSpec, build_networks
-from .synth import PlantSpec, synth_bundle
-from .tasks import (ClassifierPool, LeakageAudit, ModelConfig,
-                    PredictionBatch, Scopes, _fmt_density, assign_lp_eval,
-                    config_key_fields, resolve_cc, resolve_lp, settle_pools)
+from .similarity import MEASURES, MODELS, NetworkModelSpec, build_networks
+from .synth import SynthSpec, synth_bundle
+from .tasks import (CLASSIFIER_KINDS, TASKS, ClassifierPool, LeakageAudit,
+                    ModelConfig, PredictionBatch, Scopes, _fmt_density,
+                    assign_lp_eval, config_key_fields, resolve_cc,
+                    resolve_lp, settle_pools)
 
 LP_SPLIT = (0.5, 0.25, 0.25)
 CONFIG_KEYS = ("dataset", "grid", "seed", "workers", "out", "svm", "rf")
-DATASET_KEYS = ("synth", "events", "rules", "boundaries", "aggregation",
-                "strict")
-SYNTH_KEYS = ("seed", "n_nodes", "n_items", "plant")
-# each grid axis and its default
-GRID_DEFAULTS = {
-    "models": ["KNN", "TH"],
-    "measures": ["INT", "INT-N"],
-    "densities": [0.0025, 0.005],
-    "explicit": [],
-    "localities": ["local-adjacency", "global"],
-    "tasks": ["CC", "LP"],
-    "classifiers": ["linear-svm"],
+# each grid axis: its default, which values it takes, and how a refusal
+# names them
+GRID_AXES = {
+    "models": (["KNN", "TH"], MODELS.__contains__, " or ".join(MODELS)),
+    "measures": (["INT", "INT-N"], MEASURES.__contains__,
+                 " or ".join(MEASURES)),
+    "densities": ([0.0025, 0.005], lambda v: _accepts(float, v)
+                  and 0 < v < math.inf, "numbers > 0"),
+    "explicit": ([], lambda v: isinstance(v, dict), "objects"),
+    "localities": (["local-adjacency", "global"],
+                   lambda v: isinstance(v, str), "strings"),
+    "tasks": (["CC", "LP"], TASKS.__contains__, " or ".join(TASKS)),
+    "classifiers": (["linear-svm"], CLASSIFIER_KINDS.__contains__,
+                    " or ".join(CLASSIFIER_KINDS)),
 }
 
 
@@ -65,54 +68,57 @@ class ExperimentError(ValueError):
     pass
 
 
-def _reject_unknown(block: dict, known, path: str) -> None:
-    unknown = sorted(set(block) - set(known))
-    if unknown:
-        raise ExperimentError("unknown config key: "
-                              + ", ".join(path + k for k in unknown))
+@dataclass(frozen=True)
+class DatasetSpec:
+    """The ``dataset`` block: its one source is a ``synth`` block or an
+    ``events`` file with its ``rules`` file and, optionally, the two
+    partition ``boundaries``."""
+
+    synth: SynthSpec | None = None
+    events: str | None = None
+    rules: str | None = None
+    boundaries: tuple[int, int] | None = None
+    aggregation: str = "sum"
+    strict: bool = False
+
+    def __post_init__(self) -> None:
+        if (self.synth is None) == (self.events is None):
+            raise ExperimentError("dataset must name exactly one source, "
+                                  "synth or events")
+        if (self.rules is None) != (self.events is None):
+            raise ExperimentError("dataset.rules must be given with "
+                                  "dataset.events, and only with it")
+        if self.boundaries is not None and self.events is None:
+            raise ExperimentError("dataset.boundaries must be left out "
+                                  "without dataset.events")
+        if self.aggregation not in ("sum", "mean"):
+            raise ExperimentError(f"dataset.aggregation must be 'sum' or "
+                                  f"'mean', got {self.aggregation!r}")
 
 
-# the types that each kind of value accepts, and how a refusal names it
-_KINDS = {dict: (dict, "an object"), list: (list, "a list"),
-          str: (str, "a string"), "float": (numbers.Real, "a number"),
-          "float | str": ((numbers.Real, str), "a number or a string"),
-          "bool": (bool, "true or false")}
+@dataclass(frozen=True)
+class ExplicitSpec:
+    """A ``grid.explicit`` entry: an edge file, or ``synth:<tag>`` for the
+    dataset's planted truth graph, evaluated as one network family per
+    thinning factor."""
 
+    name: str
+    source: str
+    factors: tuple[float, ...] = (1.0,)
 
-def _typed(block: dict, key: str, path: str, kind: type | str, default,
-           error: type = ExperimentError):
-    """``block[key]`` (``default`` when absent), checked against ``kind``:
-    a key of ``_KINDS``, ``"int"`` or ``"int | None"``. Integral numbers
-    of an integer kind come back as ints; a value of another type raises
-    ``error`` naming the key."""
-    value = block.get(key, default)
-    if value is None and kind == "int | None":
-        return value
-    if kind in ("int", "int | None"):
-        return _integer(value, path + key, error)
-    accepts, what = _KINDS[kind]
-    if isinstance(value, bool) != (kind == "bool") \
-            or not isinstance(value, accepts):
-        raise error(f"{path}{key} must be {what}, got {value!r}")
-    return value
-
-
-def _fields(block: dict, cls: type, path: str, error: type) -> dict:
-    """``block``'s values checked (``_typed``) against the declared types
-    of the dataclass ``cls``'s fields; an unknown key raises
-    ExperimentError naming it."""
-    kinds = {f.name: f.type for f in fields(cls)}
-    _reject_unknown(block, kinds, path)
-    return {key: _typed(block, key, path, kinds[key], None, error)
-            for key in block}
+    def __post_init__(self) -> None:
+        if not self.factors or len(set(self.factors)) < len(self.factors) \
+                or not all(0 < f <= 1 for f in self.factors):
+            raise ExperimentError(f"factors must be distinct numbers in "
+                                  f"(0, 1], got {list(self.factors)}")
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment file; every field has a working default so a
-    minimal config only names a dataset."""
+    """Parsed experiment file; every field but the dataset has a working
+    default, so a minimal config only names a dataset."""
 
-    dataset: dict
+    dataset: DatasetSpec
     models: list
     measures: list
     densities: list
@@ -128,84 +134,66 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        """Parse a config; an unknown key, say a misspelled grid axis, or
-        a scalar of the wrong type raises ExperimentError naming its path
-        instead of leaving the default in place or coercing the value.
-        The ``svm``, ``rf`` and ``dataset.synth.plant`` values are checked
-        against the declared types of their dataclass fields (``_fields``);
-        a wrong ``svm`` or ``rf`` value raises LearnError."""
+        """Parse a config, the ``dataset``, ``svm`` and ``rf`` blocks and
+        each ``grid.explicit`` entry as their dataclasses (``data._read``);
+        an unknown key, a value of the wrong type, or a grid value that no
+        stage takes or that repeats a value or a network family raises
+        ExperimentError naming its path, a wrong ``svm`` or ``rf`` value
+        LearnError."""
         if not isinstance(raw, dict):
             raise ExperimentError(f"config must be an object, got {raw!r}")
-        _reject_unknown(raw, CONFIG_KEYS, "")
-        grid = _typed(raw, "grid", "", dict, {})
-        _reject_unknown(grid, GRID_DEFAULTS, "grid.")
-        axes = {key: list(_typed(grid, key, "grid.", list, default))
-                for key, default in GRID_DEFAULTS.items()}
-        for key, axis in axes.items():
-            kind, what = {"densities": (numbers.Real, "numbers"),
-                          "explicit": (dict, "objects")
-                          }.get(key, (str, "strings"))
-            for v in axis:
-                if isinstance(v, bool) or not isinstance(v, kind):
+        _reject_unknown(raw, CONFIG_KEYS, "", ExperimentError)
+        grid = _read(dict, raw.get("grid", {}), "grid", ExperimentError)
+        _reject_unknown(grid, GRID_AXES, "grid", ExperimentError)
+        axes = {}
+        for key, (default, takes, what) in GRID_AXES.items():
+            axes[key] = list(_read(list, grid.get(key, default),
+                                   f"grid.{key}", ExperimentError))
+            for i, v in enumerate(axes[key]):
+                if not takes(v) or v in axes[key][:i]:
                     raise ExperimentError(f"grid.{key} must hold {what}, "
-                                          f"got {v!r}")
+                                          f"each once, got {v!r}")
         for v in axes["localities"]:
             try:
                 NeighborhoodSpec.parse(v)
             except GraphError as exc:
                 raise ExperimentError(f"grid.localities: {exc}") from None
-        hypers = {name: hyper(**_fields(_typed(raw, name, "", dict, {}),
-                                        hyper, f"{name}.", LearnError))
-                  for name, hyper in (("svm", SVMHyper), ("rf", RFHyper))}
-        workers = _typed(raw, "workers", "", "int", 1)
+        axes["explicit"] = list(_read(tuple[ExplicitSpec, ...],
+                                      axes["explicit"], "grid.explicit",
+                                      ExperimentError))
+        axes["densities"] = [float(d) for d in axes["densities"]]
+        hypers = {}
+        for name, hyper in (("svm", SVMHyper), ("rf", RFHyper)):
+            # a wrong shape or key is a config error, a wrong value learn's
+            block = _read(dict, raw.get(name, {}), name, ExperimentError)
+            _reject_unknown(block, [f.name for f in fields(hyper)], name,
+                            ExperimentError)
+            hypers[name] = _read(hyper, block, name, LearnError)
+        seed = _read(int, raw.get("seed", 0), "seed", ExperimentError)
+        workers = _read(int, raw.get("workers", 1), "workers",
+                        ExperimentError)
         if workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {workers!r}")
-        dataset = _typed(raw, "dataset", "", dict, {})
-        _reject_unknown(dataset, DATASET_KEYS, "dataset.")
-        for key in ("events", "rules", "aggregation"):
-            _typed(dataset, key, "dataset.", str, "")
-        _typed(dataset, "strict", "dataset.", "bool", False)
-        synth = dataset.get("synth")
-        bounds = dataset.get("boundaries")
-        if synth is not None:  # null: the dataset comes from events
-            _typed(dataset, "synth", "dataset.", dict, None)
-            _reject_unknown(synth, SYNTH_KEYS, "dataset.synth.")
-            plant = _fields(_typed(synth, "plant", "dataset.synth.", dict, {}),
-                            PlantSpec, "dataset.synth.plant.", ExperimentError)
-            # seed, n_nodes and n_items are checked but kept as written
-            _typed(synth, "seed", "dataset.synth.", "int", 0)
-            for key in ("n_nodes", "n_items"):
-                value = _typed(synth, key, "dataset.synth.", "int", 1)
-                if value < 1:
-                    raise ExperimentError(f"dataset.synth.{key} must be "
-                                          f">= 1, got {value!r}")
-            if bounds is not None:
-                raise ExperimentError(
-                    "dataset.boundaries must be left out next to "
-                    "dataset.synth: the planted segments set them")
-            if "plant" in synth:
-                dataset = {**dataset, "synth": {**synth, "plant": plant}}
-        elif bounds is not None:
-            if not isinstance(bounds, list) or len(bounds) != 2:
-                raise ExperimentError(f"dataset.boundaries must be a list of "
-                                      f"two integers, got {bounds!r}")
-            dataset = {**dataset, "boundaries": [
-                _integer(t, f"dataset.boundaries[{i}]", ExperimentError)
-                for i, t in enumerate(bounds)]}
-        axes["densities"] = [float(d) for d in axes["densities"]]
-        return ExperimentConfig(
-            dataset=dataset,
-            **axes,
-            seed=_typed(raw, "seed", "", "int", 0),
-            workers=workers,
-            out=_typed(raw, "out", "", str, "out"),
-            **hypers,
-        )
+        dataset = raw.get("dataset", {})
+        synth = dataset.get("synth") if isinstance(dataset, dict) else None
+        if isinstance(synth, dict):  # without a seed: the master seed
+            dataset = {**dataset, "synth": {"seed": seed, **synth}}
+        cfg = ExperimentConfig(
+            _read(DatasetSpec, dataset, "dataset", ExperimentError), **axes,
+            seed=seed, workers=workers, **hypers,
+            out=_read(str, raw.get("out", "out"), "out", ExperimentError))
+        # one file per family: explicit names must differ as file names
+        keys = [family_key(spec) for spec in family_specs(cfg)]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise ExperimentError(f"grid names the network family "
+                                      f"{key} twice")
+        return cfg
 
     @staticmethod
     def load(path: str | Path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+        return ExperimentConfig.from_dict(
+            _read_json(path, "config", ExperimentError))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -220,16 +208,6 @@ def _safe_name(text: str) -> str:
 
 # --- stage fingerprints ----------------------------------------------------------
 
-def _synth_params(cfg: ExperimentConfig) -> dict:
-    """``synth_bundle``'s arguments from ``dataset.synth``, defaults filled
-    in; the seed falls back to the master seed."""
-    s = cfg.dataset["synth"]
-    return {"seed": int(s.get("seed", cfg.seed)),
-            "n_nodes": int(s.get("n_nodes", 500)),
-            "n_items": int(s.get("n_items", 1000)),
-            "plant": PlantSpec(**s.get("plant", {}))}
-
-
 def _file_sha256(path: Path) -> str:
     """sha256 of a file's bytes, read a megabyte at a time."""
     h = hashlib.sha256()
@@ -240,31 +218,26 @@ def _file_sha256(path: Path) -> str:
 
 
 def dataset_digest(cfg: ExperimentConfig) -> str:
-    """sha256 of the effective dataset config: the ``dataset`` block with
-    the aggregation and synth defaults filled in, and the sha256 of the
+    """sha256 of the effective dataset config: the ``dataset`` block as
+    read, defaults and the synth seed filled in, and the sha256 of the
     bytes of each events or rules file it names that exists (ingest
     reports a missing one). Ingest records it in ``dataset.json`` and
     infer in ``networks/networks.json``, so that a later stage never reads
     outputs built from another dataset config or from edited files."""
-    eff = {"aggregation": "sum", **cfg.dataset}
-    if eff.get("synth") is not None:
-        synth = _synth_params(cfg)
-        eff["synth"] = {**synth, "plant": asdict(synth["plant"])}
-    else:
-        for key in ("events", "rules"):
-            if eff.get(key) and Path(eff[key]).is_file():
-                eff[f"{key}_sha256"] = _file_sha256(Path(eff[key]))
+    eff = asdict(cfg.dataset)
+    for key in ("events", "rules"):
+        if eff[key] is not None and Path(eff[key]).is_file():
+            eff[f"{key}_sha256"] = _file_sha256(Path(eff[key]))
     return hashlib.sha256(
         json.dumps(eff, sort_keys=True).encode()).hexdigest()
 
 
-def _explicit_source(entry: dict, ds_dir: Path) -> Path:
+def _explicit_source(entry: ExplicitSpec, ds_dir: Path) -> Path:
     """The file an explicit entry's ``source`` names: a path, or
     ``synth:<tag>`` for the dataset's ``truth_<tag>.tsv``."""
-    source = entry["source"]
-    if source.startswith("synth:"):
-        return ds_dir / f"truth_{source.split(':', 1)[1]}.tsv"
-    return Path(source)
+    if entry.source.startswith("synth:"):
+        return ds_dir / f"truth_{entry.source.split(':', 1)[1]}.tsv"
+    return Path(entry.source)
 
 
 def network_digest(cfg: ExperimentConfig, ds_dir: Path) -> str:
@@ -276,10 +249,8 @@ def network_digest(cfg: ExperimentConfig, ds_dir: Path) -> str:
     explicit = []
     for entry in cfg.explicit:
         path = _explicit_source(entry, ds_dir)
-        explicit.append({
-            "name": entry["name"], "source": entry["source"],
-            "sha256": _file_sha256(path) if path.is_file() else None,
-            "factors": [float(f) for f in entry.get("factors", [1.0])]})
+        sha256 = _file_sha256(path) if path.is_file() else None
+        explicit.append({**asdict(entry), "sha256": sha256})
     eff = {"families": [[s.model, s.measure, s.density, s.edges]
                         for s in family_specs(cfg)],
            "explicit": explicit}
@@ -317,55 +288,34 @@ def stage_ingest(cfg: ExperimentConfig, out_dir: Path) -> Path:
     digest of its config (``dataset_digest``)."""
     ds_dir = out_dir / "dataset"
     ds_dir.mkdir(parents=True, exist_ok=True)
-    dcfg = cfg.dataset
-    meta = {"config_digest": dataset_digest(cfg)}
-    if dcfg.get("synth") is not None:
-        bundle = synth_bundle(**_synth_params(cfg))
-        dataset = build_dataset(bundle.log, bundle.rules,
-                                boundaries=bundle.boundaries,
-                                aggregation=dcfg.get("aggregation", "sum"))
-        save_dataset(dataset, ds_dir, meta)
-        save_label_rules(bundle.rules, ds_dir / "rules.json")
+    ds = cfg.dataset
+    if ds.synth is not None:
+        bundle = synth_bundle(**vars(ds.synth))
+        log, rules, bounds = bundle.log, bundle.rules, bundle.boundaries
+    else:
+        log = ingest_events(ds.events, strict=ds.strict)
+        rules, bounds = load_label_rules(ds.rules), ds.boundaries
+    dataset = build_dataset(log, rules, boundaries=bounds,
+                            aggregation=ds.aggregation)
+    save_dataset(dataset, ds_dir, {"config_digest": dataset_digest(cfg)})
+    save_label_rules(rules, ds_dir / "rules.json")
+    if ds.synth is not None:
         save_edgeset(bundle.label_graph, ds_dir / "truth_label.tsv")
         save_edgeset(bundle.structure_graph, ds_dir / "truth_structure.tsv")
-        return ds_dir
-    events = dcfg.get("events")
-    if not events:
-        raise ExperimentError("dataset block needs 'events' or 'synth'")
-    if not Path(events).exists():
-        raise ExperimentError(f"events file not found: {events}")
-    rules_path = dcfg.get("rules")
-    if not rules_path:
-        raise ExperimentError("event datasets need a 'rules' file")
-    log = ingest_events(events, strict=dcfg.get("strict", False))
-    rules = load_label_rules(rules_path)
-    bounds = dcfg.get("boundaries")
-    dataset = build_dataset(
-        log, rules,
-        boundaries=tuple(bounds) if bounds else None,
-        aggregation=dcfg.get("aggregation", "sum"),
-    )
-    save_dataset(dataset, ds_dir, meta)
-    save_label_rules(rules, ds_dir / "rules.json")
     return ds_dir
 
 
 # --- stage: infer ---------------------------------------------------------------
 
 def family_specs(cfg: ExperimentConfig) -> list[NetworkModelSpec]:
-    """The network grid in canonical order."""
-    specs = []
-    for model in sorted(cfg.models):
-        for measure in sorted(cfg.measures):
-            for density in sorted(cfg.densities):
-                specs.append(NetworkModelSpec(model=model, measure=measure,
-                                              density=density))
-    for entry in cfg.explicit:
-        for factor in entry.get("factors", [1.0]):
-            name = entry["name"] if float(factor) == 1.0 \
-                else f"{entry['name']}@{factor}"
-            specs.append(NetworkModelSpec(model="EXPLICIT", edges=name))
-    return specs
+    """The network grid in canonical order: the KNN / TH families, then
+    one per explicit entry and factor (``name@factor`` when it thins)."""
+    return [NetworkModelSpec(model=m, measure=s, density=d)
+            for m in sorted(cfg.models) for s in sorted(cfg.measures)
+            for d in sorted(cfg.densities)] + [
+        NetworkModelSpec(model="EXPLICIT",
+                         edges=e.name if f == 1.0 else f"{e.name}@{f}")
+        for e in cfg.explicit for f in e.factors]
 
 
 def family_key(spec: NetworkModelSpec) -> str:
@@ -374,20 +324,17 @@ def family_key(spec: NetworkModelSpec) -> str:
     return f"{spec.model}-{spec.measure}-{_fmt_density(spec.density)}"
 
 
-def _resolve_explicit(entry: dict, factor: float, ds_dir: Path,
+def _resolve_explicit(entry: ExplicitSpec, factor: float, ds_dir: Path,
                       n_nodes: int, seed: int) -> EdgeSet:
     path = _explicit_source(entry, ds_dir)
-    if entry["source"].startswith("synth:"):
+    if entry.source.startswith("synth:") or (
+            path.exists() and path.read_text().lstrip().startswith("#")):
         g = load_edgeset(path)
     else:
-        head = path.read_text().lstrip()[:2] if path.exists() else ""
-        if head.startswith("#"):
-            g = load_edgeset(path)
-        else:
-            g = load_explicit_edges(path, n_nodes)
+        g = load_explicit_edges(path, n_nodes)
     if factor < 1.0:
         keep = max(1, int(round(factor * g.n_edges)))
-        rng = generator(seed, "explicit-thin", entry["name"], factor)
+        rng = generator(seed, "explicit-thin", entry.name, factor)
         sel = np.sort(rng.choice(g.n_edges, size=keep, replace=False))
         g = EdgeSet(n_nodes=g.n_nodes, src=g.src[sel], dst=g.dst[sel],
                     weights=g.weights[sel], directed=g.directed,
@@ -410,13 +357,12 @@ def stage_infer(cfg: ExperimentConfig, out_dir: Path) -> Path:
     # family at once
     built = iter(build_networks(dataset.matrix("training"),
                                 [s for s in specs if s.model != "EXPLICIT"]))
-    by_name = {e["name"]: e for e in cfg.explicit}
+    # the explicit families' (entry, factor), in family_specs' order
+    thinned = iter([(e, f) for e in cfg.explicit for f in e.factors])
     for spec in specs:
         if spec.model == "EXPLICIT":
-            name, _, factor = spec.edges.partition("@")
-            g = _resolve_explicit(by_name[name],
-                                  float(factor) if factor else 1.0,
-                                  ds_dir, dataset.n_nodes, cfg.seed)
+            g = _resolve_explicit(*next(thinned), ds_dir, dataset.n_nodes,
+                                  cfg.seed)
             g.provenance.setdefault("model", "EXPLICIT")
             g.provenance["edges"] = spec.edges
         else:
@@ -438,8 +384,6 @@ class FamilyData:
     exclusion set) and resolve each (locality, node) training scope once
     for every config, labelset and partition of their task."""
 
-    spec: NetworkModelSpec
-    graph: EdgeSet
     lp_plans: dict
     audit: LeakageAudit
     cc_scopes: Scopes
@@ -468,7 +412,7 @@ def prepare_family(spec: NetworkModelSpec, g: EdgeSet, master_seed: int,
 
     cc_scopes = Scopes(g, communities(g, "CC"))
     if not any(task == "LP" for task, _ in uses):
-        return FamilyData(spec, g, {}, audit, cc_scopes)
+        return FamilyData({}, audit, cc_scopes)
     und = g.undirected_view()
     train, *held = split_edges_random(
         und, LP_SPLIT, derive_seed(master_seed, "lp-split", fkey))
@@ -478,7 +422,7 @@ def prepare_family(spec: NetworkModelSpec, g: EdgeSet, master_seed: int,
              for role, part in zip(("validation", "testing"), held)}
     excl = np.union1d(und.pair_keys(), np.union1d(
         plans["validation"].reserved_keys, plans["testing"].reserved_keys))
-    return FamilyData(spec, g, plans, audit, cc_scopes,
+    return FamilyData(plans, audit, cc_scopes,
                       Scopes(train, communities(train, "LP"), excl))
 
 
@@ -683,9 +627,9 @@ def stage_evaluate(cfg: ExperimentConfig, out_dir: Path) -> Path:
             for fkey, f in families.items() if f.lp_plans},
         # KNN / TH edges the family's density asked for but no
         # positive-similarity pair could supply (edge-file provenance)
-        "shortfall": {fkey: f.graph.provenance["shortfall"]
+        "shortfall": {fkey: f.cc_scopes.g.provenance["shortfall"]
                       for fkey, f in families.items()
-                      if "shortfall" in f.graph.provenance},
+                      if "shortfall" in f.cc_scopes.g.provenance},
         # Louvain partitions family prep built: CC's on the family's
         # network, LP's on its LP training graph
         "communities": {

@@ -91,6 +91,22 @@ class PlantSpec:
 
 
 @dataclass(frozen=True)
+class SynthSpec:
+    """The ``dataset.synth`` block: ``synth_bundle``'s arguments."""
+
+    seed: int
+    n_nodes: int = 500
+    n_items: int = 1000
+    plant: PlantSpec = PlantSpec()
+
+    def __post_init__(self) -> None:
+        for key in ("n_nodes", "n_items"):
+            if getattr(self, key) < 1:
+                raise DataError(f"dataset.synth.{key} must be >= 1, "
+                                f"got {getattr(self, key)!r}")
+
+
+@dataclass(frozen=True)
 class _Layout:
     """Resolved memberships and item block boundaries."""
 
@@ -191,21 +207,18 @@ def _clique_edges(member_lists, n_nodes: int, tag: str) -> EdgeSet:
     )
 
 
+@dataclass
 class SynthData:
-    """Everything the pipeline needs to consume a planted dataset."""
+    """Everything the pipeline needs to consume a planted dataset; nodes
+    >= ``doppel_start`` are the planted near-misses."""
 
-    def __init__(self, log: EventLog, label_graph: EdgeSet,
-                 structure_graph: EdgeSet, rules: list[LabelRule],
-                 boundaries: tuple[int, int], layout: _Layout,
-                 doppel_start: int) -> None:
-        self.log = log
-        self.label_graph = label_graph
-        self.structure_graph = structure_graph
-        self.rules = rules
-        self.boundaries = boundaries
-        self.layout = layout
-        # nodes >= doppel_start are the planted near-misses
-        self.doppel_start = doppel_start
+    log: EventLog
+    label_graph: EdgeSet
+    structure_graph: EdgeSet
+    rules: list[LabelRule]
+    boundaries: tuple[int, int]
+    layout: _Layout
+    doppel_start: int
 
 
 def synth_bundle(

@@ -317,8 +317,8 @@ _RULE = {"name": "a", "items": [1, 2], "min_count": 1, "min_value": 1.0}
     ([{**_RULE, "items": [1, True]}], r"rules\[0\]\.items\[1\]"),
     ([{**_RULE, "items": [1, "2"]}], r"rules\[0\]\.items\[1\]"),
     ([{k: v for k, v in _RULE.items() if k != "items"}],
-     r"rules\[0\]: missing key 'items'"),
-    ([{**_RULE, "min_cout": 2}], r"rules\[0\]: unknown key 'min_cout'"),
+     r"rules\[0\]\.items: missing key"),
+    ([{**_RULE, "min_cout": 2}], r"rules\[0\]\.min_cout: unknown key"),
     ([{**_RULE, "name": 7}], r"rules\[0\]\.name must be a str"),
     ([{**_RULE, "min_value": "3"}], r"rules\[0\]\.min_value"),
     ([{**_RULE, "min_value": False}], r"rules\[0\]\.min_value"),

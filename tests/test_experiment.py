@@ -5,6 +5,7 @@ network thinning, and the CLI front end."""
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -15,8 +16,10 @@ from netsel import graph, similarity
 from netsel.cli import _load_config, build_parser, main
 from netsel.data import load_dataset, save_label_rules
 from netsel.experiment import (
+    DatasetSpec,
     ExperimentConfig,
     ExperimentError,
+    ExplicitSpec,
     build_grid,
     dataset_digest,
     family_key,
@@ -34,7 +37,7 @@ from netsel.experiment import (
 from netsel.graph import load_edgeset
 from netsel.learn import LearnError, RFHyper, SVMHyper
 from netsel.selection import records_from_batches
-from netsel.synth import PlantSpec, synth_bundle
+from netsel.synth import PlantSpec, SynthSpec, synth_bundle
 from netsel.tasks import (ClassifierPool, PredictionBatch, config_key_fields,
                           run_cc, run_lp)
 
@@ -213,7 +216,7 @@ class TestGrid:
         raw.update(seed=2.0, workers=3.0)
         raw["dataset"]["strict"] = True
         cfg = ExperimentConfig.from_dict(raw)
-        assert (cfg.seed, cfg.workers, cfg.dataset["strict"]) == (2, 3, True)
+        assert (cfg.seed, cfg.workers, cfg.dataset.strict) == (2, 3, True)
         assert (cfg.svm.reg, cfg.svm.epochs) == (1.0, 3)
         assert (cfg.rf.trees, cfg.rf.max_depth, cfg.rf.min_leaf,
                 cfg.rf.bootstrap) == (2, 1, 2, False)
@@ -302,23 +305,30 @@ class TestGrid:
         with pytest.raises(ExperimentError, match=f"^{key} must "):
             ExperimentConfig.from_dict(raw)
 
-    @pytest.mark.parametrize("path, field, error", [
-        pytest.param(path, f.name, error, id=f"{path}.{f.name}")
+    @pytest.mark.parametrize("path, field, kind, error", [
+        pytest.param(path, f.name, f.type, error, id=f"{path}.{f.name}")
         for path, cls, error in (("svm", SVMHyper, LearnError),
                                  ("rf", RFHyper, LearnError),
+                                 ("dataset", DatasetSpec, ExperimentError),
+                                 ("dataset.synth", SynthSpec,
+                                  ExperimentError),
                                  ("dataset.synth.plant", PlantSpec,
+                                  ExperimentError),
+                                 ("grid.explicit[0]", ExplicitSpec,
                                   ExperimentError))
         for f in dataclasses.fields(cls)])
     def test_every_typed_field_refuses_a_wrong_json_type(self, path, field,
-                                                         error):
-        # a string for a number, integer or bool field; feature_frac also
-        # takes a string, so it gets a list
+                                                         kind, error):
+        # a string for a field of any other type; a field that also takes
+        # a string (feature_frac, a file name) gets a list
         raw = make_config("unused")
+        raw["grid"]["explicit"] = [{"name": "e", "source": "synth:label"}]
         block = raw
-        for b in path.split("."):
-            block = block.setdefault(b, {})
-        block[field] = [0.5] if field == "feature_frac" else "1"
-        with pytest.raises(error, match=f"^{path}\\.{field} must be"):
+        for b in path.replace("[0]", ".0").split("."):
+            block = block[0] if b == "0" else block.setdefault(b, {})
+        block[field] = [0.5] if "str" in kind.split(" | ") else "1"
+        with pytest.raises(error, match="^" + re.escape(f"{path}.{field}")
+                                        + " must be"):
             ExperimentConfig.from_dict(raw)
 
     def test_a_config_that_is_not_an_object_is_fatal(self):
@@ -328,8 +338,8 @@ class TestGrid:
     def test_integral_synth_values_load(self):
         raw = make_config("unused")
         raw["dataset"]["synth"] = {"seed": -3, "n_nodes": 1, "n_items": 2.0}
-        assert ExperimentConfig.from_dict(raw).dataset["synth"] == \
-            {"seed": -3, "n_nodes": 1, "n_items": 2.0}
+        synth = ExperimentConfig.from_dict(raw).dataset.synth
+        assert (synth.seed, synth.n_nodes, synth.n_items) == (-3, 1, 2.0)
 
     def test_plant_values_load_by_their_field_types(self):
         raw = make_config("unused")
@@ -337,13 +347,13 @@ class TestGrid:
             "n_groups": 2.0, "emit_items": None, "doppel_emit": 3.0,
             "noise_high_prob": 1, "label_min_value": 4.5,
             "refresh_per_segment": True}
-        plant = ExperimentConfig.from_dict(raw).dataset["synth"]["plant"]
-        assert plant == {"n_groups": 2, "emit_items": None,
-                         "doppel_emit": 3, "noise_high_prob": 1,
-                         "label_min_value": 4.5,
-                         "refresh_per_segment": True}
-        assert type(plant["n_groups"]) is int
-        assert type(plant["doppel_emit"]) is int
+        plant = ExperimentConfig.from_dict(raw).dataset.synth.plant
+        assert plant == PlantSpec(n_groups=2, emit_items=None,
+                                  doppel_emit=3, noise_high_prob=1,
+                                  label_min_value=4.5,
+                                  refresh_per_segment=True)
+        assert type(plant.n_groups) is int
+        assert type(plant.doppel_emit) is int
 
     @pytest.mark.parametrize("value, error", [
         (5, "dataset.boundaries must be a list of two integers"),
@@ -364,9 +374,9 @@ class TestGrid:
     def test_event_boundaries_load(self):
         raw = make_config("unused")
         raw["dataset"] = {"events": "e.tsv", "rules": "r.json"}
-        for value, want in (([10.0, 20], [10, 20]), (None, None)):
+        for value, want in (([10.0, 20], (10, 20)), (None, None)):
             raw["dataset"]["boundaries"] = value
-            got = ExperimentConfig.from_dict(raw).dataset["boundaries"]
+            got = ExperimentConfig.from_dict(raw).dataset.boundaries
             assert got == want and all(type(t) is int for t in got or [])
 
     def test_learner_hyperparameter_bounds_load(self):
@@ -376,6 +386,100 @@ class TestGrid:
             raw["rf"] = {"trees": 1, "min_leaf": 1, "feature_frac": frac}
             cfg = ExperimentConfig.from_dict(raw)
             assert cfg.rf.feature_frac == frac and cfg.svm.epochs == 1
+
+    @pytest.mark.parametrize("axis, value", [
+        ("classifiers", "svm"),
+        ("tasks", "NC"),
+        ("models", "KNNN"),
+        ("measures", "JAC"),
+        ("densities", -0.1),
+        ("densities", 0),
+    ])
+    def test_grid_values_no_stage_takes_are_fatal(self, axis, value):
+        raw = make_config("unused")
+        raw["grid"][axis] = [value]
+        with pytest.raises(ExperimentError, match=f"^grid\\.{axis}\\b.*"
+                                                  + re.escape(repr(value))):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("grid, error", [
+        ({"models": ["KNN", "TH", "KNN"]},
+         r"grid\.models must hold KNN or TH, each once, got 'KNN'"),
+        ({"localities": ["global:100", "global:100"]},
+         r"grid\.localities must hold strings, each once, got 'global:100'"),
+        ({"explicit": [{"name": "a b", "source": "synth:label"},
+                       {"name": "a_b", "source": "synth:structure"}]},
+         "grid names the network family EXPLICIT-a_b twice"),
+        ({"explicit": [{"name": "a", "source": "synth:label"},
+                       {"name": "a@0.5", "source": "synth:structure"}]},
+         "grid names the network family EXPLICIT-a_0.5 twice"),
+    ], ids=["model", "locality", "explicit-file-name", "explicit-factor"])
+    def test_grid_values_named_twice_are_fatal(self, grid, error):
+        raw = make_config("unused")
+        raw["grid"].update(grid)
+        if "explicit" in grid:
+            raw["grid"]["explicit"][0]["factors"] = [0.5, 1.0]
+        with pytest.raises(ExperimentError, match=f"^{error}"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("entries, error", [
+        ([{"name": "a", "source": "s", "factor": [0.5]}],
+         r"grid\.explicit\[0\]\.factor: unknown key"),
+        ([{"name": "a", "source": 5}],
+         r"grid\.explicit\[0\]\.source must be a string, got 5"),
+        ([{"name": "a", "source": "s", "factors": [True, "0.5"]}],
+         r"grid\.explicit\[0\]\.factors\[0\] must be a number, got True"),
+        ([{"name": "a", "source": "s", "factors": [0.5, 1.5]}],
+         r"grid\.explicit\[0\]: factors must be .* in \(0, 1\], "
+         r"got \[0\.5, 1\.5\]"),
+        ([{"name": "a", "source": "s", "factors": [0]}],
+         r"grid\.explicit\[0\]: factors must be .* in \(0, 1\], got \[0"),
+        ([{"source": "s"}], r"grid\.explicit\[0\]\.name: missing key"),
+        ([{"name": "a", "source": "s"}, {"name": "b"}],
+         r"grid\.explicit\[1\]\.source: missing key"),
+        ([{"name": "a", "source": "s"}, {"name": "a", "source": "t"}],
+         "grid names the network family EXPLICIT-a twice"),
+    ], ids=["factor-typo", "numeric-source", "non-number-factors",
+            "factor-above-one", "zero-factor", "missing-name",
+            "missing-source", "duplicate-name"])
+    def test_bad_explicit_entries_are_fatal(self, entries, error):
+        raw = make_config("unused")
+        raw["grid"]["explicit"] = entries
+        with pytest.raises(ExperimentError, match=f"^{error}"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("dataset, error", [
+        ({"synth": {}, "events": "e.tsv", "rules": "r.json"},
+         "dataset must name exactly one source"),
+        ({}, "dataset must name exactly one source"),
+        (None, "dataset must name exactly one source"),
+        ({"rules": "r.json"}, "dataset must name exactly one source"),
+        ({"events": "e.tsv"}, r"dataset\.rules must be given with "
+                              r"dataset\.events, and only with it"),
+        ({"synth": {}, "rules": "r.json"},
+         r"dataset\.rules must be given with dataset\.events, and only "
+         r"with it"),
+        ({"synth": {}, "boundaries": [10, 20]},
+         r"dataset\.boundaries must be left out without dataset\.events"),
+        ({"events": "e.tsv", "rules": "r.json", "aggregation": "avg"},
+         r"dataset\.aggregation must be 'sum' or 'mean', got 'avg'"),
+    ], ids=["synth-and-events", "no-source", "no-dataset", "rules-only",
+            "events-without-rules", "rules-next-to-synth",
+            "boundaries-next-to-synth", "unknown-aggregation"])
+    def test_bad_dataset_blocks_are_fatal(self, dataset, error):
+        raw = make_config("unused")
+        raw["dataset"] = dataset
+        if dataset is None:  # no dataset block at all
+            del raw["dataset"]
+        with pytest.raises(ExperimentError, match=f"^{error}"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_readme_quick_start_config_loads(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        quick_start = text.split("## Quick start", 1)[1]
+        block = quick_start.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = ExperimentConfig.from_dict(json.loads(block))
+        assert cfg.dataset.synth is not None and cfg.classifiers
 
 
 # --- the end-to-end run ---------------------------------------------------------
@@ -817,7 +921,8 @@ class TestExplicitNetworks:
         same = config({**edit, "synth": {
             "seed": edit.get("seed", 7), **edit.get("synth", {})}})
         if "aggregation" not in edit:
-            same.dataset["aggregation"] = "sum"
+            same.dataset = dataclasses.replace(same.dataset,
+                                               aggregation="sum")
         assert dataset_digest(same) == dataset_digest(new)
         stage_evaluate(same, out)
 
@@ -992,13 +1097,30 @@ class TestCli:
         assert f"error: {key} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit", [
+        {"grid": {"classifiers": ["svm"]}},
+        {"grid": {"explicit": [{"name": "a", "source": "s",
+                                "factors": [1.5]}]}},
+        {"dataset": {"synth": {}, "events": "e.tsv", "rules": "r.json"}},
+    ], ids=["grid-value", "explicit-factor", "two-sources"])
+    def test_config_refusals_stop_before_ingest(self, tmp_path, capsys,
+                                                edit):
+        path = cli_config(tmp_path)
+        raw = json.loads(path.read_text())
+        for block, values in edit.items():
+            raw[block].update(values)
+        path.write_text(json.dumps(raw))
+        assert main(["run", "-c", str(path)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_overrides_reach_the_config(self, tmp_path):
         path = cli_config(tmp_path)
         args = build_parser().parse_args(
             ["run", "-c", str(path), "--seed", "-5", "-j", "2", "-o", "x",
              "--strict"])
         cfg = _load_config(args)
-        assert (cfg.seed, cfg.workers, cfg.out, cfg.dataset["strict"]) == \
+        assert (cfg.seed, cfg.workers, cfg.out, cfg.dataset.strict) == \
             (-5, 2, "x", True)
 
     def test_seed_override_changes_outputs(self, tmp_path):

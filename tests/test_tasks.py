@@ -737,7 +737,7 @@ def test_lp_eval_plan_matches_union_reference(homophily):
     for plan in fam.lp_plans.values():
         assert plan.dropped_pos == 0 and len(plan.neg) > 50
         want = _reference_lp_negatives(
-            fam.graph.undirected_view(), plan,
+            fam.cc_scopes.g.undirected_view(), plan,
             derive_seed(5, "lp-eval", family_key(spec)))
         assert [tuple(p) for p in plan.neg.tolist()] == want
 
@@ -1299,7 +1299,7 @@ def test_cc_family_resolves_each_scope_once(homophily, monkeypatch):
         return [run_cc(c, scopes(), ds, role)
                 for c in configs for role in ("validation", "testing")]
 
-    want = batches(lambda: Scopes(fam.graph, fam.cc_scopes.comm))
+    want = batches(lambda: Scopes(fam.cc_scopes.g, fam.cc_scopes.comm))
     resolved = _call_counter(monkeypatch, "resolve_neighborhood")
     got = batches(lambda: fam.cc_scopes)
     for a, b in zip(got, want):
@@ -1312,7 +1312,7 @@ def test_cc_family_resolves_each_scope_once(homophily, monkeypatch):
                  for name in ds.labelset(role).names
                  for i in ds.labelset(role).positives(name)}
     members = ensemble_members(cfg("ensemble:degree", network=spec),
-                               fam.graph, train_m).tolist()
+                               fam.cc_scopes.g, train_m).tolist()
     assert len(calls) == len(set(calls))
     assert set(calls) == {(loc, i) for loc in local for i in positives} | \
         {("local-adjacency", m) for m in members}
@@ -1371,7 +1371,7 @@ def test_lp_scopes_need_the_family_exclusion_set(homophily, monkeypatch):
         run_lp(cfg("local-adjacency", task="LP", network=spec),
                Scopes(fam.lp_scopes.g, fam.lp_scopes.comm),
                fam.lp_plans["testing"], matrix)
-    full = fam.graph.undirected_view()
+    full = fam.cc_scopes.g.undirected_view()
     off_limits = np.union1d(full.pair_keys(), np.concatenate(
         [plan.reserved_keys for plan in fam.lp_plans.values()]))
     nonedges = []
